@@ -4,7 +4,18 @@ Twin of the compiled ``_gfcore`` extension; selected by ``_kernel`` when the
 extension is unavailable or ``IPSFORGE_PURE_PY=1``. Vectors are tuples of ints
 reduced mod p; ``modulus`` is the monic modulus as a tuple of length k+1.
 Everything here is exact integer arithmetic.
+
+``vmul`` multiplies by Kronecker substitution (Harvey, JSC 2009): each factor
+is packed into one int with a byte-aligned slot per power of t, so the whole
+convolution is one C-level big-int multiply whose 2k-1 slots are read back
+with one ``to_bytes``. A slot holds at most k*(p-1)^2, and is sized for that
+bound, so no slot carries into the next. The convolution is then reduced from
+the top slot down with the nonzero terms of -modulus only, which the sparse
+moduli of ``gf.field_spec`` keep to a handful. Degrees 1 and 2 are done in
+closed form, where packing costs more than it saves.
 """
+
+from functools import lru_cache
 
 BACKEND = "python"
 
@@ -26,23 +37,47 @@ def vsmul(a, s, p):
     return tuple((x * s) % p for x in a)
 
 
+@lru_cache(maxsize=128)  # one entry per field in use
+def _plan(p, modulus):
+    """(slot bytes, taps) of vmul modulo ``modulus``: slots wide enough for a
+    convolution coefficient, at most k*(p-1)^2, and the pairs (j, -m_j mod p)
+    over the nonzero low coefficients m_j, so that t^k = sum of m * t^j over
+    the taps (j, m)."""
+    k = len(modulus) - 1
+    nb = ((k * (p - 1) ** 2).bit_length() + 7) // 8
+    taps = tuple((j, -c % p) for j, c in enumerate(modulus[:-1]) if c)
+    return nb, taps
+
+
 def vmul(a, b, p, modulus):
     """Product of a and b in F_p[t]/(modulus): convolution then reduction."""
     k = len(a)
     if k == 1:
         return ((a[0] * b[0]) % p,)
-    conv = [0] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                conv[i + j] += ai * bj
-    for i in range(2 * k - 2, k - 1, -1):
+    if k == 2:  # t^2 = -m1*t - m0
+        a0, a1 = a
+        b0, b1 = b
+        top = a1 * b1
+        return ((a0 * b0 - top * modulus[0]) % p,
+                (a0 * b1 + a1 * b0 - top * modulus[1]) % p)
+    nb, taps = _plan(p, modulus)
+    if nb == 1:
+        prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+        conv = list(prod.to_bytes(2 * k - 1, "little"))
+    else:
+        x = int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in a]), "little")
+        y = int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in b]), "little")
+        raw = (x * y).to_bytes((2 * k - 1) * nb, "little")
+        conv = [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
+    i = 2 * k - 2
+    while i >= k:  # t^i = t^(i-k) * t^k
         c = conv[i] % p
         if c:
             base = i - k
-            for j in range(k):
-                conv[base + j] -= c * modulus[j]
-    return tuple(c % p for c in conv[:k])
+            for j, m in taps:
+                conv[base + j] += c * m
+        i -= 1
+    return tuple([c % p for c in conv[:k]])
 
 
 def vpow(a, e, p, modulus):

@@ -45,6 +45,7 @@ from ipsforge.lowerbounds import (
 from ipsforge.mvpoly import (
     Poly,
     cube_interpolate,
+    cube_values,
     divide_by_axioms,
     ml,
 )
@@ -292,7 +293,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     tower = gf.field_tower(2, 12)
     rng = random.Random(derive_seed(seed, "c8"))
     inst = lifted_instance("fixed-order", 4, tower, rng)
-    values = [inst.poly.eval_cube_point(mask) for mask in range(1 << 8)]
+    values = cube_values(inst.poly)
     ok = all(not v.is_zero() for v in values)
     g = cube_interpolate(_batch_inverse(values), 8, tower.ext)
     dim = eval_dimension(g, (inst.x_vars(), inst.y_vars()))

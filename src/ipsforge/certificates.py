@@ -500,14 +500,13 @@ def solve_nullstellensatz(axioms: list[Poly], degree_bound: int, *,
     solution = exactla.solve(matrix, rhs, fld)
     if solution is None:
         return NoCertificateAtDegree(degree_bound)
-    multipliers = [Poly.zero(n, fld) for _ in all_axioms]
-    per_axiom = len(basis)
+    # each column is one (axiom, basis monomial) pair, so no two collide
+    terms: list[dict] = [{} for _ in all_axioms]
     for cidx, coeffs in enumerate(solution):
         if any(coeffs):
-            ax_idx = cidx // per_axiom
-            mono = basis[cidx % per_axiom]
-            multipliers[ax_idx] = multipliers[ax_idx] + Poly.monomial(
-                n, fld, mono, FieldElem(fld, coeffs))
+            ax_idx, midx = divmod(cidx, len(basis))
+            terms[ax_idx][basis[midx]] = FieldElem(fld, coeffs)
+    multipliers = [Poly(n, fld, t) for t in terms]
     if include_boolean:
         A, B = multipliers[:len(axioms)], multipliers[len(axioms):]
     else:
@@ -563,13 +562,13 @@ def _solve_low_variate(axioms_y: list[Poly], r: int, fld: FieldSpec):
     solution = exactla.solve(matrix, rhs, fld)
     if solution is None:
         return None
-    multipliers = [Poly.zero(r, fld) for _ in axioms_y]
+    # each column is one (axiom, basis monomial) pair, so no two collide
+    terms: list[dict] = [{} for _ in axioms_y]
     for cidx, coeffs in enumerate(solution):
         if any(coeffs):
             aidx, midx = divmod(cidx, len(basis))
-            multipliers[aidx] = multipliers[aidx] + Poly.monomial(
-                r, fld, basis[midx], FieldElem(fld, coeffs))
-    return multipliers
+            terms[aidx][basis[midx]] = FieldElem(fld, coeffs)
+    return [Poly(r, fld, t) for t in terms]
 
 
 def refute_symmetric_system(system: list[Poly]) -> Certificate | NoCertificateAtDegree:

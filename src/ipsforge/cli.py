@@ -50,7 +50,7 @@ from ipsforge.lowerbounds import (
     sparsity_probe,
     top_coeff,
 )
-from ipsforge.mvpoly import cube_interpolate, format_elem, format_poly
+from ipsforge.mvpoly import cube_interpolate, cube_values, format_elem, format_poly
 from ipsforge.symfun import elem_sym
 
 EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_INTERNAL = 0, 1, 2, 3
@@ -87,6 +87,17 @@ def _run_config(subcommand: str, **params) -> dict:
     cfg = {"subcommand": subcommand}
     cfg.update({k: v for k, v in params.items() if v is not None})
     return cfg
+
+
+def _prime(ctx, param, value):
+    """Click callback: a field characteristic must be prime."""
+    try:
+        prime = gf.is_prime(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
+    if not prime:
+        raise click.BadParameter(f"{value} is not prime")
+    return value
 
 
 def _common_options(fn):
@@ -177,10 +188,10 @@ REFUTERS = {
 @cli.command()
 @click.option("--family", required=True,
               type=click.Choice(sorted(REFUTERS)))
-@click.option("--p", type=int, required=True)
-@click.option("--k", type=int, default=1, show_default=True)
-@click.option("--n", type=int, required=True)
-@click.option("--m", type=int, default=1, show_default=True,
+@click.option("--p", type=int, required=True, callback=_prime)
+@click.option("--k", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--n", type=click.IntRange(min=0), required=True)
+@click.option("--m", type=click.IntRange(min=1), default=1, show_default=True,
               help="Number of axioms (symmetric family).")
 @click.option("--seed", type=int, default=None)
 @click.option("--poly", "polys", multiple=True,
@@ -258,10 +269,10 @@ def verify_cmd(certificate, instance_path, out, fmt, canonical):
 @cli.command()
 @click.option("--family", required=True,
               type=click.Choice(sorted(REFUTERS)))
-@click.option("--p", type=int, required=True)
-@click.option("--k", type=int, default=1, show_default=True)
-@click.option("--n", type=int, required=True)
-@click.option("--m", type=int, default=1, show_default=True)
+@click.option("--p", type=int, required=True, callback=_prime)
+@click.option("--k", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--n", type=click.IntRange(min=0), required=True)
+@click.option("--m", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--poly", "polys", multiple=True)
 @_common_options
@@ -294,9 +305,9 @@ def gen(family, p, k, n, m, seed, polys, out, fmt, canonical):
     "degree-trial", "scan", "sparsity", "top-coeff", "numerator",
     "rank", "eval-dim", "roabp-width",
 ]))
-@click.option("--p", type=int, default=2, show_default=True)
-@click.option("--k", type=int, default=1, show_default=True)
-@click.option("--n", type=int, required=True)
+@click.option("--p", type=int, default=2, show_default=True, callback=_prime)
+@click.option("--k", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--n", type=click.IntRange(min=0), required=True)
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--scan-all", is_flag=True,
@@ -353,11 +364,9 @@ def oracle(kind, p, k, n, trials, seed, scan_all, inst_kind, out, fmt, canonical
         return
     # rank / eval-dim / roabp-width over a lifted instance
     inst = lifted_instance(inst_kind, n, tower, rng)
-    values = [inst.poly.eval_cube_point(mask) for mask in range(1 << inst.n_vars)] \
-        if inst.n_vars <= 20 else None
-    if values is None:
+    if inst.n_vars > 20:
         raise BudgetExceeded("lifted instance too large to interpolate")
-    g = cube_interpolate(_batch_inverse(values), inst.n_vars, tower.ext)
+    g = cube_interpolate(_batch_inverse(cube_values(inst.poly)), inst.n_vars, tower.ext)
     if inst_kind == "fixed-order":
         partition = (inst.x_vars(), inst.y_vars())
     else:

@@ -28,14 +28,22 @@ EXT = "ext"
 # ---------------------------------------------------------------------------
 # primality and prime-field univariate helpers (modulus search)
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The least n that is a strong pseudoprime to every base in _MR_BASES
+# (Sorenson & Webster, Math. Comp. 2017): every smaller n is decided exactly.
+MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for every n < MR_BOUND (about
+    3.3e24). Raises ValueError at or above it, where the bases prove
+    nothing."""
+    if n >= MR_BOUND:
+        raise ValueError(f"{n} is beyond the proven primality bound {MR_BOUND}")
     if n < 2:
         return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for sp in _MR_BASES:
         if n % sp == 0:
             return n == sp
     d, r = n - 1, 0
@@ -337,26 +345,6 @@ class FieldElem:
 
     def __bool__(self):
         return not self.is_zero()
-
-
-def add(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a + b
-
-
-def mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a * b
-
-
-def neg(a: FieldElem) -> FieldElem:
-    return -a
-
-
-def inv(a: FieldElem) -> FieldElem:
-    return a.inv()
-
-
-def frobenius(a: FieldElem, j: int) -> FieldElem:
-    return a.frobenius(j)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from ipsforge import _kernel as kn
 from ipsforge import exactla
 from ipsforge.errors import BudgetExceeded, ZeroDenominator
 from ipsforge.gf import FieldElem, FieldSpec, FieldTower
-from ipsforge.mvpoly import Poly, cube_interpolate, default_names
+from ipsforge.mvpoly import Poly, cube_interpolate, cube_values, default_names
 
 
 def budget_n(default: int = 12) -> int:
@@ -108,8 +108,7 @@ def alternating_cube_sum(f: Poly) -> FieldElem:
     extension, signed so the identity is exact in every characteristic."""
     fld = f.field
     acc = fld.zero()
-    for mask in range(1 << f.n):
-        v = f.eval_cube_point(mask)
+    for mask, v in enumerate(cube_values(f)):
         acc = acc + (-v if (f.n - bin(mask).count("1")) % 2 else v)
     return acc
 

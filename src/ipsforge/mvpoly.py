@@ -355,7 +355,8 @@ class Poly:
                 raise ArityMismatch(f"variable index {i} out of range")
             if g.n != self.n or g.field != self.field:
                 raise ArityMismatch("substituted polynomial has different arity or field")
-        out = Poly.zero(self.n, self.field)
+        p = self.field.p
+        out: dict[tuple[int, ...], tuple[int, ...]] = {}
         pow_cache: dict[tuple[int, int], Poly] = {}
 
         def cached_pow(i: int, d: int) -> Poly:
@@ -370,8 +371,10 @@ class Poly:
             for i, d in enumerate(e):
                 if d and i in assignments:
                     term = term * cached_pow(i, d)
-            out = out + term
-        return out
+            for key, v in term.terms.items():
+                cur = out.get(key)
+                out[key] = v.coeffs if cur is None else kn.vadd(cur, v.coeffs, p)
+        return self._from_raw(out)
 
     def restrict(self, values: Mapping[int, FieldElem]) -> "Poly":
         """Substitute constants for some variables (cheaper than substitute)."""
@@ -508,6 +511,37 @@ def cube_interpolate(values: Sequence[FieldElem], n: int, field: FieldSpec) -> P
     return Poly(n, field, terms)
 
 
+def cube_values(f: Poly) -> list[FieldElem]:
+    """f at every 0/1 point: values[mask] is f at the point with bit i of mask
+    giving x_{i+1}, the table cube_interpolate reads.
+
+    One zeta transform over the subset lattice, the inverse of
+    cube_interpolate's Moebius step: each term's coefficient goes to the slot
+    of its support mask, then for each bit c[mask] += c[mask ^ bit]. The
+    coefficient vectors are packed one int per mask, one byte-aligned slot per
+    power of t; a value is a sum of at most every term's coefficient, so slots
+    sized for len(terms)*(p-1) never carry into each other.
+    """
+    n, field = f.n, f.field
+    p, k = field.p, field.k
+    nb = ((len(f.terms) * (p - 1)).bit_length() + 7) // 8 or 1
+    c = [0] * (1 << n)
+    for e, v in f.terms.items():
+        mask = 0
+        for i, d in enumerate(e):
+            if d:
+                mask |= 1 << i
+        c[mask] += _pack(v.coeffs, nb)
+    for i in range(n):
+        bit = 1 << i
+        for mask in range(bit, 1 << n):
+            if mask & bit:
+                src = c[mask ^ bit]
+                if src:
+                    c[mask] += src
+    return [FieldElem(field, tuple([x % p for x in _unpack(v, k, nb)])) for v in c]
+
+
 def leading_monomial(f: Poly) -> tuple[int, ...]:
     """Maximal exponent vector under graded lexicographic order (total degree
     first, ties broken left-to-right on variable index)."""
@@ -578,7 +612,8 @@ def parse_poly(text: str, n: int, field: FieldSpec,
     toks = _tokenize(text)
     if not toks:
         raise ParseError("empty polynomial")
-    result = Poly.zero(n, field)
+    p = field.p
+    raw: dict[tuple[int, ...], tuple[int, ...]] = {}
     i = 0
     sign = 1
     first = True
@@ -627,7 +662,9 @@ def parse_poly(text: str, n: int, field: FieldSpec,
             expect_factor = False
         if sign < 0:
             coeff = -coeff
-        result = result + Poly.monomial(n, field, tuple(exp), coeff)
+        key = tuple(exp)
+        cur = raw.get(key)
+        raw[key] = coeff.coeffs if cur is None else kn.vadd(cur, coeff.coeffs, p)
         sign = 1
         first = False
-    return result
+    return Poly.zero(n, field)._from_raw(raw)

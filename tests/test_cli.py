@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import ipsforge
 from ipsforge.cli import main
 
@@ -89,6 +91,21 @@ class TestRefuteVerify:
         code, _, _ = run_cli(capsys, "refute", "--family", "frobnicate",
                              "--p", "2", "--n", "2", "--seed", "1")
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["refute", "--family", "linear-shifted", "--p", "4", "--n", "2", "--seed", "1"],
+    ["refute", "--family", "linear-shifted", "--p", "2", "--k", "0", "--n", "2", "--seed", "1"],
+    ["refute", "--family", "linear-shifted", "--p", "2", "--n", "-1", "--seed", "1"],
+    ["refute", "--family", "symmetric", "--p", "2", "--n", "4", "--m", "0", "--seed", "1"],
+    ["gen", "--family", "linear-base", "--p", "9", "--n", "2", "--seed", "1"],
+    ["oracle", "scan", "--p", "4", "--n", "2", "--seed", "1"],
+    ["oracle", "rank", "--p", "318665857834031151167461", "--n", "2", "--seed", "1"],
+], ids=["p4", "k0", "n-1", "m0", "gen-p9", "oracle-p4", "oracle-pseudoprime"])
+def test_bad_field_or_size_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1, err
+    assert "Invalid value" in err
 
 
 class TestDeterminism:

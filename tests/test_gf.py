@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ipsforge import gf
-from ipsforge.errors import DegenerateTower, LevelMismatch, ZeroInverse
+from ipsforge.errors import DegenerateTower, LevelMismatch, ParseError, ZeroInverse
 
 
 def test_f4_multiplication_table():
@@ -103,6 +103,25 @@ def test_bad_modulus_rejected():
         gf.FieldSpec(2, 2, (0, 0, 1))  # t^2 is reducible
     with pytest.raises(ValueError):
         gf.FieldSpec(4, 1, (0, 1))  # 4 is not prime
+
+
+def test_is_prime_rejects_strong_pseudoprime_to_bases_below_41():
+    # 399165290221 * 798330580441, a strong pseudoprime to every base up to 37
+    n = 318665857834031151167461
+    assert not gf.is_prime(n)
+    with pytest.raises(ValueError):
+        gf.FieldSpec(n, 1, (0, 1))
+    with pytest.raises(ParseError):
+        gf.parse_field_spec(f"GF({n}){{modulus=0,1}}")
+
+
+def test_is_prime_small_and_near_bound():
+    assert [n for n in range(50) if gf.is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    assert gf.is_prime((1 << 61) - 1)
+    assert not gf.is_prime(((1 << 61) - 1) * ((1 << 19) - 1))  # about 1.2e24
+    with pytest.raises(ValueError, match="proven primality bound"):
+        gf.is_prime(gf.MR_BOUND)
 
 
 class TestTower:

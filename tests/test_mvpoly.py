@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipsforge import gf
 from ipsforge.errors import ArityMismatch, ParseError, ZeroPolynomial
 from ipsforge.mvpoly import (
     Poly,
     cube_interpolate,
+    cube_values,
     default_names,
     divide_by_axioms,
     format_poly,
@@ -210,6 +212,40 @@ class TestCubeInterpolate:
             assert poly.coeff((1, 1, 1)) == alternating_cube_sum(poly)
 
 
+@st.composite
+def cube_polys(draw):
+    """A random, mostly non-multilinear polynomial in up to 6 variables."""
+    p, k = draw(st.sampled_from([(2, 1), (3, 2), (2, 12), (5, 3), (13, 2)]))
+    field = gf.field_spec(p, k)
+    n = draw(st.integers(0, 6))
+    exps = st.tuples(*[st.integers(0, 3) for _ in range(n)])
+    coeffs = st.tuples(*[st.integers(0, p - 1) for _ in range(k)])
+    terms = draw(st.dictionaries(exps, coeffs, max_size=12))
+    return Poly(n, field, {e: gf.FieldElem(field, c) for e, c in terms.items()})
+
+
+class TestCubeValues:
+    @settings(max_examples=80, deadline=None)
+    @given(cube_polys())
+    def test_matches_pointwise_and_inverts_interpolation(self, f):
+        values = cube_values(f)
+        assert values == [f.eval_cube_point(m) for m in range(1 << f.n)]
+        assert cube_interpolate(values, f.n, f.field) == ml(f)
+
+    @pytest.mark.parametrize("p,k,nterms", [(2, 2, 300), (13, 1, 40), (13, 3, 40)])
+    def test_multibyte_slots(self, p, k, nterms):
+        """len(terms)*(p-1) >= 256: each packed value needs two-byte slots,
+        and at the all-ones point every term's coefficient lands in them."""
+        field = gf.field_spec(p, k)
+        rng = random.Random(nterms)
+        top = gf.FieldElem(field, (p - 1,) * k)
+        f = Poly.zero(9, field)
+        while f.sparsity() < nterms:
+            e = tuple(rng.randrange(3) for _ in range(9))
+            f = f + Poly.monomial(9, field, e, top)
+        assert cube_values(f) == [f.eval_cube_point(m) for m in range(1 << 9)]
+
+
 class TestLeadingMonomial:
     def test_degree_dominates(self, f3):
         f = Poly.monomial(3, f3, (1, 1, 0), f3.one()) + Poly.var(3, f3, 2)
@@ -305,3 +341,30 @@ class TestTextGrammar:
     def test_default_names(self):
         assert default_names(3) == ("x1", "x2", "x3")
         assert default_names(2, "z") == ("z1", "z2")
+
+    def test_repeated_and_cancelling_monomials(self, f3, f9):
+        """Colliding monomials add up and cancelling ones vanish, exactly as
+        when the parser summed one monomial at a time."""
+        text = "2*x1^2*x2 + x2*x1*x1 - x1^2*x2*2 + x3 - 2*x3 + x3 + 1 + 2 + x2"
+        expect = Poly.zero(3, f3)
+        for e, c in [((2, 1, 0), 2), ((2, 1, 0), 1), ((2, 1, 0), -2), ((0, 0, 1), 1),
+                     ((0, 0, 1), -2), ((0, 0, 1), 1), ((0, 0, 0), 1), ((0, 0, 0), 2),
+                     ((0, 1, 0), 1)]:
+            expect = expect + Poly.monomial(3, f3, e, f3.from_int(c))
+        got = parse_poly(text, 3, f3)
+        assert got == expect == Poly.monomial(3, f3, (2, 1, 0), f3.one()) + Poly.var(3, f3, 1)
+        ext = "[1,2]*x1 + [2,1]*x1 + [0,1]*x2 - [0,1]*x2 + [1,1]"
+        assert parse_poly(ext, 2, f9) == Poly.const(2, f9, f9.from_coeffs((1, 1)))
+        assert parse_poly("x1 - x1", 1, f3).is_zero()
+
+    def test_roundtrip_large_certificate_polynomial(self):
+        from ipsforge import generators
+        from ipsforge.certificates import refute_linear_frobenius
+
+        tower = gf.field_tower(5, 3)
+        inst = generators.linear_shifted(tower, 6, random.Random(7))
+        cert = refute_linear_frobenius(inst.axioms[0], tower)
+        a = cert.A[0]
+        assert a.sparsity() >= 5000
+        names = inst.var_names
+        assert parse_poly(format_poly(a, names), inst.n, inst.field, names) == a
