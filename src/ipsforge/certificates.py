@@ -21,6 +21,7 @@ from ipsforge.errors import (
     BetaInSubfield,
     FieldMismatch,
     NotLinear,
+    ParseError,
     SatisfiableInstance,
     SatisfiableSystem,
 )
@@ -31,6 +32,7 @@ from ipsforge.mvpoly import (
     divide_by_axioms,
     format_poly,
     inddeg_p,
+    linear_poly,
     ml,
     parse_poly,
     sum_of_products,
@@ -216,40 +218,6 @@ def _check_shifted(L: Poly, tower: FieldTower) -> tuple[list[FieldElem], FieldEl
     return alphas, beta
 
 
-def frobenius_chain(L: Poly, tower: FieldTower):
-    """Yield (j, L_j, A_j, B_j-list) satisfying
-    L_j = A_j * L_0 + sum_i B_{j,i} (x_i^p - x_i) for j = 1..k."""
-    alphas, beta = _check_shifted(L, tower)
-    n, fld = L.n, L.field
-    p, k = tower.p, tower.k
-
-    def linear_of(coeffs, const):
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if not c.is_zero():
-                e = tuple(1 if v == i else 0 for v in range(n))
-                terms[e] = c
-        poly = Poly(n, fld, terms)
-        return poly + Poly.const(n, fld, const)
-
-    cur_alphas = list(alphas)
-    cur_beta = beta
-    L_prev = linear_of(cur_alphas, -cur_beta)
-    A = None
-    B = [Poly.zero(n, fld) for _ in range(n)]
-    for j in range(1, k + 1):
-        step = L_prev ** (p - 1)
-        A = step if A is None else A * step
-        cur_alphas = [a ** p for a in cur_alphas]
-        cur_beta = cur_beta ** p
-        B = [b * step for b in B]
-        for i, a in enumerate(cur_alphas):
-            if not a.is_zero():
-                B[i] = B[i] - Poly.const(n, fld, a)
-        L_prev = linear_of(cur_alphas, -cur_beta)
-        yield j, L_prev, A, list(B)
-
-
 def refute_linear_frobenius(L: Poly, tower: FieldTower) -> Certificate:
     """Refutation of L = sum alpha_i x_i - beta (alpha in the base field,
     beta outside it) by iterating Frobenius powers of L; the final division by
@@ -270,14 +238,8 @@ def refute_linear_frobenius(L: Poly, tower: FieldTower) -> Certificate:
         alpha_pows.append([a ** p for a in alpha_pows[-1]])
         beta_pows.append(beta_pows[-1] ** p)
 
-    def linear_of(j: int) -> Poly:
-        terms = {}
-        for i, a in enumerate(alpha_pows[j]):
-            if not a.is_zero():
-                terms[tuple(1 if v == i else 0 for v in range(n))] = a
-        return Poly(n, fld, terms) + Poly.const(n, fld, -beta_pows[j])
-
-    powers = [linear_of(j) ** (p - 1) for j in range(k)]
+    powers = [linear_poly(fld, alpha_pows[j], -beta_pows[j]) ** (p - 1)
+              for j in range(k)]
     suffix = [Poly.one(n, fld)] * (k + 1)
     for l in range(k - 1, 0, -1):
         suffix[l] = powers[l] * suffix[l + 1]
@@ -367,11 +329,7 @@ def refute_sparse(f: Poly, tower: FieldTower) -> Certificate:
     if tower.is_in_subfield(beta):
         raise BetaInSubfield("beta lies in the base field")
     s = len(support)
-    flat_terms = {}
-    for idx, e in enumerate(support):
-        y_exp = tuple(1 if v == idx else 0 for v in range(s))
-        flat_terms[y_exp] = f.terms[e]
-    F = Poly(s, fld, flat_terms) + Poly.const(s, fld, -beta)
+    F = linear_poly(fld, [f.terms[e] for e in support], -beta)
     flat_cert = refute_linear_frobenius(F, tower)
     A = _substitute_monomials(flat_cert.A[0], support, n, fld)
     B = [Poly.zero(n, fld) for _ in range(n)]
@@ -413,11 +371,7 @@ def ml_power_q_minus_2(L: Poly) -> Poly:
             cur_beta = cur_beta ** p
         if m_j == 0:
             continue
-        terms = {}
-        for i, a in enumerate(cur_alphas):
-            if not a.is_zero():
-                terms[tuple(1 if v == i else 0 for v in range(L.n))] = a
-        L_j = Poly(L.n, fld, terms) + Poly.const(L.n, fld, -cur_beta)
+        L_j = linear_poly(fld, cur_alphas, -cur_beta)
         for _ in range(m_j):
             acc = ml(acc * L_j)
     return acc
@@ -663,8 +617,22 @@ def certificate_to_dict(instance: Instance, cert: Certificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> tuple[Instance, Certificate]:
+    """The instance and certificate of a certificate file's JSON; ParseError
+    unless data has the keys and JSON types of one."""
+    if not isinstance(data, dict):
+        raise ParseError(f"a certificate is a JSON object, not {type(data).__name__}")
+    n = data.get("n")
+    if type(n) is not int or n < 0:
+        raise ParseError(f"certificate 'n' must be a non-negative integer, got {n!r}")
+    if not isinstance(data.get("field"), str):
+        raise ParseError("certificate 'field' must be a string")
+    for key in ("var_names", "instance", "A", "B"):
+        value = data.get(key)
+        if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+            raise ParseError(f"certificate {key!r} must be a list of strings")
+    if len(data["var_names"]) != n:
+        raise ParseError(f"certificate declares {len(data['var_names'])} names for n = {n}")
     fld = parse_field_spec(data["field"])
-    n = data["n"]
     names = tuple(data["var_names"])
     tower = None
     if "tower" in data:

@@ -30,6 +30,7 @@ from ipsforge.certificates import (
     verify,
 )
 from ipsforge.errors import (
+    ArityMismatch,
     BetaInSubfield,
     BudgetExceeded,
     FieldMismatch,
@@ -39,18 +40,18 @@ from ipsforge.errors import (
     SatisfiableSystem,
 )
 from ipsforge.lowerbounds import (
-    _batch_inverse,
     coefficient_matrix,
     degree_trial,
     eval_dimension,
     lifted_instance,
+    ml_reciprocal,
     numerator_monomial_check,
     restricted_degree_scan,
     roabp_width,
     sparsity_probe,
     top_coeff,
 )
-from ipsforge.mvpoly import cube_interpolate, cube_values, format_elem, format_poly
+from ipsforge.mvpoly import format_elem, format_poly
 from ipsforge.symfun import elem_sym
 
 EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_INTERNAL = 0, 1, 2, 3
@@ -166,11 +167,15 @@ def _parse_sym_expr(text: str, n: int, fld):
         coeff_txt, _, sym = body.partition("*")
         if not sym:
             coeff_txt, sym = ("1", body) if body.startswith("e") else (body, "")
+        if not coeff_txt.isdecimal():
+            raise ParseError(f"expected an integer coefficient, got {coeff_txt!r}")
         coeff = fld.from_int(sign * int(coeff_txt))
         if sym:
-            if not sym.startswith("e"):
+            if not (sym.startswith("e") and sym[1:].isdecimal()):
                 raise ParseError(f"expected e<d> term, got {sym!r}")
             d = int(sym[1:])
+            if d > n:
+                raise ParseError(f"e{d} needs a degree in 0..{n}")
             acc = acc + elem_sym(n, d, fld).scale(coeff)
         else:
             acc = acc + Poly.const(n, fld, coeff)
@@ -249,7 +254,10 @@ def verify_cmd(certificate, instance_path, out, fmt, canonical):
         if declared != data.get("instance"):
             raise MathFailure("instance_mismatch",
                               "instance polynomials differ from the certificate's")
-    report = verify(inst, cert)
+    try:
+        report = verify(inst, cert)
+    except ArityMismatch as exc:
+        raise MathFailure("not_a_certificate", str(exc)) from None
     payload = {
         "valid": report.ok,
         "residual": format_poly(report.residual, inst.var_names),
@@ -366,7 +374,7 @@ def oracle(kind, p, k, n, trials, seed, scan_all, inst_kind, out, fmt, canonical
     inst = lifted_instance(inst_kind, n, tower, rng)
     if inst.n_vars > 20:
         raise BudgetExceeded("lifted instance too large to interpolate")
-    g = cube_interpolate(_batch_inverse(cube_values(inst.poly)), inst.n_vars, tower.ext)
+    g = ml_reciprocal(inst.poly)
     if inst_kind == "fixed-order":
         partition = (inst.x_vars(), inst.y_vars())
     else:

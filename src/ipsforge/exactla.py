@@ -19,14 +19,16 @@ def _axpy(row, factor, src, p, mod):
     ]
 
 
-def rank(rows: list[list[tuple]], field: FieldSpec) -> int:
-    if not rows:
-        return 0
+def _eliminate(work: list[list[tuple]], ncols: int, field: FieldSpec) -> list[int]:
+    """Gauss-Jordan reduction of work, in place, over its first ncols columns;
+    later columns ride along. Returns the pivot columns: the pivot of
+    column pivots[i] is a 1 in row i, and every other row is 0 there."""
     p, mod = field.p, field.modulus
-    work = [list(r) for r in rows]
-    ncols = len(work[0])
-    r = 0
+    pivots: list[int] = []
     for c in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
         pivot = next((i for i in range(r, len(work)) if any(work[i][c])), None)
         if pivot is None:
             continue
@@ -36,40 +38,25 @@ def rank(rows: list[list[tuple]], field: FieldSpec) -> int:
         for i in range(len(work)):
             if i != r and any(work[i][c]):
                 work[i] = _axpy(work[i], work[i][c], work[r], p, mod)
-        r += 1
-        if r == len(work):
-            break
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def rank(rows: list[list[tuple]], field: FieldSpec) -> int:
+    ncols = len(rows[0]) if rows else 0
+    return len(_eliminate([list(r) for r in rows], ncols, field))
 
 
 def solve(rows: list[list[tuple]], rhs: list[tuple],
           field: FieldSpec) -> list[tuple] | None:
     """One solution of A x = rhs with free variables set to zero, or None."""
-    p, mod = field.p, field.modulus
-    zero = (0,) * field.k
     work = [list(r) + [b] for r, b in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if any(work[i][c])), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = kn.vinv(work[r][c], p, mod)
-        work[r] = [kn.vmul(inv, x, p, mod) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and any(work[i][c]):
-                work[i] = _axpy(work[i], work[i][c], work[r], p, mod)
-        pivots.append((r, c))
-        r += 1
-        if r == len(work):
-            break
-    for i in range(r, len(work)):
-        if any(work[i][-1]):
-            return None
-    x = [zero] * ncols
-    for row, col in pivots:
+    pivots = _eliminate(work, ncols, field)
+    if any(any(row[-1]) for row in work[len(pivots):]):
+        return None
+    x = [(0,) * field.k] * ncols
+    for row, col in enumerate(pivots):
         x[col] = work[row][-1]
     return x
 
@@ -77,18 +64,9 @@ def solve(rows: list[list[tuple]], rhs: list[tuple],
 def invert(rows: list[list[tuple]], field: FieldSpec) -> list[list[tuple]] | None:
     """Inverse of a square matrix, or None if singular."""
     n = len(rows)
-    p, mod = field.p, field.modulus
     zero, one = (0,) * field.k, (1,) + (0,) * (field.k - 1)
     work = [list(r) + [one if i == j else zero for j in range(n)]
             for i, r in enumerate(rows)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if any(work[i][c])), None)
-        if pivot is None:
-            return None
-        work[c], work[pivot] = work[pivot], work[c]
-        inv = kn.vinv(work[c][c], p, mod)
-        work[c] = [kn.vmul(inv, x, p, mod) for x in work[c]]
-        for i in range(n):
-            if i != c and any(work[i][c]):
-                work[i] = _axpy(work[i], work[i][c], work[c], p, mod)
+    if len(_eliminate(work, n, field)) < n:
+        return None
     return [row[n:] for row in work]

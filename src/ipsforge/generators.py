@@ -7,28 +7,18 @@ run configurations reproduce identical instances byte for byte.
 from __future__ import annotations
 
 from ipsforge.certificates import Instance, reachable_sums
-from ipsforge.errors import SatisfiableInstance
+from ipsforge.errors import OutOfRange, SatisfiableInstance
 from ipsforge.gf import FieldSpec, FieldTower
-from ipsforge.mvpoly import Poly, default_names
+from ipsforge.mvpoly import Poly, default_names, linear_poly
 from ipsforge.symfun import ElemSymExpansion
-
-
-def _unit_exp(n: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if v == i else 0 for v in range(n))
 
 
 def linear_shifted(tower: FieldTower, n: int, rng) -> Instance:
     """sum alpha_i x_i - beta with alpha in the base field, beta outside it;
     unsatisfiable over the cube by construction."""
-    ext = tower.ext
-    terms = {}
-    for i in range(n):
-        a = tower.embed(tower.base.sample(rng))
-        if not a.is_zero():
-            terms[_unit_exp(n, i)] = a
+    alphas = [tower.embed(tower.base.sample(rng)) for _ in range(n)]
     beta = tower.sample_beta(rng)
-    poly = Poly(n, ext, terms) + Poly.const(n, ext, -beta)
-    return Instance(n, ext, [poly], "linear", tower)
+    return Instance(n, tower.ext, [linear_poly(tower.ext, alphas, -beta)], "linear", tower)
 
 
 def linear_base(fld: FieldSpec, n: int, rng, max_tries: int = 20) -> Instance:
@@ -54,9 +44,7 @@ def linear_base(fld: FieldSpec, n: int, rng, max_tries: int = 20) -> Instance:
                 key=lambda e: e.encoding(),
             )
             beta = complement[rng.randrange(len(complement))]
-            terms = {_unit_exp(n, i): a for i, a in enumerate(alphas) if not a.is_zero()}
-            poly = Poly(n, fld, terms) + Poly.const(n, fld, -beta)
-            return Instance(n, fld, [poly], "linear")
+            return Instance(n, fld, [linear_poly(fld, alphas, -beta)], "linear")
     raise SatisfiableInstance("could not sample an unsatisfiable instance")
 
 
@@ -92,6 +80,8 @@ def symmetric_system(fld: FieldSpec, n: int, m: int, rng) -> Instance:
     """
     from ipsforge.symfun import _solve_weight_triangular
 
+    if m < 1:
+        raise OutOfRange(f"a symmetric system needs m >= 1 polynomials, got m = {m}")
     tables = [[None] * (n + 1) for _ in range(m)]
     for w in range(n + 1):
         while True:

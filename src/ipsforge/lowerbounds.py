@@ -18,7 +18,13 @@ from ipsforge import _kernel as kn
 from ipsforge import exactla
 from ipsforge.errors import BudgetExceeded, ZeroDenominator
 from ipsforge.gf import FieldElem, FieldSpec, FieldTower
-from ipsforge.mvpoly import Poly, cube_interpolate, cube_values, default_names
+from ipsforge.mvpoly import (
+    Poly,
+    cube_interpolate,
+    cube_values,
+    default_names,
+    linear_poly,
+)
 
 
 def budget_n(default: int = 12) -> int:
@@ -36,14 +42,6 @@ def _check_budget(n: int, cap: int | None = None, what: str = "cube enumeration"
 # ---------------------------------------------------------------------------
 # subset-sum denominators and the multilinear inverse
 
-@dataclass
-class CubeTable:
-    """Complete table of 2^n field values indexed by cube masks."""
-
-    n: int
-    values: list[FieldElem]
-
-
 def _normalize_alphas(alphas: Sequence[FieldElem], beta: FieldElem,
                       tower: FieldTower | None) -> list[FieldElem]:
     out = []
@@ -57,24 +55,6 @@ def _normalize_alphas(alphas: Sequence[FieldElem], beta: FieldElem,
                 "alphas and beta live in different fields and no tower was given"
             )
     return out
-
-
-def subset_sum_table(alphas: Sequence[FieldElem], beta: FieldElem,
-                     tower: FieldTower | None = None) -> CubeTable:
-    """denominators sum_{i in mask} alpha_i - beta for every mask."""
-    alphas = _normalize_alphas(alphas, beta, tower)
-    n = len(alphas)
-    _check_budget(n)
-    fld = beta.spec
-    p = fld.p
-    vals = [kn.vneg(beta.coeffs, p)] * (1 << n)
-    for i, a in enumerate(alphas):
-        bit = 1 << i
-        ac = a.coeffs
-        for mask in range(bit, 1 << n):
-            if mask & bit:
-                vals[mask] = kn.vadd(vals[mask ^ bit], ac, p)
-    return CubeTable(n, [FieldElem(fld, v) for v in vals])
 
 
 def _batch_inverse(values: list[FieldElem]) -> list[FieldElem]:
@@ -91,16 +71,24 @@ def _batch_inverse(values: list[FieldElem]) -> list[FieldElem]:
     return out
 
 
+def ml_reciprocal(f: Poly) -> Poly:
+    """The unique multilinear polynomial agreeing with 1 / f on the cube: f
+    at every cube point, one batch inversion, and cube interpolation.
+    ZeroDenominator when f vanishes at a cube point."""
+    values = cube_values(f)
+    for mask, v in enumerate(values):
+        if v.is_zero():
+            raise ZeroDenominator(f"denominator vanishes at mask {mask:b}")
+    return cube_interpolate(_batch_inverse(values), f.n, f.field)
+
+
 def ml_inverse(alphas: Sequence[FieldElem], beta: FieldElem,
                tower: FieldTower | None = None) -> Poly:
     """The unique multilinear polynomial agreeing with
     1 / (sum alpha_i x_i - beta) on the cube."""
-    table = subset_sum_table(alphas, beta, tower)
-    for mask, v in enumerate(table.values):
-        if v.is_zero():
-            raise ZeroDenominator(f"denominator vanishes at mask {mask:b}")
-    invs = _batch_inverse(table.values)
-    return cube_interpolate(invs, table.n, beta.spec)
+    alphas = _normalize_alphas(alphas, beta, tower)
+    _check_budget(len(alphas))
+    return ml_reciprocal(linear_poly(beta.spec, alphas, -beta))
 
 
 def alternating_cube_sum(f: Poly) -> FieldElem:
@@ -128,15 +116,19 @@ def top_coeff(alphas: Sequence[FieldElem], beta: FieldElem,
               tower: FieldTower | None = None) -> TopCoeffReport:
     """The x_[n] coefficient three ways: alternating sum of polynomial
     evaluations, the closed-form rational sum over subsets
-    sum_V (-1)^{n-|V|}/(sum_V - beta), and the interpolated coefficient."""
-    table = subset_sum_table(alphas, beta, tower)
-    n, fld = table.n, beta.spec
-    for v in table.values:
-        if v.is_zero():
-            raise ZeroDenominator("denominator vanishes on the cube")
-    poly = cube_interpolate(_batch_inverse(table.values), n, fld)
+    sum_V (-1)^{n-|V|}/(sum_V - beta), and the interpolated coefficient.
+
+    The rational sum inverts each denominator on its own, not through the
+    batch inversion that the other two values share, so it also checks that
+    trick."""
+    alphas = _normalize_alphas(alphas, beta, tower)
+    n = len(alphas)
+    _check_budget(n)
+    fld = beta.spec
+    f = linear_poly(fld, alphas, -beta)
+    poly = ml_reciprocal(f)
     rational = fld.zero()
-    for mask, v in enumerate(table.values):
+    for mask, v in enumerate(cube_values(f)):
         term = v.inv()
         rational = rational + (-term if (n - bin(mask).count("1")) % 2 else term)
     return TopCoeffReport(alternating_cube_sum(poly), rational, poly.coeff((1,) * n))

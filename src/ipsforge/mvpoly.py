@@ -401,6 +401,17 @@ class Poly:
         return self._from_raw(out)
 
 
+def linear_poly(field: FieldSpec, coeffs: Sequence[FieldElem], const: FieldElem) -> Poly:
+    """sum_i coeffs[i] * x_{i+1} + const in len(coeffs) variables; zero
+    coefficients leave no term."""
+    n = len(coeffs)
+    terms = {tuple(1 if v == i else 0 for v in range(n)): c
+             for i, c in enumerate(coeffs) if not c.is_zero()}
+    if not const.is_zero():
+        terms[(0,) * n] = const
+    return Poly._of(n, field, terms)
+
+
 # ---------------------------------------------------------------------------
 # multilinearization
 

@@ -13,7 +13,6 @@ from ipsforge.certificates import (
     certificate_from_dict,
     certificate_to_dict,
     expand_monomial_axiom,
-    frobenius_chain,
     is_unsat_on_cube,
     minimum_certificate_degree,
     ml_power_q_minus_2,
@@ -29,6 +28,7 @@ from ipsforge.errors import (
     ArityMismatch,
     BetaInSubfield,
     NotLinear,
+    OutOfRange,
     SatisfiableInstance,
     SatisfiableSystem,
 )
@@ -40,6 +40,32 @@ def linear_poly(n, fld, alphas, beta):
     terms = {tuple(1 if v == i else 0 for v in range(n)): a
              for i, a in enumerate(alphas) if not a.is_zero()}
     return Poly(n, fld, terms) + Poly.const(n, fld, -beta)
+
+
+def frobenius_chain(L, tower):
+    """Independent oracle for the Frobenius chain behind
+    refute_linear_frobenius: yield (j, L_j, A_j, B_j-list) with
+    L_j = A_j * L_0 + sum_i B_{j,i} (x_i^p - x_i) for j = 1..k, built one
+    step at a time instead of in the constructor's unrolled form."""
+    n, fld = L.n, L.field
+    p, k = tower.p, tower.k
+    alphas = [L.coeff(tuple(1 if v == i else 0 for v in range(n))) for i in range(n)]
+    beta = -L.coeff((0,) * n)
+    L_prev = linear_poly(n, fld, alphas, beta)
+    assert L_prev == L, "the chain oracle takes a linear L"
+    A = None
+    B = [Poly.zero(n, fld) for _ in range(n)]
+    for j in range(1, k + 1):
+        step = L_prev ** (p - 1)
+        A = step if A is None else A * step
+        alphas = [a ** p for a in alphas]
+        beta = beta ** p
+        B = [b * step for b in B]
+        for i, a in enumerate(alphas):
+            if not a.is_zero():
+                B[i] = B[i] - Poly.const(n, fld, a)
+        L_prev = linear_poly(n, fld, alphas, beta)
+        yield j, L_prev, A, list(B)
 
 
 class TestVerify:
@@ -299,6 +325,11 @@ class TestSymmetric:
         cert = refute_symmetric_system(inst.axioms)
         assert isinstance(cert, Certificate)
         assert verify(inst, cert).ok
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_generator_needs_a_polynomial(self, f4, m):
+        with pytest.raises(OutOfRange):
+            generators.symmetric_system(f4, 4, m, random.Random(0))
 
 
 class TestStatsAndSerialization:

@@ -108,6 +108,34 @@ def test_bad_field_or_size_is_usage_error(capsys, argv):
     assert "Invalid value" in err
 
 
+@pytest.mark.parametrize("bad, expected", [
+    ("e1*e2", 1),
+    ("e9", 1),
+    ("2*", 1),
+    ("x1", 1),
+    (lambda cert: [cert], 1),
+    (lambda cert: {key: v for key, v in cert.items() if key != "A"}, 1),
+    (lambda cert: {**cert, "n": "3"}, 1),
+    (lambda cert: {**cert, "B": cert["B"][:-1]}, 2),
+], ids=["poly-product", "poly-degree", "poly-dangling", "poly-variable",
+        "cert-list", "cert-no-A", "cert-n-string", "cert-short-B"])
+def test_bad_input_exit_code(tmp_path, capsys, bad, expected):
+    """Malformed --poly text and certificate files exit 1; a certificate of
+    the wrong shape for its instance exits 2; neither is an internal error."""
+    if isinstance(bad, str):
+        code, stdout, err = run_cli(capsys, "refute", "--family", "symmetric",
+                                    "--p", "2", "--n", "4", "--poly", bad)
+    else:
+        path = tmp_path / "cert.json"
+        assert run_cli(capsys, "refute", "--family", "linear-shifted", "--p", "2",
+                       "--k", "2", "--n", "3", "--seed", "3", "--out", str(path))[0] == 0
+        path.write_text(json.dumps(bad(json.loads(path.read_text()))))
+        code, stdout, err = run_cli(capsys, "verify", str(path))
+    assert code == expected, err
+    if expected == 2:
+        assert json.loads(stdout)["error"] == "not_a_certificate"
+
+
 class TestDeterminism:
     def test_identical_config_identical_bytes(self, tmp_path, capsys):
         blobs = []

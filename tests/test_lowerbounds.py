@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ipsforge import gf
 from ipsforge.errors import BudgetExceeded, ZeroDenominator
@@ -12,6 +13,7 @@ from ipsforge.lowerbounds import (
     eval_dimension,
     lifted_instance,
     ml_inverse,
+    ml_reciprocal,
     numerator_monomial_check,
     restricted_degree_scan,
     roabp_width,
@@ -73,6 +75,39 @@ class TestMlInverse:
             alphas, beta = _linear_parts(inst.axioms[0])
             f = ml_inverse(alphas, beta)
             assert f.degree() <= 2 * (3 - 1)
+
+
+@st.composite
+def nonlinear_polys(draw):
+    """A random polynomial in up to 5 variables with exponents up to 3, over a
+    field large enough that most draws have no cube zero."""
+    p, k = draw(st.sampled_from([(2, 8), (3, 4), (5, 3), (13, 2)]))
+    field = gf.field_spec(p, k)
+    n = draw(st.integers(0, 5))
+    exps = st.tuples(*[st.integers(0, 3) for _ in range(n)])
+    coeffs = st.tuples(*[st.integers(0, p - 1) for _ in range(k)])
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=10))
+    return Poly(n, field, {e: gf.FieldElem(field, c) for e, c in terms.items()})
+
+
+class TestMlReciprocal:
+    @settings(max_examples=80, deadline=None)
+    @given(nonlinear_polys())
+    def test_reciprocal_on_every_cube_point(self, f):
+        values = [f.eval_cube_point(m) for m in range(1 << f.n)]
+        assume(all(not v.is_zero() for v in values))
+        g = ml_reciprocal(f)
+        assert g.is_multilinear()
+        one = f.field.one()
+        assert all(g.eval_cube_point(m) * v == one for m, v in enumerate(values))
+
+    @settings(max_examples=40, deadline=None)
+    @given(nonlinear_polys(), st.data())
+    def test_cube_zero_raises(self, f, data):
+        mask = data.draw(st.integers(0, (1 << f.n) - 1))
+        g = f - Poly.const(f.n, f.field, f.eval_cube_point(mask))
+        with pytest.raises(ZeroDenominator):
+            ml_reciprocal(g)
 
 
 class TestTopCoeff:

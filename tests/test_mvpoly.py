@@ -14,6 +14,7 @@ from ipsforge.mvpoly import (
     format_poly,
     inddeg_p,
     leading_monomial,
+    linear_poly,
     ml,
     ml_partial,
     parse_poly,
@@ -244,6 +245,19 @@ class TestCubeValues:
             e = tuple(rng.randrange(3) for _ in range(9))
             f = f + Poly.monomial(9, field, e, top)
         assert cube_values(f) == [f.eval_cube_point(m) for m in range(1 << 9)]
+
+
+class TestLinearPoly:
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_matches_sum_of_scaled_variables(self, f9, rng, n):
+        coeffs = [f9.sample(rng) for _ in range(n)]
+        if n:
+            coeffs[rng.randrange(n)] = f9.zero()
+        for const in (f9.zero(), f9.sample(rng)):
+            expected = Poly.const(n, f9, const)
+            for i, c in enumerate(coeffs):
+                expected = expected + Poly.var(n, f9, i).scale(c)
+            assert linear_poly(f9, coeffs, const) == expected
 
 
 class TestLeadingMonomial:
