@@ -28,6 +28,7 @@ from ipsforge.errors import (
 from ipsforge.gf import FieldElem, FieldSpec, FieldTower, field_spec, parse_field_spec
 from ipsforge.mvpoly import (
     Poly,
+    collect,
     default_names,
     divide_by_axioms,
     format_poly,
@@ -39,10 +40,10 @@ from ipsforge.mvpoly import (
 )
 from ipsforge.symfun import (
     ElemSymExpansion,
-    _solve_weight_triangular,
     binom_elem,
     num_compressed_vars,
     qt_poly,
+    weight_values,
 )
 from ipsforge.symfun import compress_char_p as _compress
 
@@ -300,8 +301,7 @@ def expand_monomial_axiom(mu: tuple[int, ...], n: int, fld: FieldSpec) -> list[P
 def _substitute_monomials(poly_y: Poly, monomials: list[tuple[int, ...]],
                           n: int, fld: FieldSpec) -> Poly:
     """Plug x^{mu_i} in for y_i; exponents add linearly so no expansion blowup."""
-    from ipsforge import _kernel as kn
-    out: dict[tuple[int, ...], tuple[int, ...]] = {}
+    pieces = []
     for e, c in poly_y.terms.items():
         new = [0] * n
         for idx, d in enumerate(e):
@@ -309,10 +309,8 @@ def _substitute_monomials(poly_y: Poly, monomials: list[tuple[int, ...]],
                 mu = monomials[idx]
                 for v in range(n):
                     new[v] += d * mu[v]
-        key = tuple(new)
-        cur = out.get(key)
-        out[key] = c.coeffs if cur is None else kn.vadd(cur, c.coeffs, fld.p)
-    return Poly(n, fld, {e: FieldElem(fld, c) for e, c in out.items() if any(c)})
+        pieces.append((tuple(new), c.coeffs))
+    return collect(n, fld, pieces)
 
 
 def refute_sparse(f: Poly, tower: FieldTower) -> Certificate:
@@ -406,6 +404,44 @@ def _monomial_basis(n: int, max_deg: int, individual_cap: int | None):
     return out
 
 
+def _solve_multipliers(axioms: list[Poly], basis: list[tuple[int, ...]],
+                       reduce=None) -> list[Poly] | None:
+    """Multipliers M_i in the span of the basis monomials with
+    sum_i M_i g_i = 1, by exact linear algebra, or None when there are none.
+
+    Column (i, mono) is x^mono * g_i, passed through reduce when given (so
+    the identity holds modulo what reduce takes out); rows are the monomials
+    of the columns in grlex order.
+    """
+    n, fld = axioms[0].n, axioms[0].field
+    columns = []
+    for g in axioms:
+        for mono in basis:
+            col = Poly(n, fld, {tuple(a + b for a, b in zip(e, mono)): c
+                                for e, c in g.terms.items()})
+            columns.append(reduce(col) if reduce else col)
+    rows = sorted({e for col in columns for e in col.terms}, key=lambda e: (sum(e), e))
+    index = {e: i for i, e in enumerate(rows)}
+    constant = index.get((0,) * n)
+    if constant is None:
+        return None
+    zero = (0,) * fld.k
+    matrix = [[zero] * len(columns) for _ in rows]
+    for cidx, col in enumerate(columns):
+        for e, c in col.terms.items():
+            matrix[index[e]][cidx] = c.coeffs
+    rhs = [zero] * len(rows)
+    rhs[constant] = fld.one().coeffs
+    solution = exactla.solve(matrix, rhs, fld)
+    if solution is None:
+        return None
+    size = len(basis)
+    return [Poly(n, fld, {mono: FieldElem(fld, c)
+                          for mono, c in zip(basis, solution[i * size:(i + 1) * size])
+                          if any(c)})
+            for i in range(len(axioms))]
+
+
 def solve_nullstellensatz(axioms: list[Poly], degree_bound: int, *,
                           include_boolean: bool = False,
                           individual_cap: int | None = None
@@ -425,42 +461,12 @@ def solve_nullstellensatz(axioms: list[Poly], degree_bound: int, *,
     if include_boolean:
         all_axioms += [boolean_axiom(n, fld, j) for j in range(n)]
     basis = _monomial_basis(n, degree_bound, individual_cap)
-    columns = []
-    row_index: dict[tuple[int, ...], int] = {}
-    col_entries = []  # per column: list of (row, coeff tuple)
-    for ax in all_axioms:
-        for mono in basis:
-            entries = []
-            for e, c in ax.terms.items():
-                key = tuple(a + b for a, b in zip(e, mono))
-                row = row_index.setdefault(key, len(row_index))
-                entries.append((row, c.coeffs))
-            col_entries.append(entries)
-            columns.append((ax, mono))
-    nrows = len(row_index)
-    zero = (0,) * fld.k
-    matrix = [[zero] * len(columns) for _ in range(nrows)]
-    from ipsforge import _kernel as kn
-    for cidx, entries in enumerate(col_entries):
-        for row, coeffs in entries:
-            matrix[row][cidx] = kn.vadd(matrix[row][cidx], coeffs, fld.p) \
-                if matrix[row][cidx] != zero else coeffs
-    one_exp = (0,) * n
-    rhs = [zero] * nrows
-    if one_exp in row_index:
-        rhs[row_index[one_exp]] = (1,) + (0,) * (fld.k - 1)
-    else:
+    # x^mono * f has a constant term only for mono = 1 and f(0) != 0
+    if not basis or all(ax.coeff((0,) * n).is_zero() for ax in all_axioms):
         return NoCertificateAtDegree(degree_bound, "constant row missing")
-    solution = exactla.solve(matrix, rhs, fld)
-    if solution is None:
+    multipliers = _solve_multipliers(all_axioms, basis)
+    if multipliers is None:
         return NoCertificateAtDegree(degree_bound)
-    # each column is one (axiom, basis monomial) pair, so no two collide
-    terms: list[dict] = [{} for _ in all_axioms]
-    for cidx, coeffs in enumerate(solution):
-        if any(coeffs):
-            ax_idx, midx = divmod(cidx, len(basis))
-            terms[ax_idx][basis[midx]] = FieldElem(fld, coeffs)
-    multipliers = [Poly(n, fld, t) for t in terms]
     if include_boolean:
         A, B = multipliers[:len(axioms)], multipliers[len(axioms):]
     else:
@@ -485,45 +491,6 @@ def minimum_certificate_degree(axioms: list[Poly], max_bound: int, *,
 
 # ---------------------------------------------------------------------------
 # symmetric systems
-
-def weight_values(f: Poly) -> list[FieldElem]:
-    """f at the points 1^w 0^{n-w}; a symmetric polynomial is determined by these."""
-    return [f.eval_cube_point((1 << w) - 1) for w in range(f.n + 1)]
-
-
-def _solve_low_variate(axioms_y: list[Poly], r: int, fld: FieldSpec):
-    """Multipliers with individual degree <= p-1 making sum M_i g_i = 1 hold
-    modulo the Fermat ideal (y^p - y); exact linear algebra over the reduced
-    monomial basis."""
-    p = fld.p
-    basis = list(itertools.product(range(p), repeat=r))
-    basis.sort(key=lambda e: (sum(e), e))
-    index = {e: i for i, e in enumerate(basis)}
-    zero = (0,) * fld.k
-    ncols = len(axioms_y) * len(basis)
-    matrix = [[zero] * ncols for _ in range(len(basis))]
-    from ipsforge import _kernel as kn
-    for aidx, ax in enumerate(axioms_y):
-        for midx, mono in enumerate(basis):
-            shifted = Poly.monomial(r, fld, mono, fld.one()) * ax
-            reduced, _ = inddeg_p(shifted)
-            col = aidx * len(basis) + midx
-            for e, c in reduced.terms.items():
-                row = index[e]
-                matrix[row][col] = kn.vadd(matrix[row][col], c.coeffs, fld.p)
-    rhs = [zero] * len(basis)
-    rhs[index[(0,) * r]] = (1,) + (0,) * (fld.k - 1)
-    solution = exactla.solve(matrix, rhs, fld)
-    if solution is None:
-        return None
-    # each column is one (axiom, basis monomial) pair, so no two collide
-    terms: list[dict] = [{} for _ in axioms_y]
-    for cidx, coeffs in enumerate(solution):
-        if any(coeffs):
-            aidx, midx = divmod(cidx, len(basis))
-            terms[aidx][basis[midx]] = FieldElem(fld, coeffs)
-    return [Poly(r, fld, t) for t in terms]
-
 
 def refute_symmetric_system(system: list[Poly]) -> Certificate | NoCertificateAtDegree:
     """Refutation of a system of multilinear symmetric polynomials with no
@@ -551,7 +518,8 @@ def refute_symmetric_system(system: list[Poly]) -> Certificate | NoCertificateAt
     m = len(system)
     q_polys = [qt_poly(t, r, p, fld) for t in range(n + 1, p ** r)]
     axioms_y = [c.poly for c in compressed] + q_polys
-    multipliers = _solve_low_variate(axioms_y, r, fld)
+    multipliers = _solve_multipliers(axioms_y, _monomial_basis(r, r * (p - 1), p - 1),
+                                     lambda f: inddeg_p(f)[0])
     if multipliers is None:
         return NoCertificateAtDegree(p - 1, "low-variate solve failed at individual degree p-1")
     # Fermat-side quotients certify the exact low-variate identity.
@@ -566,11 +534,9 @@ def refute_symmetric_system(system: list[Poly]) -> Certificate | NoCertificateAt
     ehat_values = [
         [binom_elem(w, p ** i, fld) for i in range(r)] for w in range(n + 1)
     ]
-    A = []
-    for mult in multipliers[:m]:
-        values = [mult.eval(ehat_values[w]) for w in range(n + 1)]
-        lambdas = _solve_weight_triangular(values, n, fld)
-        A.append(ElemSymExpansion(n, fld, lambdas).to_poly())
+    A = [ElemSymExpansion.from_weight_values(
+             [mult.eval(ehat_values[w]) for w in range(n + 1)], fld).to_poly()
+         for mult in multipliers[:m]]
     target = Poly.one(n, fld)
     for a, f in zip(A, system):
         target = target - a * f
@@ -593,6 +559,42 @@ def refute_symmetric_system(system: list[Poly]) -> Certificate | NoCertificateAt
 # ---------------------------------------------------------------------------
 # serialization
 
+def tower_to_dict(tower: FieldTower) -> dict:
+    return {
+        "base": tower.base.text(),
+        "ext": tower.ext.text(),
+        "embed_table": [list(row) for row in tower.embed_table],
+    }
+
+
+def tower_from_dict(data) -> FieldTower:
+    """The tower of a certificate or instance file; ParseError unless ext has
+    degree 2k over the p of base and embed_table is an embedding: row i is
+    theta^i for theta = row 1, and the base modulus vanishes at theta (for
+    k = 1 the table is the single row 1)."""
+    if not isinstance(data, dict) or not all(
+            isinstance(data.get(key), str) for key in ("base", "ext")):
+        raise ParseError("a tower is an object with 'base' and 'ext' field strings")
+    base, ext = parse_field_spec(data["base"]), parse_field_spec(data["ext"])
+    if ext.p != base.p or ext.k != 2 * base.k:
+        raise ParseError(f"{ext.text()} is not the degree-2 extension of {base.text()}")
+    table = data.get("embed_table")
+    if not (isinstance(table, list) and len(table) == base.k and all(
+            isinstance(row, list) and len(row) == ext.k
+            and all(type(c) is int and 0 <= c < ext.p for c in row)
+            for row in table)):
+        raise ParseError(f"'embed_table' must be {base.k} rows of {ext.k} "
+                         f"coefficients in 0..{ext.p - 1}")
+    rows = [FieldElem(ext, tuple(row)) for row in table]
+    theta = rows[1] if base.k > 1 else ext.zero()
+    if rows != [theta ** i for i in range(base.k)]:
+        raise ParseError("'embed_table' rows are not the powers of the image of t")
+    if base.k > 1 and not sum((theta ** j * ext.from_int(c)
+                               for j, c in enumerate(base.modulus)), ext.zero()).is_zero():
+        raise ParseError("the base modulus does not vanish at the image of t")
+    return FieldTower(base, ext, tuple(tuple(row) for row in table))
+
+
 def certificate_to_dict(instance: Instance, cert: Certificate) -> dict:
     names = instance.var_names
     stats = cert_stats(cert)
@@ -608,11 +610,7 @@ def certificate_to_dict(instance: Instance, cert: Certificate) -> dict:
         "stats": stats.to_dict(),
     }
     if instance.tower is not None:
-        out["tower"] = {
-            "base": instance.tower.base.text(),
-            "ext": instance.tower.ext.text(),
-            "embed_table": [list(row) for row in instance.tower.embed_table],
-        }
+        out["tower"] = tower_to_dict(instance.tower)
     return out
 
 
@@ -636,11 +634,7 @@ def certificate_from_dict(data: dict) -> tuple[Instance, Certificate]:
     names = tuple(data["var_names"])
     tower = None
     if "tower" in data:
-        tower = FieldTower(
-            parse_field_spec(data["tower"]["base"]),
-            parse_field_spec(data["tower"]["ext"]),
-            tuple(tuple(row) for row in data["tower"]["embed_table"]),
-        )
+        tower = tower_from_dict(data["tower"])
         if tower.ext != fld:
             raise FieldMismatch("tower extension differs from certificate field")
     axioms = [parse_poly(t, n, fld, names) for t in data["instance"]]

@@ -27,6 +27,7 @@ from ipsforge.certificates import (
     refute_linear_lowdegree,
     refute_sparse,
     refute_symmetric_system,
+    tower_to_dict,
     verify,
 )
 from ipsforge.errors import (
@@ -245,6 +246,9 @@ def verify_cmd(certificate, instance_path, out, fmt, canonical):
     if instance_path is not None:
         with open(instance_path) as fh:
             inst_data = json.load(fh)
+        if not isinstance(inst_data, dict):
+            raise ParseError(
+                f"an instance file is a JSON object, not {type(inst_data).__name__}")
         if inst_data.get("field") != data.get("field"):
             raise FieldMismatch(
                 f"instance declares {inst_data.get('field')}, "
@@ -297,11 +301,7 @@ def gen(family, p, k, n, m, seed, polys, out, fmt, canonical):
                                   seed=seed, format=fmt),
     }
     if inst.tower is not None:
-        payload["tower"] = {
-            "base": inst.tower.base.text(),
-            "ext": inst.tower.ext.text(),
-            "embed_table": [list(r) for r in inst.tower.embed_table],
-        }
+        payload["tower"] = tower_to_dict(inst.tower)
     _emit(payload, out, fmt, canonical)
 
 

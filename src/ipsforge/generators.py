@@ -78,8 +78,6 @@ def symmetric_system(fld: FieldSpec, n: int, m: int, rng) -> Instance:
     uniformly conditioned on "not all m values zero" draws uniformly from the
     unsatisfiable systems and never needs a global resample.
     """
-    from ipsforge.symfun import _solve_weight_triangular
-
     if m < 1:
         raise OutOfRange(f"a symmetric system needs m >= 1 polynomials, got m = {m}")
     tables = [[None] * (n + 1) for _ in range(m)]
@@ -90,8 +88,5 @@ def symmetric_system(fld: FieldSpec, n: int, m: int, rng) -> Instance:
                 break
         for i in range(m):
             tables[i][w] = column[i]
-    system = []
-    for i in range(m):
-        lams = _solve_weight_triangular(tables[i], n, fld)
-        system.append(ElemSymExpansion(n, fld, lams).to_poly())
+    system = [ElemSymExpansion.from_weight_values(t, fld).to_poly() for t in tables]
     return Instance(n, fld, system, "symmetric-system")

@@ -26,7 +26,7 @@ EXT = "ext"
 
 
 # ---------------------------------------------------------------------------
-# primality and prime-field univariate helpers (modulus search)
+# primality and irreducibility (modulus search)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -63,84 +63,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _fp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """a*b mod f over F_p[X]; f monic."""
-    if not a or not b:
-        return []
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                conv[i + j] = (conv[i + j] + ai * bj) % p
-    df = len(f) - 1
-    for i in range(len(conv) - 1, df - 1, -1):
-        c = conv[i]
-        if c:
-            base = i - df
-            for j in range(df):
-                conv[base + j] = (conv[base + j] - c * f[j]) % p
-            conv[i] = 0
-    return _fp_trim(conv[:df])
-
-
-def _fp_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = list(a)
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, acc, f, p)
-        e >>= 1
-        if e:
-            acc = _fp_mulmod(acc, acc, f, p)
-    return result
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
-    while b:
-        inv_lead = pow(b[-1], -1, p)
-        db = len(b) - 1
-        r = list(a)
-        while len(r) - 1 >= db and r:
-            c = (r[-1] * inv_lead) % p
-            shift = len(r) - 1 - db
-            if c:
-                for j in range(db + 1):
-                    r[shift + j] = (r[shift + j] - c * b[j]) % p
-            r = _fp_trim(r)
-            if not r:
-                break
-        a, b = b, r
-    return a
-
-
 def _is_irreducible(modulus: tuple[int, ...], p: int, k: int) -> bool:
-    """f of degree k is irreducible over F_p iff it has no factor of degree
-    <= k/2, detected by gcd(X^{p^i} - X, f) for 1 <= i <= k/2."""
+    """Rabin's test (SIAM J. Comput. 1980) for the monic f = modulus of
+    degree k, by the kernel's arithmetic in R = F_p[t]/(f).
+
+    f is irreducible iff t^(p^k) = t in R and, for every prime q | k,
+    t^(p^(k/q)) - t is a unit of R. Once t^(p^k) = t holds, f divides
+    t^(p^k) - t, the product of the distinct monic irreducibles of degree
+    dividing k; so R is a product of fields F_{p^d} with d | k, and u is a
+    unit iff u^(p^k - 1) = 1, which stands in for gcd(u, f) = 1.
+    """
     if k == 1:
         return True
-    f = list(modulus)
-    if f[0] == 0:
+    one = (1,) + (0,) * (k - 1)
+    t = (0, 1) + (0,) * (k - 2)
+    if kn.vpow(t, p ** k, p, modulus) != t:
         return False
-    h = [0, 1]  # X
-    for _ in range(k // 2):
-        h = _fp_powmod(h, p, f, p)
-        g = list(h)
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p
-        if _fp_trim(g) and len(_fp_gcd(f, g, p)) > 1:
-            return False
-        if not _fp_trim(list(g)):
-            # X^{p^i} = X: every element of F_{p^i} is a root; reducible
-            # unless i = k, which cannot happen with i <= k/2 < k.
-            return False
+    for q in range(2, k + 1):
+        if k % q == 0 and is_prime(q):
+            u = kn.vsub(kn.vpow(t, p ** (k // q), p, modulus), t, p)
+            if kn.vpow(u, p ** k - 1, p, modulus) != one:
+                return False
     return True
 
 

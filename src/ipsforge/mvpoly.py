@@ -296,11 +296,6 @@ class Poly:
                 acc = acc * acc
         return result
 
-    def _from_raw(self, raw: Mapping[tuple[int, ...], tuple[int, ...]]) -> "Poly":
-        field = self.field
-        return Poly._of(self.n, field,
-                        {e: FieldElem(field, c) for e, c in raw.items() if any(c)})
-
     @classmethod
     def _of(cls, n: int, field: FieldSpec, terms: dict) -> "Poly":
         """A Poly that takes ownership of terms, whose coefficients are all
@@ -355,8 +350,7 @@ class Poly:
                 raise ArityMismatch(f"variable index {i} out of range")
             if g.n != self.n or g.field != self.field:
                 raise ArityMismatch("substituted polynomial has different arity or field")
-        p = self.field.p
-        out: dict[tuple[int, ...], tuple[int, ...]] = {}
+        pieces = []
         pow_cache: dict[tuple[int, int], Poly] = {}
 
         def cached_pow(i: int, d: int) -> Poly:
@@ -371,16 +365,14 @@ class Poly:
             for i, d in enumerate(e):
                 if d and i in assignments:
                     term = term * cached_pow(i, d)
-            for key, v in term.terms.items():
-                cur = out.get(key)
-                out[key] = v.coeffs if cur is None else kn.vadd(cur, v.coeffs, p)
-        return self._from_raw(out)
+            pieces.extend((key, v.coeffs) for key, v in term.terms.items())
+        return collect(self.n, self.field, pieces)
 
     def restrict(self, values: Mapping[int, FieldElem]) -> "Poly":
         """Substitute constants for some variables (cheaper than substitute)."""
         field = self.field
         p, mod = field.p, field.modulus
-        out: dict[tuple[int, ...], tuple[int, ...]] = {}
+        pieces = []
         for e, c in self.terms.items():
             val = c.coeffs
             key = list(e)
@@ -393,12 +385,9 @@ class Poly:
                         break
                     val = kn.vmul(val, kn.vpow(v.coeffs, d, p, mod), p, mod)
                 key[i] = 0
-            if dead:
-                continue
-            kt = tuple(key)
-            cur = out.get(kt)
-            out[kt] = val if cur is None else kn.vadd(cur, val, p)
-        return self._from_raw(out)
+            if not dead:
+                pieces.append((tuple(key), val))
+        return collect(self.n, field, pieces)
 
 
 def linear_poly(field: FieldSpec, coeffs: Sequence[FieldElem], const: FieldElem) -> Poly:
@@ -412,6 +401,18 @@ def linear_poly(field: FieldSpec, coeffs: Sequence[FieldElem], const: FieldElem)
     return Poly._of(n, field, terms)
 
 
+def collect(n: int, field: FieldSpec,
+            terms: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]) -> Poly:
+    """The sum of the terms c * x^e over the (e, c) pairs, c a coefficient
+    vector: equal exponents add, and sums that are zero leave no term."""
+    p = field.p
+    out: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for e, c in terms:
+        cur = out.get(e)
+        out[e] = c if cur is None else kn.vadd(cur, c, p)
+    return Poly._of(n, field, {e: FieldElem(field, c) for e, c in out.items() if any(c)})
+
+
 # ---------------------------------------------------------------------------
 # multilinearization
 
@@ -422,13 +423,9 @@ def ml(f: Poly) -> Poly:
 
 def ml_partial(f: Poly, variables: Iterable[int]) -> Poly:
     vs = set(variables)
-    p = f.field.p
-    out: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for e, c in f.terms.items():
-        key = tuple(min(d, 1) if i in vs else d for i, d in enumerate(e))
-        cur = out.get(key)
-        out[key] = c.coeffs if cur is None else kn.vadd(cur, c.coeffs, p)
-    return f._from_raw(out)
+    return collect(f.n, f.field, (
+        (tuple(min(d, 1) if i in vs else d for i, d in enumerate(e)), c.coeffs)
+        for e, c in f.terms.items()))
 
 
 @dataclass
@@ -623,8 +620,7 @@ def parse_poly(text: str, n: int, field: FieldSpec,
     toks = _tokenize(text)
     if not toks:
         raise ParseError("empty polynomial")
-    p = field.p
-    raw: dict[tuple[int, ...], tuple[int, ...]] = {}
+    pieces = []
     i = 0
     sign = 1
     first = True
@@ -673,9 +669,7 @@ def parse_poly(text: str, n: int, field: FieldSpec,
             expect_factor = False
         if sign < 0:
             coeff = -coeff
-        key = tuple(exp)
-        cur = raw.get(key)
-        raw[key] = coeff.coeffs if cur is None else kn.vadd(cur, coeff.coeffs, p)
+        pieces.append((tuple(exp), coeff.coeffs))
         sign = 1
         first = False
-    return Poly.zero(n, field)._from_raw(raw)
+    return collect(n, field, pieces)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from ipsforge import exactla
 from ipsforge.errors import FieldTooSmall, NotSymmetric, OutOfRange
@@ -83,18 +84,23 @@ class ElemSymExpansion:
     def serialize(self) -> list[list[int]]:
         return [list(lam.coeffs) for lam in self.lambdas]
 
+    @classmethod
+    def from_weight_values(cls, values: Sequence[FieldElem],
+                           field: FieldSpec) -> "ElemSymExpansion":
+        """The expansion in n = len(values) - 1 variables whose value at
+        Hamming weight w is values[w]: the triangular system
+        values[w] = sum_d lambdas[d] C(w, d), whose diagonal C(w, w) is 1."""
+        lambdas: list[FieldElem] = []
+        for w, acc in enumerate(values):
+            for d in range(w):
+                acc = acc - lambdas[d] * binom_elem(w, d, field)
+            lambdas.append(acc)
+        return cls(len(values) - 1, field, tuple(lambdas))
 
-def _solve_weight_triangular(values: list[FieldElem], n: int,
-                             field: FieldSpec) -> tuple[FieldElem, ...]:
-    """lambdas from weight values via the triangular system
-    values[w] = sum_d lambdas[d] C(w, d); diagonal C(w, w) = 1."""
-    lambdas: list[FieldElem] = []
-    for w in range(n + 1):
-        acc = values[w]
-        for d in range(w):
-            acc = acc - lambdas[d] * binom_elem(w, d, field)
-        lambdas.append(acc)
-    return tuple(lambdas)
+
+def weight_values(f: Poly) -> list[FieldElem]:
+    """f at the points 1^w 0^{n-w}; a symmetric polynomial is determined by these."""
+    return [f.eval_cube_point((1 << w) - 1) for w in range(f.n + 1)]
 
 
 def sym_to_elem_basis(f: Poly) -> ElemSymExpansion:
@@ -118,10 +124,7 @@ def sym_to_elem_basis(f: Poly) -> ElemSymExpansion:
     for d, cnt in counts.items():
         if d > 0 and cnt != comb(n, d):
             raise NotSymmetric(f"degree-{d} class is incomplete ({cnt} of {comb(n, d)})")
-    weight_values = [
-        f.eval_cube_point((1 << w) - 1) for w in range(n + 1)
-    ]
-    return ElemSymExpansion(n, field, _solve_weight_triangular(weight_values, n, field))
+    return ElemSymExpansion.from_weight_values(weight_values(f), field)
 
 
 def ml_pair_expansion(a: int, b: int, n: int, field: FieldSpec) -> ElemSymExpansion:
@@ -129,7 +132,7 @@ def ml_pair_expansion(a: int, b: int, n: int, field: FieldSpec) -> ElemSymExpans
     if not (0 <= a <= n and 0 <= b <= n):
         raise OutOfRange("elementary symmetric degrees out of range")
     values = [binom_elem(w, a, field) * binom_elem(w, b, field) for w in range(n + 1)]
-    return ElemSymExpansion(n, field, _solve_weight_triangular(values, n, field))
+    return ElemSymExpansion.from_weight_values(values, field)
 
 
 def expansion_times_elem(expansion: ElemSymExpansion, b: int) -> ElemSymExpansion:
@@ -138,7 +141,7 @@ def expansion_times_elem(expansion: ElemSymExpansion, b: int) -> ElemSymExpansio
     values = [
         expansion.eval_at_weight(w) * binom_elem(w, b, field) for w in range(n + 1)
     ]
-    return ElemSymExpansion(n, field, _solve_weight_triangular(values, n, field))
+    return ElemSymExpansion.from_weight_values(values, field)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from ipsforge.certificates import (
     refute_sparse,
     refute_symmetric_system,
     solve_nullstellensatz,
+    tower_from_dict,
+    tower_to_dict,
     verify,
     weight_values,
 )
@@ -29,6 +31,7 @@ from ipsforge.errors import (
     BetaInSubfield,
     NotLinear,
     OutOfRange,
+    ParseError,
     SatisfiableInstance,
     SatisfiableSystem,
 )
@@ -267,6 +270,13 @@ class TestNullstellensatzSolver:
     def test_no_certificate_is_a_value(self, f3):
         res = solve_nullstellensatz([Poly.var(1, f3, 0)], 2, include_boolean=True)
         assert isinstance(res, NoCertificateAtDegree)
+        assert res.detail == "constant row missing"
+
+    def test_infeasible_with_constant_row_has_no_detail(self, f3):
+        # A * (x1^2 - 1) = 1 has no solution, though the constant row exists
+        res = solve_nullstellensatz([Poly.var(1, f3, 0, 2) - Poly.one(1, f3)], 1)
+        assert isinstance(res, NoCertificateAtDegree)
+        assert (res.degree_bound, res.detail) == (1, "")
 
     def test_monotone_in_bound(self, f9):
         rng = random.Random(9)
@@ -370,3 +380,28 @@ class TestStatsAndSerialization:
         assert blob["var_names"][3] == "z1"
         inst2, cert2 = certificate_from_dict(blob)
         assert verify(inst2, cert2).ok
+
+
+class TestTowerSerialization:
+    @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+    def test_round_trip(self, p, k):
+        tower = gf.field_tower(p, k)
+        assert tower_from_dict(tower_to_dict(tower)) == tower
+
+    def test_any_root_of_the_base_modulus_is_an_embedding(self):
+        tower = gf.field_tower(2, 3)
+        theta = tower.ext.from_coeffs(tower.embed_table[1]) ** 2  # a conjugate root
+        data = tower_to_dict(tower)
+        data["embed_table"] = [list((theta ** i).coeffs) for i in range(3)]
+        assert tower_from_dict(data).embed_table[1] == theta.coeffs
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: {**d, "ext": gf.field_spec(2, 6).text()},
+        lambda d: {**d, "ext": gf.field_spec(3, 4).text()},
+        lambda d: {**d, "embed_table": d["embed_table"][:1]},
+        lambda d: {**d, "embed_table": [d["embed_table"][1], d["embed_table"][0]]},
+        lambda d: {**d, "embed_table": [[True, 0, 0, 0], d["embed_table"][1]]},
+    ], ids=["ext-degree", "ext-char", "short-table", "row-0-not-1", "bool-entry"])
+    def test_rejects(self, mutate):
+        with pytest.raises(ParseError):
+            tower_from_dict(mutate(tower_to_dict(gf.field_tower(2, 2))))

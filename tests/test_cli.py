@@ -117,11 +117,23 @@ def test_bad_field_or_size_is_usage_error(capsys, argv):
     (lambda cert: {key: v for key, v in cert.items() if key != "A"}, 1),
     (lambda cert: {**cert, "n": "3"}, 1),
     (lambda cert: {**cert, "B": cert["B"][:-1]}, 2),
+    (lambda cert: {**cert, "tower": 5}, 1),
+    (lambda cert: {**cert, "tower": {key: v for key, v in cert["tower"].items()
+                                     if key != "base"}}, 1),
+    (lambda cert: {**cert, "tower": {**cert["tower"], "embed_table": [
+        [9] * len(row) for row in cert["tower"]["embed_table"]]}}, 1),
+    (lambda cert: {**cert, "tower": {**cert["tower"], "embed_table": [
+        cert["tower"]["embed_table"][0], [0] * len(cert["tower"]["embed_table"][1])]}}, 1),
+    (lambda cert: (cert, [1, 2]), 1),
 ], ids=["poly-product", "poly-degree", "poly-dangling", "poly-variable",
-        "cert-list", "cert-no-A", "cert-n-string", "cert-short-B"])
+        "cert-list", "cert-no-A", "cert-n-string", "cert-short-B",
+        "tower-int", "tower-no-base", "tower-rows-of-9", "tower-t-to-zero",
+        "instance-list"])
 def test_bad_input_exit_code(tmp_path, capsys, bad, expected):
-    """Malformed --poly text and certificate files exit 1; a certificate of
-    the wrong shape for its instance exits 2; neither is an internal error."""
+    """Malformed --poly text, certificate and instance files exit 1; a
+    certificate of the wrong shape for its instance exits 2; neither is an
+    internal error. A mutation that returns (certificate, instance) also
+    passes the instance through --instance."""
     if isinstance(bad, str):
         code, stdout, err = run_cli(capsys, "refute", "--family", "symmetric",
                                     "--p", "2", "--n", "4", "--poly", bad)
@@ -129,8 +141,15 @@ def test_bad_input_exit_code(tmp_path, capsys, bad, expected):
         path = tmp_path / "cert.json"
         assert run_cli(capsys, "refute", "--family", "linear-shifted", "--p", "2",
                        "--k", "2", "--n", "3", "--seed", "3", "--out", str(path))[0] == 0
-        path.write_text(json.dumps(bad(json.loads(path.read_text()))))
-        code, stdout, err = run_cli(capsys, "verify", str(path))
+        mutated = bad(json.loads(path.read_text()))
+        argv = ["verify", str(path)]
+        if isinstance(mutated, tuple):
+            mutated, instance = mutated
+            inst_path = tmp_path / "inst.json"
+            inst_path.write_text(json.dumps(instance))
+            argv += ["--instance", str(inst_path)]
+        path.write_text(json.dumps(mutated))
+        code, stdout, err = run_cli(capsys, *argv)
     assert code == expected, err
     if expected == 2:
         assert json.loads(stdout)["error"] == "not_a_certificate"

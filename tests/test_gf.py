@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -103,6 +104,37 @@ def test_bad_modulus_rejected():
         gf.FieldSpec(2, 2, (0, 0, 1))  # t^2 is reducible
     with pytest.raises(ValueError):
         gf.FieldSpec(4, 1, (0, 1))  # 4 is not prime
+
+
+def _monics(p, d):
+    """Every monic polynomial of degree d over F_p, low coefficient first."""
+    for tail in itertools.product(range(p), repeat=d):
+        yield tail + (1,)
+
+
+def _divides(g, f, p):
+    """True iff the monic g divides f over F_p, by long division."""
+    r = list(f)
+    dg = len(g) - 1
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(dg + 1):
+                r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
+    return not any(r[:dg])
+
+
+def _irreducible_by_trial_division(f, p, k):
+    return not any(_divides(g, f, p)
+                   for d in range(1, k // 2 + 1) for g in _monics(p, d))
+
+
+@pytest.mark.parametrize("p, k", [(2, k) for k in range(2, 9)]
+                         + [(3, k) for k in range(2, 6)]
+                         + [(5, 2), (5, 3), (7, 2)])
+def test_is_irreducible_matches_trial_division(p, k):
+    for f in _monics(p, k):
+        assert gf._is_irreducible(f, p, k) == _irreducible_by_trial_division(f, p, k), f
 
 
 def test_is_prime_rejects_strong_pseudoprime_to_bases_below_41():

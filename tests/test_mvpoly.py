@@ -7,6 +7,7 @@ from ipsforge import gf
 from ipsforge.errors import ArityMismatch, ParseError, ZeroPolynomial
 from ipsforge.mvpoly import (
     Poly,
+    collect,
     cube_interpolate,
     cube_values,
     default_names,
@@ -258,6 +259,24 @@ class TestLinearPoly:
             for i, c in enumerate(coeffs):
                 expected = expected + Poly.var(n, f9, i).scale(c)
             assert linear_poly(f9, coeffs, const) == expected
+
+
+class TestCollect:
+    def test_repeated_and_cancelling_exponents(self, f9, rng):
+        exps = [(0, 0, 0), (1, 0, 2), (0, 1, 0), (1, 0, 2), (0, 1, 0), (0, 0, 0)]
+        coeffs = [f9.sample(rng) for _ in exps]
+        coeffs[4] = -coeffs[2]  # x2 cancels
+        coeffs[1] = f9.zero()
+        pieces = [(e, c.coeffs) for e, c in zip(exps, coeffs)]
+        expected = Poly.zero(3, f9)
+        for e, c in zip(exps, coeffs):
+            expected = expected + Poly.monomial(3, f9, e, c)
+        got = collect(3, f9, pieces)
+        assert got == expected
+        assert (0, 1, 0) not in got.terms
+
+    def test_empty(self, f3):
+        assert collect(2, f3, []) == Poly.zero(2, f3)
 
 
 class TestLeadingMonomial:

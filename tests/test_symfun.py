@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ipsforge import gf
 from ipsforge.errors import FieldTooSmall, NotSymmetric, OutOfRange
@@ -131,6 +132,15 @@ class TestElemBasis:
         lams = tuple(f3.sample(rng) for _ in range(n + 1))
         f = ElemSymExpansion(n, f3, lams).to_poly()
         assert sym_to_elem_basis(f).lambdas == lams
+
+    @given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]).flatmap(
+        lambda pk: st.lists(st.integers(0, pk[0] ** pk[1] - 1), min_size=1, max_size=9)
+        .map(lambda codes: [gf.field_spec(*pk).from_encoding(c) for c in codes])))
+    def test_from_weight_values_round_trip(self, values):
+        field = values[0].spec
+        expansion = ElemSymExpansion.from_weight_values(values, field)
+        assert expansion.n == len(values) - 1
+        assert [expansion.eval_at_weight(w) for w in range(len(values))] == values
 
     def test_not_symmetric(self, f3):
         with pytest.raises(NotSymmetric):
