@@ -25,6 +25,8 @@ from ipsforge import generators
 from ipsforge.certificates import (
     Certificate,
     Instance,
+    boolean_axiom,
+    expand_monomial_axiom,
     minimum_certificate_degree,
     refute_linear_frobenius,
     refute_linear_lowdegree,
@@ -153,8 +155,6 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
 def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     """20 sparse lifted instances at n=4 over the (2,3) tower verify exactly;
     monomial-axiom expansions re-expand to zero residual."""
-    from ipsforge.certificates import boolean_axiom, expand_monomial_axiom
-
     start = time.monotonic()
     tower = gf.field_tower(2, 3)
     ok = True

@@ -52,8 +52,8 @@ from ipsforge.lowerbounds import (
     sparsity_probe,
     top_coeff,
 )
-from ipsforge.mvpoly import format_elem, format_poly
-from ipsforge.symfun import elem_sym
+from ipsforge.mvpoly import format_elem, format_poly, parse_poly
+from ipsforge.symfun import ElemSymExpansion
 
 EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -124,10 +124,7 @@ def _build_instance(family: str, p: int, k: int, n: int, m: int,
                     seed: int | None, poly_texts: tuple[str, ...]) -> Instance:
     if family == "symmetric" and poly_texts:
         fld = gf.field_spec(p, k)
-        names = tuple(f"e{d}" for d in range(1, n + 1))
-        axioms = []
-        for text in poly_texts:
-            axioms.append(_parse_sym_expr(text, n, fld))
+        axioms = [_parse_sym_expr(text, n, fld) for text in poly_texts]
         return Instance(n, fld, axioms, "symmetric-system")
     if seed is None:
         raise click.UsageError("--seed is mandatory for randomized instance generation")
@@ -144,43 +141,14 @@ def _build_instance(family: str, p: int, k: int, n: int, m: int,
 
 
 def _parse_sym_expr(text: str, n: int, fld):
-    """Combinations of elementary symmetric polynomials: 'e1+e2+1', '2*e3 - 1'."""
-    from ipsforge.mvpoly import Poly
-
-    compact = text.replace(" ", "")
-    if not compact:
-        raise ParseError("empty symmetric expression")
-    acc = Poly.zero(n, fld)
-    token = ""
-    parts = []
-    for ch in compact:
-        if ch in "+-" and token:
-            parts.append(token)
-            token = ch if ch == "-" else ""
-        else:
-            token += ch if ch not in "+" else ""
-    parts.append(token)
-    for part in parts:
-        if not part:
-            continue
-        sign = -1 if part.startswith("-") else 1
-        body = part.lstrip("+-")
-        coeff_txt, _, sym = body.partition("*")
-        if not sym:
-            coeff_txt, sym = ("1", body) if body.startswith("e") else (body, "")
-        if not coeff_txt.isdecimal():
-            raise ParseError(f"expected an integer coefficient, got {coeff_txt!r}")
-        coeff = fld.from_int(sign * int(coeff_txt))
-        if sym:
-            if not (sym.startswith("e") and sym[1:].isdecimal()):
-                raise ParseError(f"expected e<d> term, got {sym!r}")
-            d = int(sym[1:])
-            if d > n:
-                raise ParseError(f"e{d} needs a degree in 0..{n}")
-            acc = acc + elem_sym(n, d, fld).scale(coeff)
-        else:
-            acc = acc + Poly.const(n, fld, coeff)
-    return acc
+    """A linear combination of e0..en and a constant, such as 'e1+e2+1' or
+    '2*e3 - 1', expanded in n variables (e0 = 1)."""
+    f = parse_poly(text, n + 1, fld, [f"e{d}" for d in range(n + 1)])
+    if f.degree() > 1:
+        raise ParseError(f"{text!r} is not a linear combination of e0..e{n}")
+    lambdas = [f.coeff(tuple(int(i == d) for i in range(n + 1))) for d in range(n + 1)]
+    lambdas[0] = lambdas[0] + f.coeff((0,) * (n + 1))
+    return ElemSymExpansion(n, fld, tuple(lambdas)).to_poly()
 
 
 REFUTERS = {

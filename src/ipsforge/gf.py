@@ -9,12 +9,14 @@ recorded in the FieldSpec, which makes every serialized artifact portable.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from ipsforge import _kernel as kn
 from ipsforge.errors import (
+    BudgetExceeded,
     DegenerateTower,
     LevelMismatch,
     ParseError,
@@ -33,6 +35,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The least n that is a strong pseudoprime to every base in _MR_BASES
 # (Sorenson & Webster, Math. Comp. 2017): every smaller n is decided exactly.
 MR_BOUND = 3317044064679887385961981
+
+# The largest field order, in bits, that a FieldSpec accepts. It bounds the
+# work of the irreducibility test on untrusted headers, and admits every prime
+# below MR_BOUND as well as GF(13^24), the largest field in use (about 2^89).
+FIELD_BITS = 128
 
 
 def is_prime(n: int) -> bool:
@@ -90,6 +97,17 @@ def _is_irreducible(modulus: tuple[int, ...], p: int, k: int) -> bool:
 # ---------------------------------------------------------------------------
 # field specs
 
+class _ReducibleModulus(ValueError):
+    """The modulus of a FieldSpec factors over F_p."""
+
+
+def _check_order(p: int, k: int) -> None:
+    """BudgetExceeded unless p^k has at most FIELD_BITS bits. A k of
+    FIELD_BITS or more is over already, and is caught before p^k is formed."""
+    if k >= FIELD_BITS or (p ** k).bit_length() > FIELD_BITS:
+        raise BudgetExceeded(f"GF({p}^{k}) has more than 2^{FIELD_BITS} elements")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A finite field F_{p^k} presented as F_p[t]/(modulus)."""
@@ -103,12 +121,13 @@ class FieldSpec:
             raise ValueError(f"p = {self.p} is not prime")
         if self.k < 1:
             raise ValueError("extension degree must be >= 1")
+        _check_order(self.p, self.k)
         if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree exactly k")
         if any(not 0 <= c < self.p for c in self.modulus):
             raise ValueError("modulus coefficients must be reduced mod p")
         if not _is_irreducible(self.modulus, self.p, self.k):
-            raise ValueError("modulus is reducible")
+            raise _ReducibleModulus("modulus is reducible")
 
     @property
     def order(self) -> int:
@@ -162,38 +181,32 @@ class FieldSpec:
 
 @lru_cache(maxsize=None)
 def field_spec(p: int, k: int) -> FieldSpec:
-    """F_{p^k} with the first irreducible modulus in encoding order."""
-    if k == 1:
-        return FieldSpec(p, 1, (0, 1))
-    for tail in _encoding_tails(p, k):
-        modulus = tail + (1,)
-        if tail[0] != 0 and _is_irreducible(modulus, p, k):
-            return FieldSpec(p, k, modulus)
-    raise AssertionError("no irreducible found")  # unreachable: they exist
-
-
-def _encoding_tails(p: int, k: int) -> Iterator[tuple[int, ...]]:
+    """F_{p^k} with the first irreducible modulus in encoding order. For
+    k >= 2 a modulus with constant term 0 has the factor t and is skipped;
+    FieldSpec's own check tests every other candidate. Irreducibles of every
+    degree exist, so the search ends."""
+    _check_order(p, k)  # before any candidate, whose tuple has k entries
     for m in itertools.count():
-        if m >= p ** k:
-            return
-        digits = []
-        mm = m
-        for _ in range(k):
-            digits.append(mm % p)
-            mm //= p
-        yield tuple(digits)
+        tail = tuple(m // p ** i % p for i in range(k))  # base-p digits of m
+        if k < 2 or tail[0]:
+            try:
+                return FieldSpec(p, k, tail + (1,))
+            except _ReducibleModulus:
+                continue
+
+
+_FIELD_TEXT = re.compile(r"GF\((\d+)(?:\^(\d+))?\)\{modulus=(\d+(?:,\d+)*)\}")
 
 
 def parse_field_spec(text: str) -> FieldSpec:
     """Inverse of FieldSpec.text()."""
+    m = _FIELD_TEXT.fullmatch(text)
+    if m is None:
+        raise ParseError(f"bad field spec {text!r}")
+    p, k, modulus = m.groups()
     try:
-        head, mod_part = text.split("{modulus=")
-        assert head.startswith("GF(") and mod_part.endswith("}")
-        pk = head[3:].rstrip(")")
-        p_s, k_s = pk.split("^") if "^" in pk else (pk, "1")
-        coeffs = tuple(int(c) for c in mod_part[:-1].split(","))
-        return FieldSpec(int(p_s), int(k_s), coeffs)
-    except (ValueError, AssertionError) as exc:
+        return FieldSpec(int(p), int(k or 1), tuple(map(int, modulus.split(","))))
+    except ValueError as exc:
         raise ParseError(f"bad field spec {text!r}: {exc}") from None
 
 
@@ -337,16 +350,16 @@ def _u_mulmod(a, b, f, spec):
 
 
 def _u_powmod(a, e: int, f, spec):
-    one = (1,) + (0,) * (spec.k - 1)
-    result = [one]
-    acc = list(a)
-    while e:
+    """a^e mod f for e >= 1. The result starts as the power of a at the
+    lowest set bit of e, not as 1, so a^2 costs one squaring."""
+    result = None
+    while True:
         if e & 1:
-            result = _u_mulmod(result, acc, f, spec)
+            result = a if result is None else _u_mulmod(result, a, f, spec)
         e >>= 1
-        if e:
-            acc = _u_mulmod(acc, acc, f, spec)
-    return result
+        if not e:
+            return result
+        a = _u_mulmod(a, a, f, spec)
 
 
 def _u_gcd(a, b, spec):
@@ -377,10 +390,15 @@ def _u_quo(a, f, spec):
 
 def roots_in_field(coeffs: list[tuple[int, ...]], spec: FieldSpec) -> list[FieldElem]:
     """All roots in the field of a univariate polynomial that splits
-    completely into distinct linear factors there (the embedding case).
+    completely into distinct linear factors there (the embedding case),
+    sorted by encoding.
 
-    Splitting is by deterministic sweeps: quadratic-character gcds for odd p,
-    trace gcds over the power basis for p = 2.
+    Splitting is Berlekamp's trace sweep (Math. Comp. 1970) for every p. For
+    a power-basis element delta, T = sum_{i<k} (delta X)^(p^i) mod f takes the
+    value Tr(delta r) in F_p at each root r, so gcd(f, T - c) holds the roots
+    of trace c. The trace form is nondegenerate, so for any two roots some
+    delta of the basis separates them. The sorted result does not depend on
+    the order of the splits.
     """
     f = _u_monic(_u_trim(list(coeffs)), spec)
     out: list[FieldElem] = []
@@ -397,36 +415,21 @@ def _split_roots(f, spec, out):
         out.append(FieldElem(spec, kn.vneg(f[0], spec.p)))
         return
     p, k = spec.p, spec.k
-    x = [(0,) * k, (1,) + (0,) * (k - 1)]
-    if p == 2:
-        for b in range(k):
-            delta = tuple(1 if i == b else 0 for i in range(k))
-            term = _u_mod([(0,) * k, delta], f, spec)
-            trace = list(term)
-            for _ in range(k - 1):
-                term = _u_mulmod(term, term, f, spec)
-                trace = _u_add(trace, term, spec)
-            g = _u_gcd(f, trace, spec)
+    zero = (0,) * k
+    for b in range(k):
+        delta = tuple(1 if i == b else 0 for i in range(k))
+        term = trace = [zero, delta]  # delta X, reduced as deg f >= 2
+        for _ in range(k - 1):
+            term = _u_powmod(term, p, f, spec)
+            trace = _u_add(trace, term, spec)
+        for c in range(p - 1):  # T - (p-1) holds the roots left over
+            g = _u_gcd(f, _u_add(trace, [(-c % p,) + zero[1:]], spec), spec)
             if 0 < len(g) - 1 < deg:
                 g = _u_monic(g, spec)
                 _split_roots(g, spec, out)
                 _split_roots(_u_quo(f, g, spec), spec, out)
                 return
-        raise AssertionError("trace sweep failed to split")  # unreachable
-    half = (spec.order - 1) // 2
-    one = (1,) + (0,) * (k - 1)
-    for m in range(spec.order):
-        delta = spec.from_encoding(m).coeffs
-        shifted = [delta, one]  # X + delta
-        h = _u_powmod(shifted, half, f, spec)
-        h = _u_add(h, [kn.vneg(one, p)], spec)
-        g = _u_gcd(f, h, spec)
-        if 0 < len(g) - 1 < deg:
-            g = _u_monic(g, spec)
-            _split_roots(g, spec, out)
-            _split_roots(_u_quo(f, g, spec), spec, out)
-            return
-    raise AssertionError("character sweep failed to split")  # unreachable
+    raise AssertionError("trace sweep failed to split")  # unreachable
 
 
 def _u_add(a, b, spec):

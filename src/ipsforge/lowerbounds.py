@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import random
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
@@ -23,6 +24,7 @@ from ipsforge.mvpoly import (
     cube_interpolate,
     cube_values,
     default_names,
+    format_elem,
     linear_poly,
 )
 
@@ -30,7 +32,11 @@ from ipsforge.mvpoly import (
 def budget_n(default: int = 12) -> int:
     """Cube-enumeration cap; override with IPSFORGE_BUDGET_N."""
     value = os.environ.get("IPSFORGE_BUDGET_N")
-    return int(value) if value else default
+    try:
+        return int(value) if value else default
+    except ValueError:
+        raise BudgetExceeded(
+            f"IPSFORGE_BUDGET_N must be an integer, got {value!r}") from None
 
 
 def _check_budget(n: int, cap: int | None = None, what: str = "cube enumeration"):
@@ -226,8 +232,6 @@ def degree_trial(n: int, tower: FieldTower, trials: int, seed: int,
     restriction U simultaneously (the union-bound lemma); the report then
     carries both the exact union sum and the 2^{2n} bound.
     """
-    import random
-
     rng = random.Random(seed)
     size = tower.base.order
     successes = 0
@@ -316,7 +320,6 @@ class CoefficientMatrix:
                             self.field)
 
     def to_csv(self) -> str:
-        from ipsforge.mvpoly import format_elem
         lines = []
         for row in self.entries:
             lines.append(",".join(format_elem(c) for c in row))
@@ -351,8 +354,9 @@ def coefficient_matrix(f: Poly, partition: tuple[Sequence[int], Sequence[int]]
 
 def eval_dimension(f: Poly, partition: tuple[Sequence[int], Sequence[int]],
                    domain: Iterable[FieldElem] | None = None) -> int:
-    """Dimension of the span of {f(left, b)} over right-side assignments b
-    from the domain (default {0,1}); never exceeds the coefficient rank."""
+    """Dimension of the span of {f(left, b)} over right-side assignments b,
+    with b drawn from the domain (default {0,1}); never exceeds the
+    coefficient rank."""
     left, right = tuple(partition[0]), tuple(partition[1])
     fld = f.field
     points = list(domain) if domain is not None else [fld.zero(), fld.one()]

@@ -561,12 +561,17 @@ def leading_monomial(f: Poly) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # text grammar
 #
-#   poly  := term (("+" | "-") term)*
+#   poly  := sign? term (sign term)*
 #   term  := factor ("*" factor)*
-#   factor:= coeff | var ("^" exp)?
+#   factor:= coeff | name ("^" exp)?
 #   coeff := decimal | "[" c0 "," c1 "," ... "]"
-#   var   := (x|y|z)<idx>   (1-based into the declared name list)
+#   name  := one of the declared variable names (default x1..xn)
+#   sign  := "+" | "-"
 #
+# Input may omit a term's coefficient and a name's exponent; repeated
+# coefficients multiply and repeated names add their exponents; and
+# whitespace may come before any token. Factors are joined only by "*"
+# and terms only by one sign, so "x1 x2", "2*" and "x1 - -x2" are errors.
 # Canonical output is grlex-descending with explicit coefficients and
 # exponents, so equal polynomials serialize to identical bytes.
 
@@ -595,81 +600,53 @@ def format_poly(f: Poly, names: Sequence[str] | None = None) -> str:
     return " + ".join(parts)
 
 
-_TOKEN = re.compile(r"\s*(\[[-\d,\s]*\]|\d+|[A-Za-z]\w*|\^|\*|\+|-)")
-
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", column=pos)
-        out.append((m.group(1), pos))
-        pos = m.end()
-    return out
+_FACTOR = r"(?:\[\s*-?\d+(?:\s*,\s*-?\d+)*\s*\]|\d+|[A-Za-z]\w*(?:\s*\^\s*\d+)?)"
+_TERM = re.compile(rf"\s*([+-]?)\s*({_FACTOR}(?:\s*\*\s*{_FACTOR})*)")
 
 
 def parse_poly(text: str, n: int, field: FieldSpec,
                names: Sequence[str] | None = None) -> Poly:
-    """Parse the term grammar; lenient about omitted coefficients/exponents."""
+    """Parse the term grammar above, one regex match per term."""
     names = list(names or default_names(n))
     if len(names) != n:
         raise ArityMismatch(f"{len(names)} names declared for {n} variables")
     index = {nm: i for i, nm in enumerate(names)}
-    toks = _tokenize(text)
-    if not toks:
-        raise ParseError("empty polynomial")
+    p, k, mod = field.p, field.k, field.modulus
+    one, pad = field.one().coeffs, (0,) * (k - 1)
     pieces = []
-    i = 0
-    sign = 1
-    first = True
-    while i < len(toks):
-        tok, pos = toks[i]
-        if tok in "+-":
-            if not first and i + 1 >= len(toks):
-                raise ParseError("dangling sign", column=pos)
-            sign = 1 if tok == "+" else -1
-            i += 1
-            continue
-        coeff = field.one()
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m is None or (pos and not m.group(1)):
+            col = pos if m is None else m.start(2)
+            raise ParseError(f"expected a signed term at {text[col:col + 12]!r}", column=col)
+        sign, body = m.groups()
+        coeff = None
         exp = [0] * n
-        expect_factor = True
-        while i < len(toks):
-            tok, pos = toks[i]
-            if tok in "+-" and not expect_factor:
-                break
-            if tok == "*":
-                i += 1
-                expect_factor = True
-                continue
-            if tok.startswith("["):
-                vals = [int(v) for v in tok[1:-1].split(",") if v.strip()]
-                if len(vals) != field.k:
+        for f in body.split("*"):
+            f = f.strip()
+            if f[0] == "[":
+                vals = f[1:-1].split(",")
+                if len(vals) != k:
                     raise ParseError(
-                        f"coefficient has {len(vals)} components, field degree is {field.k}",
-                        column=pos)
-                coeff = coeff * field.from_coeffs(vals)
-                i += 1
-            elif tok.isdigit():
-                coeff = coeff * field.from_int(int(tok))
-                i += 1
-            elif tok in index:
-                v = index[tok]
-                d = 1
-                i += 1
-                if i < len(toks) and toks[i][0] == "^":
-                    if i + 1 >= len(toks) or not toks[i + 1][0].isdigit():
-                        raise ParseError("expected exponent after ^", column=toks[i][1])
-                    d = int(toks[i + 1][0])
-                    i += 2
-                exp[v] += d
+                        f"coefficient has {len(vals)} components, field degree is {k}",
+                        column=m.start(2) + body.find(f))
+                c = tuple([int(v) % p for v in vals])
+            elif f[0].isdigit():
+                c = (int(f) % p,) + pad
             else:
-                raise ParseError(f"unknown token {tok!r}", column=pos)
-            expect_factor = False
-        if sign < 0:
-            coeff = -coeff
-        pieces.append((tuple(exp), coeff.coeffs))
-        sign = 1
-        first = False
+                name, _, d = f.partition("^")
+                i = index.get(name.rstrip())
+                if i is None:
+                    raise ParseError(f"unknown variable {name.rstrip()!r}",
+                                     column=m.start(2) + body.find(f))
+                exp[i] += int(d) if d else 1
+                continue
+            coeff = c if coeff is None else kn.vmul(coeff, c, p, mod)
+        if coeff is None:
+            coeff = one
+        pieces.append((tuple(exp), kn.vneg(coeff, p) if sign == "-" else coeff))
+        pos = m.end()
+    if not pieces:
+        raise ParseError("empty polynomial")
     return collect(n, field, pieces)

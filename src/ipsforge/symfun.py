@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from ipsforge import exactla
@@ -120,7 +121,6 @@ def sym_to_elem_basis(f: Poly) -> ElemSymExpansion:
             raise NotSymmetric(f"degree-{d} monomials carry unequal coefficients")
         by_degree[d] = c
         counts[d] = counts.get(d, 0) + 1
-    from math import comb
     for d, cnt in counts.items():
         if d > 0 and cnt != comb(n, d):
             raise NotSymmetric(f"degree-{d} class is incomplete ({cnt} of {comb(n, d)})")

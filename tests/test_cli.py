@@ -2,11 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import ipsforge
-from ipsforge.cli import main
+from ipsforge import gf
+from ipsforge.cli import _parse_sym_expr, main
+from ipsforge.errors import ParseError
+from ipsforge.mvpoly import Poly
+from ipsforge.symfun import elem_sym
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +118,8 @@ def test_bad_field_or_size_is_usage_error(capsys, argv):
     ("e9", 1),
     ("2*", 1),
     ("x1", 1),
+    ("e1 e2", 1),
+    ("e1 - -e2", 1),
     (lambda cert: [cert], 1),
     (lambda cert: {key: v for key, v in cert.items() if key != "A"}, 1),
     (lambda cert: {**cert, "n": "3"}, 1),
@@ -125,10 +132,13 @@ def test_bad_field_or_size_is_usage_error(capsys, argv):
     (lambda cert: {**cert, "tower": {**cert["tower"], "embed_table": [
         cert["tower"]["embed_table"][0], [0] * len(cert["tower"]["embed_table"][1])]}}, 1),
     (lambda cert: (cert, [1, 2]), 1),
+    (lambda cert: {**cert, "A": ["x1 x2"] + cert["A"][1:]}, 1),
+    (lambda cert: {**cert, "field": "GF(5^6)))){modulus=2,1,0,0,0,0,1}"}, 1),
 ], ids=["poly-product", "poly-degree", "poly-dangling", "poly-variable",
+        "poly-juxtaposed", "poly-double-sign",
         "cert-list", "cert-no-A", "cert-n-string", "cert-short-B",
         "tower-int", "tower-no-base", "tower-rows-of-9", "tower-t-to-zero",
-        "instance-list"])
+        "instance-list", "cert-A-juxtaposed", "field-extra-parens"])
 def test_bad_input_exit_code(tmp_path, capsys, bad, expected):
     """Malformed --poly text, certificate and instance files exit 1; a
     certificate of the wrong shape for its instance exits 2; neither is an
@@ -153,6 +163,52 @@ def test_bad_input_exit_code(tmp_path, capsys, bad, expected):
     assert code == expected, err
     if expected == 2:
         assert json.loads(stdout)["error"] == "not_a_certificate"
+
+
+@pytest.mark.parametrize("text, p, k, combo", [
+    ("e0 + 2*e2", 3, 1, {0: 1, 2: 2}),
+    ("-e1 + 1", 5, 1, {0: 1, 1: -1}),
+    ("[1,2]*e1 + e0 - [0,1]*e3 + 2", 3, 2, {0: (0, 0), 1: (1, 2), 3: (0, -1)}),
+])
+def test_parse_sym_expr(text, p, k, combo):
+    """--poly text is a combination of elementary symmetric polynomials; the
+    constant and the coefficient of e0 both scale e0 = 1."""
+    fld, n = gf.field_spec(p, k), 3
+    expect = Poly.zero(n, fld)
+    for d, c in combo.items():
+        coeff = fld.from_coeffs(c) if isinstance(c, tuple) else fld.from_int(c)
+        expect = expect + elem_sym(n, d, fld).scale(coeff)
+    assert _parse_sym_expr(text, n, fld) == expect
+    with pytest.raises(ParseError):
+        _parse_sym_expr("e1*e2", n, fld)
+
+
+def test_huge_field_exits_1_quickly(tmp_path, capsys):
+    """A GF(2^5000) certificate header and --k 5000 stop at the field-size
+    bound before any irreducibility test."""
+    path = tmp_path / "cert.json"
+    assert run_cli(capsys, "refute", "--family", "linear-shifted", "--p", "2",
+                   "--k", "2", "--n", "3", "--seed", "3", "--out", str(path))[0] == 0
+    data = json.loads(path.read_text())
+    del data["tower"]
+    data["field"] = "GF(2^5000){modulus=1," + "0," * 4999 + "1}"
+    path.write_text(json.dumps(data))
+    for argv in (["verify", str(path)],
+                 ["refute", "--family", "linear-base", "--p", "2", "--k", "5000",
+                  "--n", "2", "--seed", "1"]):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1, err
+        assert "2^5000" in err
+
+
+def test_non_integer_budget_env_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("IPSFORGE_BUDGET_N", "abc")
+    code, _, err = run_cli(capsys, "oracle", "degree-trial", "--n", "4", "--p", "2",
+                           "--k", "3", "--trials", "2", "--seed", "1")
+    assert code == 1
+    assert "IPSFORGE_BUDGET_N" in err
 
 
 class TestDeterminism:

@@ -5,7 +5,13 @@ import random
 import pytest
 
 from ipsforge import gf
-from ipsforge.errors import DegenerateTower, LevelMismatch, ParseError, ZeroInverse
+from ipsforge.errors import (
+    BudgetExceeded,
+    DegenerateTower,
+    LevelMismatch,
+    ParseError,
+    ZeroInverse,
+)
 
 
 def test_f4_multiplication_table():
@@ -137,6 +143,49 @@ def test_is_irreducible_matches_trial_division(p, k):
         assert gf._is_irreducible(f, p, k) == _irreducible_by_trial_division(f, p, k), f
 
 
+def test_field_spec_tests_each_candidate_once(monkeypatch):
+    """The modulus search calls the irreducibility test once per candidate:
+    every encoding with a nonzero constant term up to the winner's."""
+    calls = []
+    real = gf._is_irreducible
+
+    def counting(modulus, p, k):
+        calls.append(modulus)
+        return real(modulus, p, k)
+
+    monkeypatch.setattr(gf, "_is_irreducible", counting)
+    spec = gf.field_spec.__wrapped__(2, 12)  # bypass the cache
+    winner = sum(c << i for i, c in enumerate(spec.modulus[:-1]))
+    assert calls == [tuple((m >> i) & 1 for i in range(12)) + (1,)
+                     for m in range(1, winner + 1, 2)]
+
+
+def test_field_order_bound():
+    with pytest.raises(BudgetExceeded):
+        gf.FieldSpec(2, 5000, (1,) + (0,) * 4999 + (1,))
+    with pytest.raises(BudgetExceeded):
+        gf.field_spec.__wrapped__(2, gf.FIELD_BITS + 1)
+    with pytest.raises(BudgetExceeded):
+        gf.field_spec.__wrapped__(3, 81)  # 3^81 is about 2^128.4
+    with pytest.raises(BudgetExceeded):
+        gf.parse_field_spec("GF(2^5000){modulus=1," + "0," * 4999 + "1}")
+    # the largest field in use, and primes up to the primality bound
+    assert gf.field_spec(13, 24).order.bit_length() <= gf.FIELD_BITS
+    p = next(q for q in range(gf.MR_BOUND - 2, 0, -2) if gf.is_prime(q))
+    assert gf.FieldSpec(p, 1, (0, 1)).order == p
+
+
+@pytest.mark.parametrize("text", [
+    "GF(2^3)))){modulus=1,1,0,1}", "GF(2^3){modulus=1,1,0,1}}", "GF(2^3{modulus=1,1,0,1}",
+    "gf(2^3){modulus=1,1,0,1}", "GF(2^3){modulus=1,-1,0,1}", "GF(2^3){modulus=}",
+    " GF(2^3){modulus=1,1,0,1}", "GF(2^3){modulus=1,1,0,1} ", "GF(2^^3){modulus=1,1,0,1}",
+])
+def test_parse_field_spec_rejects_malformed_text(text):
+    assert gf.parse_field_spec("GF(2^3){modulus=1,1,0,1}") == gf.field_spec(2, 3)
+    with pytest.raises(ParseError):
+        gf.parse_field_spec(text)
+
+
 def test_is_prime_rejects_strong_pseudoprime_to_bases_below_41():
     # 399165290221 * 798330580441, a strong pseudoprime to every base up to 37
     n = 318665857834031151167461
@@ -215,6 +264,44 @@ class TestTower:
         broken = gf.FieldTower(spec, spec, ((1, 0),))
         with pytest.raises(DegenerateTower):
             broken.sample_beta(random.Random(0))
+
+
+def _poly_with_roots(roots, lead):
+    """Coefficients, low first, of lead * prod (X - r)."""
+    poly = [lead]
+    for r in roots:
+        poly = [a - r * b for a, b in zip([lead.spec.zero()] + poly, poly + [lead.spec.zero()])]
+    return [c.coeffs for c in poly]
+
+
+@pytest.mark.parametrize("p, k", [(2, 4), (3, 2), (5, 2), (7, 2)])
+def test_roots_in_field_of_split_product(p, k):
+    spec = gf.field_spec(p, k)
+    elements = list(spec.elements())
+    rng = random.Random(f"roots:{p}:{k}")
+    for size in (1, 2, 3, spec.order // 2, spec.order):
+        roots = rng.sample(elements, size)
+        lead = rng.choice(elements[1:])
+        got = gf.roots_in_field(_poly_with_roots(roots, lead), spec)
+        assert got == sorted(roots, key=lambda e: e.encoding())
+
+
+@pytest.mark.parametrize("p, k", [(p, k) for p in (2, 3, 5, 7, 11, 13)
+                                  for k in range(2, 7) if p ** (2 * k) <= 5000])
+def test_embedding_is_least_root_of_base_modulus(p, k):
+    """embed_table[1] is the least-encoding root of the base modulus, found
+    by evaluating it at every element of the extension."""
+    tower = gf.field_tower(p, k)
+    ext = tower.ext
+
+    def at(a):
+        acc = ext.zero()
+        for c in reversed(tower.base.modulus):
+            acc = acc * a + ext.from_int(c)
+        return acc
+
+    least = next(a for a in ext.elements() if at(a).is_zero())
+    assert tower.embed_table[1] == least.coeffs
 
 
 def test_sample_reproducible():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,6 +390,63 @@ class TestTextGrammar:
         ext = "[1,2]*x1 + [2,1]*x1 + [0,1]*x2 - [0,1]*x2 + [1,1]"
         assert parse_poly(ext, 2, f9) == Poly.const(2, f9, f9.from_coeffs((1, 1)))
         assert parse_poly("x1 - x1", 1, f3).is_zero()
+
+    # (text, [(exponent, coefficient)]) over GF(3^2) in x1, x2; an int
+    # coefficient is a prime-field constant, a tuple a coefficient vector
+    ACCEPTED = [
+        ("x1", [((1, 0), 1)]),
+        ("7", [((0, 0), 7)]),
+        ("2*x1^2*x2", [((2, 1), 2)]),
+        ("-x2 + 1", [((0, 1), -1), ((0, 0), 1)]),
+        ("+x1 - 2", [((1, 0), 1), ((0, 0), -2)]),
+        ("2*2*x1", [((1, 0), 4)]),
+        ("x1*x1^2*x2*x2", [((3, 2), 1)]),
+        ("[1,2]*x1 - [0,1]", [((1, 0), (1, 2)), ((0, 0), (0, -1))]),
+        (" [ 1 , 2 ] * x1 ^ 2\t-\nx2", [((2, 0), (1, 2)), ((0, 1), -1)]),
+        ("[-1,4]", [((0, 0), (-1, 4))]),
+        ("x1^0", [((0, 0), 1)]),
+        ("x1 - x1 + 0", []),
+    ]
+
+    @pytest.mark.parametrize("text, terms", ACCEPTED, ids=[t for t, _ in ACCEPTED])
+    def test_accepted(self, f9, text, terms):
+        expect = Poly.zero(2, f9)
+        for e, c in terms:
+            elem = f9.from_coeffs(c) if isinstance(c, tuple) else f9.from_int(c)
+            expect = expect + Poly.monomial(2, f9, e, elem)
+        assert parse_poly(text, 2, f9) == expect
+
+    def test_repeated_bracket_coefficients_multiply(self, f9):
+        a, b = f9.from_coeffs((1, 2)), f9.from_coeffs((0, 1))
+        assert parse_poly("[1,2]*x2*[0,1]", 2, f9) == \
+            Poly.monomial(2, f9, (0, 1), a * b)
+
+    REJECTED = ["x1 x2", "2*", "x1 - -x2", "x1^", "x1 +", "", "   ", "--x1",
+                "*x1", "x1**x2", "2x1", "x1^2^3", "x3", "x1 + @", "[1]*x1",
+                "[1,,2]", "[1,2,0]", "x1x2", "(x1)"]
+
+    @pytest.mark.parametrize("text", REJECTED)
+    def test_rejected(self, f9, text):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, 2, f9)
+        assert 0 <= info.value.column <= max(len(text) - 1, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_whitespace_between_tokens(self, data):
+        """Canonical text with any whitespace before each of its tokens
+        parses to the same polynomial."""
+        field = data.draw(st.sampled_from(
+            [gf.field_spec(2, 4), gf.field_spec(3, 3), gf.field_spec(5, 1)]))
+        terms = data.draw(st.lists(st.tuples(
+            st.tuples(*[st.integers(0, 3)] * 3), st.integers(0, field.order - 1)),
+            max_size=6))
+        f = collect(3, field, [(e, field.from_encoding(c).coeffs) for e, c in terms])
+        tokens = re.findall(r"\d+|[A-Za-z]\w*|\S", format_poly(f))
+        gaps = data.draw(st.lists(st.sampled_from(["", " ", "  ", "\t", "\n"]),
+                                  min_size=len(tokens), max_size=len(tokens)))
+        text = "".join(g + t for g, t in zip(gaps, tokens))
+        assert parse_poly(text, 3, field) == f
 
     def test_roundtrip_large_certificate_polynomial(self):
         from ipsforge import generators
