@@ -395,10 +395,14 @@ def roots_in_field(coeffs: list[tuple[int, ...]], spec: FieldSpec) -> list[Field
 
     Splitting is Berlekamp's trace sweep (Math. Comp. 1970) for every p. For
     a power-basis element delta, T = sum_{i<k} (delta X)^(p^i) mod f takes the
-    value Tr(delta r) in F_p at each root r, so gcd(f, T - c) holds the roots
-    of trace c. The trace form is nondegenerate, so for any two roots some
-    delta of the basis separates them. The sorted result does not depend on
-    the order of the splits.
+    value Tr(delta r) in F_p at each root r. The trace form is nondegenerate,
+    so for any two roots some delta separates them; a delta whose T is
+    constant separates none and is skipped (delta = 1 for the conjugates
+    that field_tower splits). The split is gcd(f, T) for p = 2, and for odd
+    p gcd(f, (T + a)^((p-1)/2) - 1), the roots where T + a is a nonzero
+    square: O(log p) work per shift a, and about half of all shifts separate
+    two given traces. The sorted result does not depend on the order of
+    the splits.
     """
     f = _u_monic(_u_trim(list(coeffs)), spec)
     out: list[FieldElem] = []
@@ -416,14 +420,22 @@ def _split_roots(f, spec, out):
         return
     p, k = spec.p, spec.k
     zero = (0,) * k
+    minus_one = [(p - 1,) + zero[1:]]
     for b in range(k):
         delta = tuple(1 if i == b else 0 for i in range(k))
         term = trace = [zero, delta]  # delta X, reduced as deg f >= 2
         for _ in range(k - 1):
             term = _u_powmod(term, p, f, spec)
             trace = _u_add(trace, term, spec)
-        for c in range(p - 1):  # T - (p-1) holds the roots left over
-            g = _u_gcd(f, _u_add(trace, [(-c % p,) + zero[1:]], spec), spec)
+        if len(trace) < 2:  # T is constant mod f: delta separates no roots
+            continue
+        for a in range(p):
+            if p == 2:
+                h = trace
+            else:
+                shifted = _u_add(trace, [(a,) + zero[1:]], spec)
+                h = _u_add(_u_powmod(shifted, (p - 1) // 2, f, spec), minus_one, spec)
+            g = _u_gcd(f, h, spec)
             if 0 < len(g) - 1 < deg:
                 g = _u_monic(g, spec)
                 _split_roots(g, spec, out)

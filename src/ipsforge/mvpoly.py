@@ -604,6 +604,13 @@ _FACTOR = r"(?:\[\s*-?\d+(?:\s*,\s*-?\d+)*\s*\]|\d+|[A-Za-z]\w*(?:\s*\^\s*\d+)?)
 _TERM = re.compile(rf"\s*([+-]?)\s*({_FACTOR}(?:\s*\*\s*{_FACTOR})*)")
 
 
+def _factor_column(start: int, factors: list[str], j: int) -> int:
+    """Column of factors[j], the j-th piece of a term body split on '*'
+    that begins at column start, past its leading whitespace."""
+    f = factors[j]
+    return start + sum(len(x) + 1 for x in factors[:j]) + len(f) - len(f.lstrip())
+
+
 def parse_poly(text: str, n: int, field: FieldSpec,
                names: Sequence[str] | None = None) -> Poly:
     """Parse the term grammar above, one regex match per term."""
@@ -623,14 +630,15 @@ def parse_poly(text: str, n: int, field: FieldSpec,
         sign, body = m.groups()
         coeff = None
         exp = [0] * n
-        for f in body.split("*"):
+        factors = body.split("*")
+        for j, f in enumerate(factors):
             f = f.strip()
             if f[0] == "[":
                 vals = f[1:-1].split(",")
                 if len(vals) != k:
                     raise ParseError(
                         f"coefficient has {len(vals)} components, field degree is {k}",
-                        column=m.start(2) + body.find(f))
+                        column=_factor_column(m.start(2), factors, j))
                 c = tuple([int(v) % p for v in vals])
             elif f[0].isdigit():
                 c = (int(f) % p,) + pad
@@ -639,7 +647,7 @@ def parse_poly(text: str, n: int, field: FieldSpec,
                 i = index.get(name.rstrip())
                 if i is None:
                     raise ParseError(f"unknown variable {name.rstrip()!r}",
-                                     column=m.start(2) + body.find(f))
+                                     column=_factor_column(m.start(2), factors, j))
                 exp[i] += int(d) if d else 1
                 continue
             coeff = c if coeff is None else kn.vmul(coeff, c, p, mod)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -323,3 +324,20 @@ def test_sample_uniformity_chi_square():
     sigma = math.sqrt(draws * (1 / spec.order) * (1 - 1 / spec.order))
     for c in counts.values():
         assert abs(c - mean) <= 5 * sigma
+
+
+@pytest.mark.parametrize("p", [1048573, 2147483629])
+def test_tower_over_a_large_prime_builds_fast(p):
+    """Root finding costs O(log p) per split attempt, not O(p): the tower
+    over a prime near 2^20 or 2^31 builds in well under a second, and its
+    embedding sends t to the least-encoding root of the base modulus,
+    whose other root is its Frobenius conjugate."""
+    start = time.perf_counter()
+    tower = gf.field_tower(p, 2)
+    assert time.perf_counter() - start < 1.0
+    theta = gf.FieldElem(tower.ext, tower.embed_table[1])
+    acc = tower.ext.zero()
+    for c in reversed(tower.base.modulus):
+        acc = acc * theta + tower.ext.from_int(c)
+    assert acc.is_zero()
+    assert theta.encoding() < theta.frobenius(1).encoding()

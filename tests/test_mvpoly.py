@@ -431,6 +431,15 @@ class TestTextGrammar:
             parse_poly(text, 2, f9)
         assert 0 <= info.value.column <= max(len(text) - 1, 0)
 
+    @pytest.mark.parametrize("text, column", [
+        ("x1*x", 3), ("x1 + x1*x", 8), ("x2 -  x1 * y", 11), ("x1* [1]", 4)])
+    def test_error_column_points_at_the_factor(self, f9, text, column):
+        """The column is the bad factor's own, not that of an earlier
+        factor whose text contains it."""
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, 2, f9)
+        assert info.value.column == column
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_whitespace_between_tokens(self, data):
