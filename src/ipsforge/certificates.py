@@ -637,11 +637,18 @@ def certificate_from_dict(data: dict) -> tuple[Instance, Certificate]:
         tower = tower_from_dict(data["tower"])
         if tower.ext != fld:
             raise FieldMismatch("tower extension differs from certificate field")
-    axioms = [parse_poly(t, n, fld, names) for t in data["instance"]]
-    instance = Instance(n, fld, axioms, data.get("meta", "generic"), tower, names)
-    cert = Certificate(
-        [parse_poly(t, n, fld, names) for t in data["A"]],
-        [parse_poly(t, n, fld, names) for t in data["B"]],
-        data.get("provenance", {}),
-    )
+
+    def parse_list(key):
+        out = []
+        for i, text in enumerate(data[key]):
+            try:
+                out.append(parse_poly(text, n, fld, names))
+            except ParseError as exc:  # name the entry; line and column stay
+                exc.args = (f"{key}[{i}]: {exc}",)
+                raise
+        return out
+
+    instance = Instance(n, fld, parse_list("instance"), data.get("meta", "generic"),
+                        tower, names)
+    cert = Certificate(parse_list("A"), parse_list("B"), data.get("provenance", {}))
     return instance, cert

@@ -34,7 +34,8 @@ def _eliminate(work: list[list[tuple]], ncols: int, field: FieldSpec) -> list[in
             continue
         work[r], work[pivot] = work[pivot], work[r]
         inv = kn.vinv(work[r][c], p, mod)
-        work[r] = [kn.vmul(inv, x, p, mod) for x in work[r]]
+        # every entry left of the pivot is zero already
+        work[r] = [kn.vmul(inv, x, p, mod) if any(x) else x for x in work[r]]
         for i in range(len(work)):
             if i != r and any(work[i][c]):
                 work[i] = _axpy(work[i], work[i][c], work[r], p, mod)

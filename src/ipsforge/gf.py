@@ -179,14 +179,23 @@ class FieldSpec:
         return f"GF({self.p}^{self.k}){{modulus={','.join(map(str, self.modulus))}}}"
 
 
+def _binomial_can_be_irreducible(p: int, k: int) -> bool:
+    """Whether some t^k - a can be irreducible over F_p: only if every prime
+    r | k divides p - 1, and p = 1 mod 4 when 4 | k (Lidl & Niederreiter,
+    Finite Fields, Thm 3.75)."""
+    return (all((p - 1) % r == 0 for r in range(2, k + 1) if k % r == 0 and is_prime(r))
+            and (k % 4 != 0 or p % 4 == 1))
+
+
 @lru_cache(maxsize=None)
 def field_spec(p: int, k: int) -> FieldSpec:
     """F_{p^k} with the first irreducible modulus in encoding order. For
-    k >= 2 a modulus with constant term 0 has the factor t and is skipped;
-    FieldSpec's own check tests every other candidate. Irreducibles of every
-    degree exist, so the search ends."""
+    k >= 2 a modulus with constant term 0 has the factor t and is skipped,
+    and so are the binomials t^k + c (the encodings below p) when none of
+    them can be irreducible; FieldSpec's own check tests every other
+    candidate. Irreducibles of every degree exist, so the search ends."""
     _check_order(p, k)  # before any candidate, whose tuple has k entries
-    for m in itertools.count():
+    for m in itertools.count(0 if _binomial_can_be_irreducible(p, k) else p):
         tail = tuple(m // p ** i % p for i in range(k))  # base-p digits of m
         if k < 2 or tail[0]:
             try:

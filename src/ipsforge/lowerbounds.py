@@ -21,10 +21,10 @@ from ipsforge.errors import BudgetExceeded, ZeroDenominator
 from ipsforge.gf import FieldElem, FieldSpec, FieldTower
 from ipsforge.mvpoly import (
     Poly,
-    cube_interpolate,
-    cube_values,
+    cube_table,
     default_names,
     format_elem,
+    interpolate_table,
     linear_poly,
 )
 
@@ -63,29 +63,39 @@ def _normalize_alphas(alphas: Sequence[FieldElem], beta: FieldElem,
     return out
 
 
-def _batch_inverse(values: list[FieldElem]) -> list[FieldElem]:
-    """Montgomery trick: one field inversion for the whole batch."""
-    fld = values[0].spec
-    prefix = [fld.one()]
-    for v in values:
-        prefix.append(prefix[-1] * v)
-    inv_all = prefix[-1].inv()
-    out = [fld.zero()] * len(values)
-    for i in range(len(values) - 1, -1, -1):
-        out[i] = prefix[i] * inv_all
-        inv_all = inv_all * values[i]
+def _batch_inverse(table: list[tuple[int, ...]], field: FieldSpec) -> list[tuple[int, ...]]:
+    """Montgomery's trick on coefficient vectors: the inverse of every entry
+    of a table with no zero, from 3(N-1) products and one inversion."""
+    p, mod = field.p, field.modulus
+    vmul = kn.vmul
+    prefix = [table[0]]
+    for v in table[1:]:
+        prefix.append(vmul(prefix[-1], v, p, mod))
+    inv = kn.vinv(prefix[-1], p, mod)
+    out = [inv] * len(table)
+    for i in range(len(table) - 1, 0, -1):
+        out[i] = vmul(prefix[i - 1], inv, p, mod)
+        inv = vmul(inv, table[i], p, mod)
+    out[0] = inv
     return out
 
 
+def _reciprocal_of_table(table: list[tuple[int, ...]], n: int, field: FieldSpec) -> Poly:
+    zero = (0,) * field.k
+    if zero in table:
+        raise ZeroDenominator(f"denominator vanishes at mask {table.index(zero):b}")
+    return interpolate_table(_batch_inverse(table, field), n, field)
+
+
 def ml_reciprocal(f: Poly) -> Poly:
-    """The unique multilinear polynomial agreeing with 1 / f on the cube: f
-    at every cube point, one batch inversion, and cube interpolation.
-    ZeroDenominator when f vanishes at a cube point."""
-    values = cube_values(f)
-    for mask, v in enumerate(values):
-        if v.is_zero():
-            raise ZeroDenominator(f"denominator vanishes at mask {mask:b}")
-    return cube_interpolate(_batch_inverse(values), f.n, f.field)
+    """The unique multilinear polynomial agreeing with 1 / f on the cube.
+    ZeroDenominator when f vanishes at a cube point.
+
+    Runs on coefficient vectors from start to finish: f's cube table from
+    cube_table, one Montgomery batch inversion with the kernel's products,
+    and interpolate_table, which builds FieldElems only for the nonzero
+    coefficients of the result."""
+    return _reciprocal_of_table(cube_table(f), f.n, f.field)
 
 
 def ml_inverse(alphas: Sequence[FieldElem], beta: FieldElem,
@@ -100,11 +110,11 @@ def ml_inverse(alphas: Sequence[FieldElem], beta: FieldElem,
 def alternating_cube_sum(f: Poly) -> FieldElem:
     """sum_a (-1)^{n-|a|} f(a): the x_[n] coefficient of the multilinear
     extension, signed so the identity is exact in every characteristic."""
-    fld = f.field
-    acc = fld.zero()
-    for mask, v in enumerate(cube_values(f)):
-        acc = acc + (-v if (f.n - bin(mask).count("1")) % 2 else v)
-    return acc
+    p = f.field.p
+    acc = f.field.zero().coeffs
+    for mask, v in enumerate(cube_table(f)):
+        acc = (kn.vsub if (f.n - mask.bit_count()) % 2 else kn.vadd)(acc, v, p)
+    return FieldElem(f.field, acc)
 
 
 @dataclass
@@ -124,19 +134,24 @@ def top_coeff(alphas: Sequence[FieldElem], beta: FieldElem,
     evaluations, the closed-form rational sum over subsets
     sum_V (-1)^{n-|V|}/(sum_V - beta), and the interpolated coefficient.
 
-    The rational sum inverts each denominator on its own, not through the
-    batch inversion that the other two values share, so it also checks that
-    trick."""
+    The denominators' cube table is evaluated once and shared. The rational
+    sum is kept as one running fraction num/den, with
+    num <- num*d +- den and den <- den*d for each denominator d, and one
+    inversion at the end; it never uses the batch inversion that the other
+    two values share, so it also checks that trick."""
     alphas = _normalize_alphas(alphas, beta, tower)
     n = len(alphas)
     _check_budget(n)
     fld = beta.spec
-    f = linear_poly(fld, alphas, -beta)
-    poly = ml_reciprocal(f)
-    rational = fld.zero()
-    for mask, v in enumerate(cube_values(f)):
-        term = v.inv()
-        rational = rational + (-term if (n - bin(mask).count("1")) % 2 else term)
+    p, mod = fld.p, fld.modulus
+    table = cube_table(linear_poly(fld, alphas, -beta))
+    poly = _reciprocal_of_table(table, n, fld)
+    num, den = fld.zero().coeffs, fld.one().coeffs
+    for mask, d in enumerate(table):
+        step = kn.vsub if (n - mask.bit_count()) % 2 else kn.vadd
+        num = step(kn.vmul(num, d, p, mod), den, p)
+        den = kn.vmul(den, d, p, mod)
+    rational = FieldElem(fld, kn.vmul(num, kn.vinv(den, p, mod), p, mod))
     return TopCoeffReport(alternating_cube_sum(poly), rational, poly.coeff((1,) * n))
 
 

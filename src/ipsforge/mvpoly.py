@@ -9,6 +9,7 @@ by every file format in the workbench.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -500,35 +501,64 @@ def cube_interpolate(values: Sequence[FieldElem], n: int, field: FieldSpec) -> P
     """Unique multilinear polynomial matching a full 2^n table.
 
     values[mask] is the value at the 0/1 point with bit i of mask = x_{i+1};
-    coefficients come from Moebius inversion over the subset lattice.
+    coefficients come from Moebius inversion over the subset lattice. A thin
+    wrapper over interpolate_table, which takes the coefficient vectors.
     """
-    if len(values) != 1 << n:
-        raise ArityMismatch(f"table has {len(values)} entries, expected {1 << n}")
-    p = field.p
-    c = [v.coeffs for v in values]
-    for i in range(n):
-        bit = 1 << i
-        for mask in range(1 << n):
-            if mask & bit:
-                c[mask] = kn.vsub(c[mask], c[mask ^ bit], p)
-    terms = {}
-    for mask in range(1 << n):
-        if any(c[mask]):
-            exp = tuple((mask >> i) & 1 for i in range(n))
-            terms[exp] = FieldElem(field, c[mask])
-    return Poly(n, field, terms)
+    return interpolate_table([v.coeffs for v in values], n, field)
+
+
+def interpolate_table(table: Sequence[tuple[int, ...]], n: int,
+                      field: FieldSpec) -> Poly:
+    """cube_interpolate on coefficient vectors: the multilinear polynomial
+    whose value at the point of mask is table[mask].
+
+    Broadword Moebius inversion: each vector is one int with a w-bit slot per
+    power of t, w the byte multiple with 2p < 2^(w-1), so one cell subtracts
+    every slot mod p at once. d = a + p - b puts each slot in [1, 2p); adding
+    2^(w-1) - p sets a slot's top bit exactly where d >= p, and that bit,
+    shifted down and times p, takes p off those slots. No slot leaves
+    [0, 2^w), so none carries into the next. The transform runs once per bit:
+    a perfect shuffle brings the next bit to the top, where the pairs
+    (mask, mask ^ bit) are the two halves of the table. FieldElems are built
+    only for the nonzero coefficients.
+    """
+    size = 1 << n
+    if len(table) != size:
+        raise ArityMismatch(f"table has {len(table)} entries, expected {size}")
+    p, k = field.p, field.k
+    nb = ((2 * p).bit_length() + 8) // 8
+    shift = 8 * nb - 1
+    ones = _pack([1] * k, nb)
+    plus, high = p * ones, ones << shift
+    bias = high - plus
+    c = [_pack(v, nb) for v in table]
+    half = size >> 1
+    for _ in range(n):
+        c = c[0::2] + c[1::2]  # rotate the mask bits: bit 0 becomes the top
+        c[half:] = [(d := a + plus - b) - (((d + bias) & high) >> shift) * p
+                    for a, b in zip(c[half:], c)]
+    # the product's j-th tuple lists the bits of j from the top down
+    terms = {e[::-1]: FieldElem(field, _unpack(v, k, nb))
+             for e, v in zip(itertools.product((0, 1), repeat=n), c) if v}
+    return Poly._of(n, field, terms)
 
 
 def cube_values(f: Poly) -> list[FieldElem]:
     """f at every 0/1 point: values[mask] is f at the point with bit i of mask
-    giving x_{i+1}, the table cube_interpolate reads.
+    giving x_{i+1}, the table cube_interpolate reads. A thin wrapper over
+    cube_table, which returns the coefficient vectors."""
+    return [FieldElem(f.field, v) for v in cube_table(f)]
 
-    One zeta transform over the subset lattice, the inverse of
-    cube_interpolate's Moebius step: each term's coefficient goes to the slot
-    of its support mask, then for each bit c[mask] += c[mask ^ bit]. The
-    coefficient vectors are packed one int per mask, one byte-aligned slot per
-    power of t; a value is a sum of at most every term's coefficient, so slots
-    sized for len(terms)*(p-1) never carry into each other.
+
+def cube_table(f: Poly) -> list[tuple[int, ...]]:
+    """cube_values as coefficient vectors, the table interpolate_table reads.
+
+    One zeta transform over the subset lattice, the inverse of the Moebius
+    step: each term's coefficient goes to the slot of its support mask, then
+    for each bit c[mask] += c[mask ^ bit]. The coefficient vectors are packed
+    one int per mask, one byte-aligned slot per power of t; a value is a sum
+    of at most every term's coefficient, so slots sized for len(terms)*(p-1)
+    never carry into each other.
     """
     n, field = f.n, f.field
     p, k = field.p, field.k
@@ -547,7 +577,7 @@ def cube_values(f: Poly) -> list[FieldElem]:
                 src = c[mask ^ bit]
                 if src:
                     c[mask] += src
-    return [FieldElem(field, tuple([x % p for x in _unpack(v, k, nb)])) for v in c]
+    return [tuple([x % p for x in _unpack(v, k, nb)]) for v in c]
 
 
 def leading_monomial(f: Poly) -> tuple[int, ...]:

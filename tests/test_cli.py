@@ -165,6 +165,20 @@ def test_bad_input_exit_code(tmp_path, capsys, bad, expected):
         assert json.loads(stdout)["error"] == "not_a_certificate"
 
 
+@pytest.mark.parametrize("key", ["instance", "A", "B"])
+def test_certificate_parse_error_names_the_entry(tmp_path, capsys, key):
+    path = tmp_path / "cert.json"
+    assert run_cli(capsys, "refute", "--family", "linear-shifted", "--p", "2",
+                   "--k", "2", "--n", "3", "--seed", "3", "--out", str(path))[0] == 0
+    data = json.loads(path.read_text())
+    last = len(data[key]) - 1
+    data[key][last] = "x1 x2"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 1, err
+    assert f"{key}[{last}]: expected a signed term at 'x2' (line 1, column 3)" in err
+
+
 @pytest.mark.parametrize("text, p, k, combo", [
     ("e0 + 2*e2", 3, 1, {0: 1, 2: 2}),
     ("-e1 + 1", 5, 1, {0: 1, 1: -1}),
@@ -292,6 +306,16 @@ class TestOracles:
         assert code == 0
         data = json.loads(stdout)
         assert data["meets_bound"] is True
+
+    def test_sparsity_over_a_large_prime(self, capsys):
+        """--p 1000003 --k 2 needs GF(p^4), where no binomial t^4 + c is
+        irreducible (p = 3 mod 4), so the modulus search must skip them."""
+        start = time.perf_counter()
+        code, stdout, err = run_cli(capsys, "oracle", "sparsity", "--p", "1000003",
+                                    "--k", "2", "--n", "4", "--seed", "1")
+        assert time.perf_counter() - start < 5
+        assert code == 0, err
+        assert json.loads(stdout)["sparsity"] == 16
 
     def test_budget_exceeded_is_usage(self, capsys, monkeypatch):
         monkeypatch.setenv("IPSFORGE_BUDGET_N", "2")

@@ -144,9 +144,16 @@ def test_is_irreducible_matches_trial_division(p, k):
         assert gf._is_irreducible(f, p, k) == _irreducible_by_trial_division(f, p, k), f
 
 
+# where the search starts: p when Lidl & Niederreiter's Thm 3.75 rules out
+# every binomial t^k + c (always for p = 2, since t + 1 divides t^k + 1; for
+# 4 | k with p = 3 mod 4; for a prime r | k not dividing p - 1), else 0
+SEARCH_STARTS = {(2, 12): 2, (7, 4): 7, (5, 3): 5, (13, 4): 0, (7, 3): 0}
+
+
 def test_field_spec_tests_each_candidate_once(monkeypatch):
     """The modulus search calls the irreducibility test once per candidate:
-    every encoding with a nonzero constant term up to the winner's."""
+    every encoding with a nonzero constant term up to the winner's that the
+    theorem does not rule out."""
     calls = []
     real = gf._is_irreducible
 
@@ -155,10 +162,43 @@ def test_field_spec_tests_each_candidate_once(monkeypatch):
         return real(modulus, p, k)
 
     monkeypatch.setattr(gf, "_is_irreducible", counting)
-    spec = gf.field_spec.__wrapped__(2, 12)  # bypass the cache
-    winner = sum(c << i for i, c in enumerate(spec.modulus[:-1]))
-    assert calls == [tuple((m >> i) & 1 for i in range(12)) + (1,)
-                     for m in range(1, winner + 1, 2)]
+    for (p, k), start in SEARCH_STARTS.items():
+        calls.clear()
+        spec = gf.field_spec.__wrapped__(p, k)  # bypass the cache
+        winner = sum(c * p ** i for i, c in enumerate(spec.modulus[:-1]))
+        assert calls == [tuple(m // p ** i % p for i in range(k)) + (1,)
+                         for m in range(start, winner + 1) if m % p], (p, k)
+
+
+@pytest.mark.parametrize("p, k", [(2, k) for k in range(2, 7)]
+                         + [(3, k) for k in range(2, 7)]
+                         + [(5, k) for k in range(2, 6)]
+                         + [(7, k) for k in range(2, 5)] + [(13, 2), (13, 3), (13, 4)])
+def test_binomial_skip_is_sound(p, k):
+    """When the search skips the binomials, none of them is irreducible."""
+    binomials = [(c,) + (0,) * (k - 1) + (1,) for c in range(1, p)]
+    any_irreducible = any(_irreducible_by_trial_division(f, p, k) for f in binomials)
+    assert any_irreducible <= gf._binomial_can_be_irreducible(p, k)
+
+
+@pytest.mark.parametrize("p, k", [(1000003, 4), (65537, 3)])
+def test_field_spec_with_no_irreducible_binomial_is_fast(monkeypatch, p, k):
+    """Skipping the p - 1 binomials keeps the search short for a large p;
+    a search that tests them fails here after 1000 candidates, not after
+    about p."""
+    real = gf._is_irreducible
+    calls = []
+
+    def bounded(modulus, p, k):
+        calls.append(modulus)
+        assert len(calls) <= 1000, "the search is testing the binomials"
+        return real(modulus, p, k)
+
+    monkeypatch.setattr(gf, "_is_irreducible", bounded)
+    start = time.perf_counter()
+    spec = gf.field_spec.__wrapped__(p, k)
+    assert time.perf_counter() - start < 1.0
+    assert any(spec.modulus[1:k])  # not a binomial
 
 
 def test_field_order_bound():

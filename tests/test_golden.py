@@ -71,6 +71,15 @@ CONFIGS = {
                                  "--n", "2", "--seed", "3"],
     "oracle-roabp-width-any": ["oracle", "roabp-width", "--p", "2", "--k", "3",
                                "--n", "2", "--seed", "3", "--instance", "any-order"],
+    # multi-byte Moebius slots (p = 257, 65537) and more odd-p cube pipelines
+    "oracle-sparsity-p257": ["oracle", "sparsity", "--p", "257", "--k", "1", "--n", "8",
+                             "--seed", "3"],
+    "oracle-top-coeff-p65537": ["oracle", "top-coeff", "--p", "65537", "--k", "1",
+                                "--n", "6", "--seed", "3"],
+    "oracle-rank-p13": ["oracle", "rank", "--p", "13", "--k", "2", "--n", "3",
+                        "--seed", "3"],
+    "oracle-sparsity-p5-k3": ["oracle", "sparsity", "--p", "5", "--k", "3", "--n", "8",
+                              "--seed", "3"],
     "experiment-sweep-frobenius": ["experiment", "sweep-frobenius"],
     "experiment-acceptance-7": ["experiment", "acceptance", "--only", "7"],
 }

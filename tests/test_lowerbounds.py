@@ -19,7 +19,6 @@ from ipsforge.lowerbounds import (
     roabp_width,
     sparsity_probe,
     top_coeff,
-    _batch_inverse,
 )
 from ipsforge.mvpoly import Poly, cube_interpolate, ml
 
@@ -101,6 +100,16 @@ class TestMlReciprocal:
         one = f.field.one()
         assert all(g.eval_cube_point(m) * v == one for m, v in enumerate(values))
 
+    @settings(max_examples=60, deadline=None)
+    @given(nonlinear_polys())
+    def test_matches_pointwise_inverse(self, f):
+        """The batch inversion on vectors gives what one inv() per point
+        and cube_interpolate give."""
+        values = [f.eval_cube_point(m) for m in range(1 << f.n)]
+        assume(all(not v.is_zero() for v in values))
+        expected = cube_interpolate([v.inv() for v in values], f.n, f.field)
+        assert ml_reciprocal(f) == expected
+
     @settings(max_examples=40, deadline=None)
     @given(nonlinear_polys(), st.data())
     def test_cube_zero_raises(self, f, data):
@@ -119,6 +128,16 @@ class TestTopCoeff:
                 beta = tower.sample_beta(rng)
                 rep = top_coeff(alphas, beta, tower)
                 assert rep.agree
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(2, 4), (2, 9), (3, 2), (5, 3), (13, 1), (257, 1)]),
+           st.integers(0, 6), st.integers(0, 2 ** 32))
+    def test_agreement_on_random_instances(self, pk, n, seed):
+        tower = gf.field_tower(*pk)
+        rng = random.Random(seed)
+        alphas = [tower.base.sample(rng) for _ in range(n)]
+        beta = tower.sample_beta(rng)
+        assert top_coeff(alphas, beta, tower).agree
 
     def test_n1_direct_fractions(self):
         tower = gf.field_tower(3, 2)
@@ -299,8 +318,7 @@ class TestEvalDimension:
     def test_lifted_inverse_full_dimension(self):
         tower = gf.field_tower(2, 8)
         inst = lifted_instance("fixed-order", 3, tower, random.Random(9))
-        values = [inst.poly.eval_cube_point(m) for m in range(1 << 6)]
-        g = cube_interpolate(_batch_inverse(values), 6, tower.ext)
+        g = ml_reciprocal(inst.poly)
         assert eval_dimension(g, (inst.x_vars(), inst.y_vars())) == 8
 
 
@@ -367,14 +385,14 @@ class TestLiftedInstances:
         total = 0
         for u, v in inst.balanced_partitions():
             restricted = inst.restricted(u, v)
-            x_only = restricted  # z variables are gone after substitution
+            # z variables are gone after substitution
+            x_only = Poly(4, tower.ext, {e[:4]: c for e, c in restricted.terms.items()})
             values = [x_only.eval_cube_point(m) for m in range(1 << 4)]
             if any(val.is_zero() for val in values):
                 continue
-            g = cube_interpolate(_batch_inverse(values), 4, tower.ext)
-            g4 = Poly(4, tower.ext, {e[:4]: c for e, c in g.terms.items()})
+            g = ml_reciprocal(x_only)
             total += 1
-            full += eval_dimension(g4, (list(u), list(v))) == 4
+            full += eval_dimension(g, (list(u), list(v))) == 4
         assert total > 0 and full == total
 
     def test_unknown_kind(self):

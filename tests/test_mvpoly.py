@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipsforge import gf
+from ipsforge import _kernel as kn, gf
 from ipsforge.errors import ArityMismatch, ParseError, ZeroPolynomial
 from ipsforge.mvpoly import (
     Poly,
@@ -15,6 +15,7 @@ from ipsforge.mvpoly import (
     divide_by_axioms,
     format_poly,
     inddeg_p,
+    interpolate_table,
     leading_monomial,
     linear_poly,
     ml,
@@ -213,6 +214,59 @@ class TestCubeInterpolate:
             vals = [f9.sample(rng) for _ in range(8)]
             poly = cube_interpolate(vals, 3, f9)
             assert poly.coeff((1, 1, 1)) == alternating_cube_sum(poly)
+
+
+def moebius_by_vsub(table, n, p):
+    """Reference Moebius inversion: one kernel subtraction per pair."""
+    c = list(table)
+    for i in range(n):
+        bit = 1 << i
+        for mask in range(1 << n):
+            if mask & bit:
+                c[mask] = kn.vsub(c[mask], c[mask ^ bit], p)
+    return c
+
+
+# one-byte Moebius slots (p <= 63) and multi-byte ones; 251 fits a byte and
+# needs the second one only for the headroom of 2p; the field-order cap
+# leaves out (2^31 - 1)^6
+BROADWORD_FIELDS = [(p, k) for p in (2, 3, 5, 13, 251, 257, 65537, 2 ** 31 - 1)
+                    for k in (1, 2, 3, 6) if (p ** k).bit_length() <= gf.FIELD_BITS]
+
+
+@st.composite
+def cube_tables(draw):
+    p, k = draw(st.sampled_from(BROADWORD_FIELDS))
+    n = draw(st.integers(0, 6))
+    vec = st.tuples(*[st.integers(0, p - 1) for _ in range(k)])
+    return gf.field_spec(p, k), n, draw(st.lists(vec, min_size=1 << n, max_size=1 << n))
+
+
+class TestInterpolateTable:
+    @settings(max_examples=150, deadline=None)
+    @given(cube_tables())
+    def test_broadword_moebius_matches_vsub(self, case):
+        field, n, table = case
+        c = moebius_by_vsub(table, n, field.p)
+        expected = {tuple((mask >> i) & 1 for i in range(n)): gf.FieldElem(field, v)
+                    for mask, v in enumerate(c) if any(v)}
+        assert interpolate_table(table, n, field).terms == expected
+
+    def test_extreme_slots(self):
+        """0 - (p-1) and (p-1) - 0 in every slot, where a borrow or a carry
+        between slots would show."""
+        for p, k in BROADWORD_FIELDS:
+            field = gf.field_spec(p, k)
+            for a, b in (((0,) * k, (p - 1,) * k), ((p - 1,) * k, (0,) * k)):
+                table = [a, b, b, a]
+                assert interpolate_table(table, 2, field).terms == {
+                    e: gf.FieldElem(field, v)
+                    for e, v in zip([(0, 0), (1, 0), (0, 1), (1, 1)],
+                                    moebius_by_vsub(table, 2, p)) if any(v)}
+
+    def test_wrong_length(self, f3):
+        with pytest.raises(ArityMismatch):
+            interpolate_table([(1,)] * 3, 2, f3)
 
 
 @st.composite
