@@ -9,10 +9,21 @@ Everything here is exact integer arithmetic.
 is packed into one int with a byte-aligned slot per power of t, so the whole
 convolution is one C-level big-int multiply whose 2k-1 slots are read back
 with one ``to_bytes``. A slot holds at most k*(p-1)^2, and is sized for that
-bound, so no slot carries into the next. The convolution is then reduced from
-the top slot down with the nonzero terms of -modulus only, which the sparse
-moduli of ``gf.field_spec`` keep to a handful. Degrees 1 and 2 are done in
-closed form, where packing costs more than it saves.
+bound, so no slot carries into the next. For odd p the convolution is then
+reduced from the top slot down with the nonzero terms of -modulus only, which
+the sparse moduli of ``gf.field_spec`` keep to a handful. Degrees 1 and 2 are
+done in closed form, where packing costs more than it saves.
+
+For p = 2 and k >= 3 the slot bound is k, and ``gf.FIELD_BITS`` caps k at
+127 < 256: a byte slot never carries, and its low bit is the GF(2)
+coefficient, kept by one AND with 0x0101...01. The reduction is Barrett's
+(CRYPTO 1986), which is exact for polynomials: with mu = t^(2k-2) div
+modulus, the quotient of a convolution x of degree at most 2k-2 is
+q = ((x div t^k) * mu) div t^(k-2), and x mod modulus is the low k slots of
+x + q * (modulus - t^k). Both products again count at most k-1 bit products
+per slot, plus one bit of x, so they too are read by parity, and the work is
+two multiplies whatever the number of nonzero terms of the modulus. ``vinv``
+for p = 2 runs extended Euclid on bit-packed ints, one xor per quotient bit.
 """
 
 from functools import lru_cache
@@ -49,6 +60,37 @@ def _plan(p, modulus):
     return nb, taps
 
 
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(v):
+    """The GF(2) vector v as an int whose bit i is the coefficient of t^i."""
+    return int(bytes(v).translate(_TO_DIGITS)[::-1], 2)
+
+
+def _unbits(x, n):
+    """The n low bits of x, one byte each, bit 0 first: inverse of _bits."""
+    return format(x, "0%db" % n)[::-1].encode().translate(_FROM_DIGITS)
+
+
+@lru_cache(maxsize=128)  # one entry per binary field in use
+def _plan2(modulus):
+    """(bit offset of slot k, bit offset of slot k-2, mu, taps, ones, low)
+    of the p = 2 vmul: mu = t^(2k-2) div modulus and taps = modulus - t^k
+    packed one byte per coefficient, and the masks of the low bit of each of
+    the 2k-1 convolution slots and of the k lowest slots."""
+    k = len(modulus) - 1
+    f, rem, mu = _bits(modulus), 1 << (2 * k - 2), 0
+    while rem.bit_length() > k:
+        s = rem.bit_length() - 1 - k
+        mu |= 1 << s
+        rem ^= f << s
+    ones = int.from_bytes(b"\x01" * (2 * k - 1), "little")
+    return (8 * k, 8 * (k - 2), int.from_bytes(_unbits(mu, k - 1), "little"),
+            int.from_bytes(bytes(modulus[:-1]), "little"), ones, ones >> 8 * (k - 1))
+
+
 def vmul(a, b, p, modulus):
     """Product of a and b in F_p[t]/(modulus): convolution then reduction."""
     k = len(a)
@@ -60,6 +102,11 @@ def vmul(a, b, p, modulus):
         top = a1 * b1
         return ((a0 * b0 - top * modulus[0]) % p,
                 (a0 * b1 + a1 * b0 - top * modulus[1]) % p)
+    if p == 2:
+        top, qshift, mu, taps, ones, low = _plan2(modulus)
+        x = (int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")) & ones
+        q = ((x >> top) * mu >> qshift) & ones
+        return tuple(((x + q * taps) & low).to_bytes(k, "little"))
     nb, taps = _plan(p, modulus)
     if nb == 1:
         prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
@@ -125,6 +172,16 @@ def vinv(a, p, modulus):
         raise ZeroDivisionError("inverse of zero field element")
     if k == 1:
         return (pow(a[0] % p, -1, p),)
+    if p == 2:
+        # invariants: u = g1 * a and v = g2 * a mod the modulus
+        u, v, g1, g2 = _bits(a), _bits(modulus), 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return tuple(_unbits(g1, k))
     r0, r1 = list(modulus), _poly_trim([x % p for x in a])
     s0, s1 = [], [1]
     while r1:

@@ -200,6 +200,18 @@ def refute(family, p, k, n, m, seed, polys, out, fmt, canonical):
     ])
 
 
+def _read_json(path: str):
+    """The JSON value in a file. ParseError, not a bare ValueError, when the
+    file is not UTF-8 or holds a number with more digits than int() reads."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # UnicodeDecodeError, int()'s digit limit
+            raise ParseError(f"{path} is not JSON text: {str(exc).split(';')[0]}") from None
+
+
 @cli.command(name="verify")
 @click.argument("certificate", type=click.Path(exists=True, dir_okay=False))
 @click.option("--instance", "instance_path",
@@ -208,12 +220,10 @@ def refute(family, p, k, n, m, seed, polys, out, fmt, canonical):
 @_common_options
 def verify_cmd(certificate, instance_path, out, fmt, canonical):
     """Re-verify a certificate file; exit 0 iff the identity holds exactly."""
-    with open(certificate) as fh:
-        data = json.load(fh)
+    data = _read_json(certificate)
     inst, cert = certificate_from_dict(data)
     if instance_path is not None:
-        with open(instance_path) as fh:
-            inst_data = json.load(fh)
+        inst_data = _read_json(instance_path)
         if not isinstance(inst_data, dict):
             raise ParseError(
                 f"an instance file is a JSON object, not {type(inst_data).__name__}")

@@ -632,6 +632,7 @@ def format_poly(f: Poly, names: Sequence[str] | None = None) -> str:
 
 _FACTOR = r"(?:\[\s*-?\d+(?:\s*,\s*-?\d+)*\s*\]|\d+|[A-Za-z]\w*(?:\s*\^\s*\d+)?)"
 _TERM = re.compile(rf"\s*([+-]?)\s*({_FACTOR}(?:\s*\*\s*{_FACTOR})*)")
+_DIGITS = re.compile(r"\d+")
 
 
 def _factor_column(start: int, factors: list[str], j: int) -> int:
@@ -661,26 +662,31 @@ def parse_poly(text: str, n: int, field: FieldSpec,
         coeff = None
         exp = [0] * n
         factors = body.split("*")
-        for j, f in enumerate(factors):
-            f = f.strip()
-            if f[0] == "[":
-                vals = f[1:-1].split(",")
-                if len(vals) != k:
-                    raise ParseError(
-                        f"coefficient has {len(vals)} components, field degree is {k}",
-                        column=_factor_column(m.start(2), factors, j))
-                c = tuple([int(v) % p for v in vals])
-            elif f[0].isdigit():
-                c = (int(f) % p,) + pad
-            else:
-                name, _, d = f.partition("^")
-                i = index.get(name.rstrip())
-                if i is None:
-                    raise ParseError(f"unknown variable {name.rstrip()!r}",
-                                     column=_factor_column(m.start(2), factors, j))
-                exp[i] += int(d) if d else 1
-                continue
-            coeff = c if coeff is None else kn.vmul(coeff, c, p, mod)
+        try:
+            for j, f in enumerate(factors):
+                f = f.strip()
+                if f[0] == "[":
+                    vals = f[1:-1].split(",")
+                    if len(vals) != k:
+                        raise ParseError(
+                            f"coefficient has {len(vals)} components, field degree is {k}",
+                            column=_factor_column(m.start(2), factors, j))
+                    c = tuple([int(v) % p for v in vals])
+                elif f[0].isdigit():
+                    c = (int(f) % p,) + pad
+                else:
+                    name, _, d = f.partition("^")
+                    i = index.get(name.rstrip())
+                    if i is None:
+                        raise ParseError(f"unknown variable {name.rstrip()!r}",
+                                         column=_factor_column(m.start(2), factors, j))
+                    exp[i] += int(d) if d else 1
+                    continue
+                coeff = c if coeff is None else kn.vmul(coeff, c, p, mod)
+        except ValueError:  # int() refuses a literal over its digit limit
+            lit = max(_DIGITS.finditer(text, m.start(2), m.end()), key=lambda d: d.end() - d.start())
+            raise ParseError(f"numeric literal of {lit.end() - lit.start()} digits is too long",
+                             column=lit.start()) from None
         if coeff is None:
             coeff = one
         pieces.append((tuple(exp), kn.vneg(coeff, p) if sign == "-" else coeff))

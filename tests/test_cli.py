@@ -134,11 +134,15 @@ def test_bad_field_or_size_is_usage_error(capsys, argv):
     (lambda cert: (cert, [1, 2]), 1),
     (lambda cert: {**cert, "A": ["x1 x2"] + cert["A"][1:]}, 1),
     (lambda cert: {**cert, "field": "GF(5^6)))){modulus=2,1,0,0,0,0,1}"}, 1),
+    ("e1^" + "9" * 5000, 1),
+    (lambda cert: {**cert, "B": ["x1^" + "9" * 5000] + cert["B"][1:]}, 1),
+    (lambda cert: {**cert, "B": ["[1," + "7" * 5000 + ",0,0]*x1"] + cert["B"][1:]}, 1),
 ], ids=["poly-product", "poly-degree", "poly-dangling", "poly-variable",
         "poly-juxtaposed", "poly-double-sign",
         "cert-list", "cert-no-A", "cert-n-string", "cert-short-B",
         "tower-int", "tower-no-base", "tower-rows-of-9", "tower-t-to-zero",
-        "instance-list", "cert-A-juxtaposed", "field-extra-parens"])
+        "instance-list", "cert-A-juxtaposed", "field-extra-parens",
+        "poly-long-exponent", "cert-long-exponent", "cert-long-coefficient"])
 def test_bad_input_exit_code(tmp_path, capsys, bad, expected):
     """Malformed --poly text, certificate and instance files exit 1; a
     certificate of the wrong shape for its instance exits 2; neither is an
@@ -163,6 +167,31 @@ def test_bad_input_exit_code(tmp_path, capsys, bad, expected):
     assert code == expected, err
     if expected == 2:
         assert json.loads(stdout)["error"] == "not_a_certificate"
+
+
+@pytest.mark.parametrize("target", ["certificate", "instance"])
+@pytest.mark.parametrize("kind, message", [
+    ("long-number", "5000 digits"), ("not-utf8", "can't decode byte 0xff")],
+    ids=["long-number", "not-utf8"])
+def test_unreadable_json_exits_1(tmp_path, capsys, target, kind, message):
+    """A JSON number that int() refuses, outside any polynomial text, and a
+    file that is not UTF-8 are bad input too."""
+    path = tmp_path / "cert.json"
+    assert run_cli(capsys, "refute", "--family", "linear-shifted", "--p", "2",
+                   "--k", "2", "--n", "3", "--seed", "3", "--out", str(path))[0] == 0
+    if kind == "long-number":
+        data = json.loads(path.read_text())
+        bad = json.dumps({**data, "n": 0}).replace('"n": 0', '"n": ' + "9" * 5000).encode()
+    else:
+        bad = b"\xff\xfe{}"
+    argv = ["verify", str(path)]
+    if target == "instance":
+        path = tmp_path / "inst.json"
+        argv += ["--instance", str(path)]
+    path.write_bytes(bad)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1, err
+    assert message in err
 
 
 @pytest.mark.parametrize("key", ["instance", "A", "B"])

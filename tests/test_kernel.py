@@ -10,8 +10,9 @@ from ipsforge._kernel import kernel_backend
 
 compiled = pytest.importorskip("ipsforge._gfcore")
 
-SPECS = [gf.field_spec(2, 1), gf.field_spec(2, 12), gf.field_spec(3, 3),
-         gf.field_spec(5, 2), gf.field_spec(13, 4)]
+SPECS = [gf.field_spec(2, 1), gf.field_spec(2, 3), gf.field_spec(2, 12),
+         gf.field_spec(2, 24), gf.field_spec(3, 3), gf.field_spec(5, 2),
+         gf.field_spec(13, 4)]
 
 
 def vec_strategy(spec):

@@ -494,6 +494,18 @@ class TestTextGrammar:
             parse_poly(text, 2, f9)
         assert info.value.column == column
 
+    LONG = "9" * 5000  # over int()'s default limit of 4300 digits
+
+    @pytest.mark.parametrize("text, column", [
+        ("x1^" + LONG, 3), ("x2 + 2*x1 ^ " + LONG, 12), (LONG + "*x1", 0),
+        ("x1 - [1, " + LONG + "]*x2", 9), ("[1,2]*x1^" + LONG + " + x2", 9)])
+    def test_overlong_literal_is_a_parse_error(self, f9, text, column):
+        """A numeric literal that int() refuses is bad input at its own
+        column, not an internal error."""
+        with pytest.raises(ParseError, match="5000 digits") as info:
+            parse_poly(text, 2, f9)
+        assert info.value.column == column
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_whitespace_between_tokens(self, data):

@@ -1,11 +1,13 @@
 """The pure-Python kernel's Kronecker vmul against a schoolbook reference.
 
 vmul packs both factors into ints, multiplies once and reduces the unpacked
-convolution with the nonzero terms of the modulus; the reference below
-convolves term by term and reduces with every coefficient of the modulus.
-Hypothesis drives random vectors over the first irreducible modulus of each
-field and over a dense one with many nonzero terms; the worst case for the
-slots (every component p-1) and two small fields in full are fixed below.
+convolution with the nonzero terms of the modulus, or for p = 2 reads slot
+parities and reduces by Barrett's quotient; the reference below convolves
+term by term and reduces with every coefficient of the modulus, and vinv is
+checked against a list-based extended Euclid. Hypothesis drives random
+vectors over the first irreducible modulus of each field and over a dense
+one with many nonzero terms; the worst case for the slots (every component
+p-1, up to k = 127 for p = 2) and two small fields in full are fixed below.
 """
 
 import random
@@ -15,8 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from ipsforge import _gfcore_py as kernel
 from ipsforge import gf
+from ipsforge.errors import BudgetExceeded
 
-FIELDS = [(p, k) for p in (2, 3, 5, 13) for k in (1, 2, 3, 4, 6, 12, 16, 24)]
+# p = 2 adds odd, prime, byte-sized, word-sized and the largest k that
+# gf.FIELD_BITS admits, 127
+FIELDS = [(p, k) for p in (2, 3, 5, 13) for k in (1, 2, 3, 4, 6, 12, 16, 24)] + [
+    (2, k) for k in (5, 7, 8, 31, 64, 127)]
 
 
 def schoolbook(a, b, p, modulus):
@@ -32,6 +38,30 @@ def schoolbook(a, b, p, modulus):
         for j in range(k + 1):
             conv[i - k + j] -= c * modulus[j]
     return tuple(c % p for c in conv[:k])
+
+
+def euclid_inverse(a, p, modulus):
+    """The inverse of a mod (modulus, p) by extended Euclid on coefficient
+    lists, lowest degree first: s * a = r mod modulus throughout."""
+    def trim(c):
+        while c and c[-1] % p == 0:
+            c.pop()
+        return c
+
+    def sub_shifted(x, y, c, d):  # x - c * t^d * y
+        x = x + [0] * (len(y) + d - len(x))
+        for i, yi in enumerate(y):
+            x[i + d] = (x[i + d] - c * yi) % p
+        return trim(x)
+
+    r0, r1, s0, s1 = trim(list(modulus)), trim(list(a)), [], [1]
+    while len(r1) > 1:
+        while len(r0) >= len(r1):
+            c, d = r0[-1] * pow(r1[-1], -1, p) % p, len(r0) - len(r1)
+            r0, s0 = sub_shifted(r0, r1, c, d), sub_shifted(s0, s1, c, d)
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    c = pow(r1[0], -1, p)
+    return tuple((s1[i] * c) % p if i < len(s1) else 0 for i in range(len(a)))
 
 
 def dense_spec(p, k):
@@ -57,7 +87,11 @@ def spec_id(spec):
 
 
 def vectors(spec):
-    return st.tuples(*[st.integers(0, spec.p - 1) for _ in range(spec.k)])
+    """Coefficient vectors as the base-p digits of one integer below p^k:
+    one draw per vector, where a draw per component is slow at k = 127."""
+    p, k = spec.p, spec.k
+    return st.integers(0, spec.order - 1).map(
+        lambda m: tuple(m // p ** i % p for i in range(k)))
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
@@ -96,6 +130,35 @@ def test_all_top_worst_case(spec):
     lone = (0,) * (spec.k - 1) + (p - 1,)  # (p-1)^2 t^(2k-2), the highest slot
     assert kernel.vmul(lone, top, p, mod) == schoolbook(lone, top, p, mod)
     assert kernel.vmul(lone, lone, p, mod) == schoolbook(lone, lone, p, mod)
+
+
+P2_SPECS = [s for s in SPECS if s.p == 2]
+
+
+@pytest.mark.parametrize("spec", P2_SPECS, ids=spec_id)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_binary_inverse_matches_euclid(spec, data):
+    a = data.draw(vectors(spec))
+    p, mod = spec.p, spec.modulus
+    if any(a):
+        assert kernel.vinv(a, p, mod) == euclid_inverse(a, p, mod)
+
+
+@pytest.mark.parametrize("spec", P2_SPECS, ids=spec_id)
+def test_binary_inverse_of_zero_raises(spec):
+    with pytest.raises(ZeroDivisionError):
+        kernel.vinv((0,) * spec.k, 2, spec.modulus)
+
+
+def test_binary_slot_bound_at_the_field_cap():
+    """All-ones squared at k = 127 puts 127 bit products in the middle slot,
+    the most a byte slot is asked to hold; k = 128 is over gf.FIELD_BITS."""
+    ones = (1,) * 127
+    for spec in (s for s in P2_SPECS if s.k == 127):
+        assert kernel.vmul(ones, ones, 2, spec.modulus) == schoolbook(ones, ones, 2, spec.modulus)
+    with pytest.raises(BudgetExceeded):
+        gf.field_spec(2, 128)
 
 
 def test_multibyte_slots_are_exercised():
