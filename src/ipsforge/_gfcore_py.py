@@ -14,13 +14,13 @@ reduced from the top slot down with the nonzero terms of -modulus only, which
 the sparse moduli of ``gf.field_spec`` keep to a handful. Degrees 1 and 2 are
 done in closed form, where packing costs more than it saves.
 
-For p = 2 and k >= 3 the slot bound is k, and ``gf.FIELD_BITS`` caps k at
-127 < 256: a byte slot never carries, and its low bit is the GF(2)
-coefficient, kept by one AND with 0x0101...01. The reduction is Barrett's
-(CRYPTO 1986), which is exact for polynomials: with mu = t^(2k-2) div
-modulus, the quotient of a convolution x of degree at most 2k-2 is
-q = ((x div t^k) * mu) div t^(k-2), and x mod modulus is the low k slots of
-x + q * (modulus - t^k). Both products again count at most k-1 bit products
+For p = 2 and 3 <= k < 256 the slot bound is k: a byte slot never carries,
+and its low bit is the GF(2) coefficient, kept by one AND with 0x0101...01.
+``gf.FIELD_BITS`` caps k at 127; a larger k would take the generic path.
+The reduction is Barrett's (CRYPTO 1986), which is exact for polynomials:
+with mu = t^(2k-2) div modulus, the quotient of a convolution x of degree at
+most 2k-2 is q = ((x div t^k) * mu) div t^(k-2), and x mod modulus is the
+low k slots of x + q * (modulus - t^k). Both products again count at most k-1 bit products
 per slot, plus one bit of x, so they too are read by parity, and the work is
 two multiplies whatever the number of nonzero terms of the modulus. ``vinv``
 for p = 2 runs extended Euclid on bit-packed ints, one xor per quotient bit.
@@ -102,7 +102,7 @@ def vmul(a, b, p, modulus):
         top = a1 * b1
         return ((a0 * b0 - top * modulus[0]) % p,
                 (a0 * b1 + a1 * b0 - top * modulus[1]) % p)
-    if p == 2:
+    if p == 2 and k < 256:  # no byte slot carries
         top, qshift, mu, taps, ones, low = _plan2(modulus)
         x = (int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")) & ones
         q = ((x >> top) * mu >> qshift) & ones

@@ -206,6 +206,10 @@ def test_field_order_bound():
         gf.FieldSpec(2, 5000, (1,) + (0,) * 4999 + (1,))
     with pytest.raises(BudgetExceeded):
         gf.field_spec.__wrapped__(2, gf.FIELD_BITS + 1)
+    # the p = 2 vmul's byte slots hold at most k bit products, so they never
+    # carry while this cap keeps k below 256
+    with pytest.raises(BudgetExceeded):
+        gf.field_spec.__wrapped__(2, gf.FIELD_BITS)
     with pytest.raises(BudgetExceeded):
         gf.field_spec.__wrapped__(3, 81)  # 3^81 is about 2^128.4
     with pytest.raises(BudgetExceeded):
