@@ -443,8 +443,7 @@ def _solve_multipliers(axioms: list[Poly], basis: list[tuple[int, ...]],
 
 
 def solve_nullstellensatz(axioms: list[Poly], degree_bound: int, *,
-                          include_boolean: bool = False,
-                          individual_cap: int | None = None
+                          include_boolean: bool = False
                           ) -> Certificate | NoCertificateAtDegree:
     """Search for multipliers A_i of degree <= degree_bound with
     sum A_i f_i = 1, by exact linear algebra over the monomial basis.
@@ -460,7 +459,7 @@ def solve_nullstellensatz(axioms: list[Poly], degree_bound: int, *,
     all_axioms = list(axioms)
     if include_boolean:
         all_axioms += [boolean_axiom(n, fld, j) for j in range(n)]
-    basis = _monomial_basis(n, degree_bound, individual_cap)
+    basis = _monomial_basis(n, degree_bound, None)
     # x^mono * f has a constant term only for mono = 1 and f(0) != 0
     if not basis or all(ax.coeff((0,) * n).is_zero() for ax in all_axioms):
         return NoCertificateAtDegree(degree_bound, "constant row missing")

@@ -67,9 +67,12 @@ class FieldMismatch(IpsforgeError):
 
 
 class ParseError(IpsforgeError):
-    """Malformed polynomial or field-spec text."""
+    """Malformed polynomial, field-spec, certificate or instance text. The
+    message ends with the position only when the raiser gives a column."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 0):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: int = 1, column: int | None = None):
+        if column is not None:
+            message = f"{message} (line {line}, column {column})"
+        super().__init__(message)
         self.line = line
         self.column = column

@@ -354,21 +354,17 @@ def _u_mod(a, f, spec):
     return r
 
 
-def _u_mulmod(a, b, f, spec):
-    return _u_mod(_u_mul(a, b, spec), f, spec)
-
-
 def _u_powmod(a, e: int, f, spec):
     """a^e mod f for e >= 1. The result starts as the power of a at the
     lowest set bit of e, not as 1, so a^2 costs one squaring."""
     result = None
     while True:
         if e & 1:
-            result = a if result is None else _u_mulmod(result, a, f, spec)
+            result = a if result is None else _u_mod(_u_mul(result, a, spec), f, spec)
         e >>= 1
         if not e:
             return result
-        a = _u_mulmod(a, a, f, spec)
+        a = _u_mod(_u_mul(a, a, spec), f, spec)
 
 
 def _u_gcd(a, b, spec):
@@ -380,53 +376,31 @@ def _u_gcd(a, b, spec):
     return a
 
 
-def _u_quo(a, f, spec):
-    """Exact quotient a / f (remainder known to be zero)."""
-    r = list(a)
-    df = len(f) - 1
-    lead_inv = kn.vinv(f[-1], spec.p, spec.modulus)
-    quo = [(0,) * spec.k] * (len(r) - df)
-    for i in range(len(r) - 1, df - 1, -1):
-        c = kn.vmul(r[i], lead_inv, spec.p, spec.modulus)
-        if any(c):
-            quo[i - df] = c
-            for j in range(df + 1):
-                r[i - df + j] = kn.vsub(
-                    r[i - df + j], kn.vmul(c, f[j], spec.p, spec.modulus), spec.p
-                )
-    return quo
+def _u_add(a, b, spec):
+    zero = (0,) * spec.k
+    n = max(len(a), len(b))
+    return _u_trim(
+        [
+            kn.vadd(a[i] if i < len(a) else zero, b[i] if i < len(b) else zero, spec.p)
+            for i in range(n)
+        ]
+    )
 
 
-def roots_in_field(coeffs: list[tuple[int, ...]], spec: FieldSpec) -> list[FieldElem]:
-    """All roots in the field of a univariate polynomial that splits
-    completely into distinct linear factors there (the embedding case),
-    sorted by encoding.
+def _split(f, spec):
+    """A proper monic factor of the monic f of degree >= 2 that splits into
+    distinct linear factors over spec's field, by Berlekamp's trace sweep
+    (Math. Comp. 1970).
 
-    Splitting is Berlekamp's trace sweep (Math. Comp. 1970) for every p. For
-    a power-basis element delta, T = sum_{i<k} (delta X)^(p^i) mod f takes the
-    value Tr(delta r) in F_p at each root r. The trace form is nondegenerate,
-    so for any two roots some delta separates them; a delta whose T is
-    constant separates none and is skipped (delta = 1 for the conjugates
-    that field_tower splits). The split is gcd(f, T) for p = 2, and for odd
-    p gcd(f, (T + a)^((p-1)/2) - 1), the roots where T + a is a nonzero
-    square: O(log p) work per shift a, and about half of all shifts separate
-    two given traces. The sorted result does not depend on the order of
-    the splits.
+    For a power-basis element delta, T = sum_{i<K} (delta X)^(p^i) mod f takes
+    the value Tr(delta r) in F_p at each root r. The trace form is
+    nondegenerate, so for any two roots some delta separates them; a delta
+    whose T is constant separates none and is skipped (delta = 1 for the
+    conjugates that field_tower splits). The factor is gcd(f, T) for p = 2,
+    and for odd p gcd(f, (T + a)^((p-1)/2) - 1), the roots where T + a is a
+    nonzero square: O(log p) work per shift a, and about half of all shifts
+    separate two given traces.
     """
-    f = _u_monic(_u_trim(list(coeffs)), spec)
-    out: list[FieldElem] = []
-    _split_roots(f, spec, out)
-    out.sort(key=lambda e: e.encoding())
-    return out
-
-
-def _split_roots(f, spec, out):
-    deg = len(f) - 1
-    if deg == 0:
-        return
-    if deg == 1:
-        out.append(FieldElem(spec, kn.vneg(f[0], spec.p)))
-        return
     p, k = spec.p, spec.k
     zero = (0,) * k
     minus_one = [(p - 1,) + zero[1:]]
@@ -445,23 +419,29 @@ def _split_roots(f, spec, out):
                 shifted = _u_add(trace, [(a,) + zero[1:]], spec)
                 h = _u_add(_u_powmod(shifted, (p - 1) // 2, f, spec), minus_one, spec)
             g = _u_gcd(f, h, spec)
-            if 0 < len(g) - 1 < deg:
-                g = _u_monic(g, spec)
-                _split_roots(g, spec, out)
-                _split_roots(_u_quo(f, g, spec), spec, out)
-                return
+            if 0 < len(g) - 1 < len(f) - 1:
+                return _u_monic(g, spec)
     raise AssertionError("trace sweep failed to split")  # unreachable
 
 
-def _u_add(a, b, spec):
-    zero = (0,) * spec.k
-    n = max(len(a), len(b))
-    return _u_trim(
-        [
-            kn.vadd(a[i] if i < len(a) else zero, b[i] if i < len(b) else zero, spec.p)
-            for i in range(n)
-        ]
-    )
+def _least_root(modulus: tuple[int, ...], spec: FieldSpec) -> FieldElem:
+    """The least-encoding root, in spec's field, of a monic polynomial over
+    F_p that is irreducible over F_p and whose degree d divides spec.k.
+
+    Such a polynomial splits into distinct linear factors over the field,
+    and its roots are the d Frobenius conjugates r, r^p, ..., r^(p^(d-1)) of
+    any one root r. So one root is enough: split f, keep the factor until
+    it is linear, then take the least of that root's conjugates.
+    """
+    p, mod, d = spec.p, spec.modulus, len(modulus) - 1
+    pad = (0,) * (spec.k - 1)
+    f = [(c,) + pad for c in modulus]
+    while len(f) > 2:
+        f = _split(f, spec)
+    conjugates = [kn.vneg(f[0], p)]
+    for _ in range(d - 1):
+        conjugates.append(kn.vpow(conjugates[-1], p, p, mod))
+    return min((FieldElem(spec, r) for r in conjugates), key=FieldElem.encoding)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +450,7 @@ def _u_add(a, b, spec):
 @dataclass(frozen=True)
 class FieldTower:
     """F_{p^k} inside F_{p^{2k}}, with the embedding fixed by the
-    lexicographically-least root of the base modulus in the extension."""
+    least-encoding root of the base modulus in the extension."""
 
     base: FieldSpec
     ext: FieldSpec
@@ -514,17 +494,8 @@ def field_tower(p: int, k: int) -> FieldTower:
         raise DegenerateTower("k may not be 0")
     base = field_spec(p, k)
     ext = field_spec(p, 2 * k)
-    ext_zero = (0,) * ext.k
-    if k == 1:
-        theta = FieldElem(ext, (1,) + (0,) * (ext.k - 1))
-    else:
-        base_mod_in_ext = [
-            (c,) + (0,) * (ext.k - 1) for c in base.modulus
-        ]
-        theta = roots_in_field(base_mod_in_ext, ext)[0]
-    table = []
-    power = FieldElem(ext, (1,) + (0,) * (ext.k - 1))
-    for _ in range(k):
-        table.append(power.coeffs)
-        power = power * theta
-    return FieldTower(base, ext, tuple(table))
+    theta = _least_root(base.modulus, ext)
+    table = [ext.one()]
+    for _ in range(k - 1):
+        table.append(table[-1] * theta)
+    return FieldTower(base, ext, tuple(e.coeffs for e in table))

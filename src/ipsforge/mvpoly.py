@@ -497,20 +497,11 @@ def inddeg_p(f: Poly) -> tuple[Poly, list[Poly]]:
 # ---------------------------------------------------------------------------
 # cube interpolation and leading monomials
 
-def cube_interpolate(values: Sequence[FieldElem], n: int, field: FieldSpec) -> Poly:
-    """Unique multilinear polynomial matching a full 2^n table.
-
-    values[mask] is the value at the 0/1 point with bit i of mask = x_{i+1};
-    coefficients come from Moebius inversion over the subset lattice. A thin
-    wrapper over interpolate_table, which takes the coefficient vectors.
-    """
-    return interpolate_table([v.coeffs for v in values], n, field)
-
-
 def interpolate_table(table: Sequence[tuple[int, ...]], n: int,
                       field: FieldSpec) -> Poly:
-    """cube_interpolate on coefficient vectors: the multilinear polynomial
-    whose value at the point of mask is table[mask].
+    """The unique multilinear polynomial matching a full 2^n table of
+    coefficient vectors: table[mask] is its value at the 0/1 point with bit
+    i of mask = x_{i+1}.
 
     Broadword Moebius inversion: each vector is one int with a w-bit slot per
     power of t, w the byte multiple with 2p < 2^(w-1), so one cell subtracts
@@ -543,15 +534,9 @@ def interpolate_table(table: Sequence[tuple[int, ...]], n: int,
     return Poly._of(n, field, terms)
 
 
-def cube_values(f: Poly) -> list[FieldElem]:
-    """f at every 0/1 point: values[mask] is f at the point with bit i of mask
-    giving x_{i+1}, the table cube_interpolate reads. A thin wrapper over
-    cube_table, which returns the coefficient vectors."""
-    return [FieldElem(f.field, v) for v in cube_table(f)]
-
-
 def cube_table(f: Poly) -> list[tuple[int, ...]]:
-    """cube_values as coefficient vectors, the table interpolate_table reads.
+    """f at every 0/1 point as coefficient vectors: entry mask is f at the
+    point with bit i of mask giving x_{i+1}, the table interpolate_table reads.
 
     One zeta transform over the subset lattice, the inverse of the Moebius
     step: each term's coefficient goes to the slot of its support mask, then
@@ -692,5 +677,5 @@ def parse_poly(text: str, n: int, field: FieldSpec,
         pieces.append((tuple(exp), kn.vneg(coeff, p) if sign == "-" else coeff))
         pos = m.end()
     if not pieces:
-        raise ParseError("empty polynomial")
+        raise ParseError("empty polynomial", column=0)
     return collect(n, field, pieces)

@@ -208,6 +208,21 @@ def test_certificate_parse_error_names_the_entry(tmp_path, capsys, key):
     assert f"{key}[{last}]: expected a signed term at 'x2' (line 1, column 3)" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[1, 2]", "error: a certificate is a JSON object, not list\n"),
+    (b"\xff\xfe{}", "invalid start byte\n"),
+])
+def test_parse_error_without_a_position_names_none(tmp_path, capsys, content, message):
+    """A certificate that is a JSON list or a file that is not UTF-8 has no
+    column to point at, so the message ends without one."""
+    path = tmp_path / "cert.json"
+    path.write_bytes(content)
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 1, err
+    assert err.endswith(message)
+    assert "column" not in err
+
+
 @pytest.mark.parametrize("text, p, k, combo", [
     ("e0 + 2*e2", 3, 1, {0: 1, 2: 2}),
     ("-e1 + 1", 5, 1, {0: 1, 1: -1}),

@@ -311,26 +311,6 @@ class TestTower:
             broken.sample_beta(random.Random(0))
 
 
-def _poly_with_roots(roots, lead):
-    """Coefficients, low first, of lead * prod (X - r)."""
-    poly = [lead]
-    for r in roots:
-        poly = [a - r * b for a, b in zip([lead.spec.zero()] + poly, poly + [lead.spec.zero()])]
-    return [c.coeffs for c in poly]
-
-
-@pytest.mark.parametrize("p, k", [(2, 4), (3, 2), (5, 2), (7, 2)])
-def test_roots_in_field_of_split_product(p, k):
-    spec = gf.field_spec(p, k)
-    elements = list(spec.elements())
-    rng = random.Random(f"roots:{p}:{k}")
-    for size in (1, 2, 3, spec.order // 2, spec.order):
-        roots = rng.sample(elements, size)
-        lead = rng.choice(elements[1:])
-        got = gf.roots_in_field(_poly_with_roots(roots, lead), spec)
-        assert got == sorted(roots, key=lambda e: e.encoding())
-
-
 @pytest.mark.parametrize("p, k", [(p, k) for p in (2, 3, 5, 7, 11, 13)
                                   for k in range(2, 7) if p ** (2 * k) <= 5000])
 def test_embedding_is_least_root_of_base_modulus(p, k):
@@ -347,6 +327,23 @@ def test_embedding_is_least_root_of_base_modulus(p, k):
 
     least = next(a for a in ext.elements() if at(a).is_zero())
     assert tower.embed_table[1] == least.coeffs
+
+
+@pytest.mark.parametrize("p, k", [(2, 8), (2, 12), (3, 6), (5, 4), (7, 4), (13, 4)])
+def test_embedding_is_least_of_its_conjugates(p, k):
+    """Beyond brute-force range: embed_table[1] is a root of the base
+    modulus, its k Frobenius conjugates are distinct (so they are all k
+    roots), and it has the least encoding among them."""
+    tower = gf.field_tower(p, k)
+    ext = tower.ext
+    theta = gf.FieldElem(ext, tower.embed_table[1])
+    acc = ext.zero()
+    for c in reversed(tower.base.modulus):
+        acc = acc * theta + ext.from_int(c)
+    assert acc.is_zero()
+    conjugates = [theta.frobenius(j) for j in range(k)]
+    assert len({c.encoding() for c in conjugates}) == k
+    assert theta.encoding() == min(c.encoding() for c in conjugates)
 
 
 def test_sample_reproducible():

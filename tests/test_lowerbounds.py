@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -20,7 +21,7 @@ from ipsforge.lowerbounds import (
     sparsity_probe,
     top_coeff,
 )
-from ipsforge.mvpoly import Poly, cube_interpolate, ml
+from ipsforge.mvpoly import Poly, interpolate_table, ml
 
 from conftest import rand_poly
 
@@ -104,10 +105,10 @@ class TestMlReciprocal:
     @given(nonlinear_polys())
     def test_matches_pointwise_inverse(self, f):
         """The batch inversion on vectors gives what one inv() per point
-        and cube_interpolate give."""
+        and interpolate_table give."""
         values = [f.eval_cube_point(m) for m in range(1 << f.n)]
         assume(all(not v.is_zero() for v in values))
-        expected = cube_interpolate([v.inv() for v in values], f.n, f.field)
+        expected = interpolate_table([v.inv().coeffs for v in values], f.n, f.field)
         assert ml_reciprocal(f) == expected
 
     @settings(max_examples=40, deadline=None)
@@ -233,6 +234,30 @@ class TestDegreeTrials:
         assert not scan.all_full
         assert (2,) in scan.failing
         assert scan.worst is not None and 2 in scan.worst
+
+    @pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (3, 1), (2, 3), (5, 1), (3, 2)])
+    def test_scan_matches_one_inverse_per_restriction(self, p, k):
+        """The scan reads every restriction off one full inverse; it must
+        report what one ml_inverse per restriction reports, in the same
+        order. Over F_2 and F_4 failures are common, so they are seen."""
+        tower = gf.field_tower(p, k)
+        rng = random.Random(f"scan:{p}:{k}")
+        failures = 0
+        for _ in range(25):
+            n = rng.randint(0, 5)
+            alphas = [tower.base.sample(rng) for _ in range(n)]
+            beta = tower.sample_beta(rng)
+            expected = [u for r in range(1, n + 1)
+                        for u in itertools.combinations(range(n), r)
+                        if ml_inverse([alphas[i] for i in u], beta, tower).degree() != r]
+            scan = restricted_degree_scan(alphas, beta, tower)
+            assert scan.failing == expected
+            assert scan.checked == 2 ** n - 1
+            assert scan.all_full == (not expected)
+            assert scan.worst == max(expected, key=len, default=None)
+            failures += bool(expected)
+        if (p, k) in ((2, 1), (2, 2)):
+            assert failures
 
 
 class TestSparsityProbe:

@@ -9,8 +9,7 @@ from ipsforge.errors import ArityMismatch, ParseError, ZeroPolynomial
 from ipsforge.mvpoly import (
     Poly,
     collect,
-    cube_interpolate,
-    cube_values,
+    cube_table,
     default_names,
     divide_by_axioms,
     format_poly,
@@ -190,29 +189,29 @@ class TestDivideByAxioms:
 class TestCubeInterpolate:
     def test_constant(self, f3):
         c = f3.from_int(2)
-        assert cube_interpolate([c] * 8, 3, f3) == Poly.const(3, f3, c)
+        assert interpolate_table([c.coeffs] * 8, 3, f3) == Poly.const(3, f3, c)
 
     def test_and_truth_table(self, f2):
-        vals = [f2.one() if mask == 0b1111 else f2.zero() for mask in range(16)]
-        assert cube_interpolate(vals, 4, f2) == Poly.monomial(4, f2, (1,) * 4, f2.one())
+        vals = [(1,) if mask == 0b1111 else (0,) for mask in range(16)]
+        assert interpolate_table(vals, 4, f2) == Poly.monomial(4, f2, (1,) * 4, f2.one())
 
     def test_roundtrip_on_multilinear(self, f9, rng):
         for _ in range(20):
             f = ml(rand_poly(3, f9, rng, 6, 1))
-            vals = [f.eval_cube_point(m) for m in range(8)]
-            assert cube_interpolate(vals, 3, f9) == f
+            vals = [f.eval_cube_point(m).coeffs for m in range(8)]
+            assert interpolate_table(vals, 3, f9) == f
 
     def test_roundtrip_n8(self, f4, rng):
         f = ml(rand_poly(8, f4, rng, 12, 1))
-        vals = [f.eval_cube_point(m) for m in range(1 << 8)]
-        assert cube_interpolate(vals, 8, f4) == f
+        vals = [f.eval_cube_point(m).coeffs for m in range(1 << 8)]
+        assert interpolate_table(vals, 8, f4) == f
 
     def test_top_coefficient_alternating_sum(self, f9, rng):
         from ipsforge.lowerbounds import alternating_cube_sum
 
         for _ in range(10):
-            vals = [f9.sample(rng) for _ in range(8)]
-            poly = cube_interpolate(vals, 3, f9)
+            vals = [f9.sample(rng).coeffs for _ in range(8)]
+            poly = interpolate_table(vals, 3, f9)
             assert poly.coeff((1, 1, 1)) == alternating_cube_sum(poly)
 
 
@@ -285,9 +284,9 @@ class TestCubeValues:
     @settings(max_examples=80, deadline=None)
     @given(cube_polys())
     def test_matches_pointwise_and_inverts_interpolation(self, f):
-        values = cube_values(f)
-        assert values == [f.eval_cube_point(m) for m in range(1 << f.n)]
-        assert cube_interpolate(values, f.n, f.field) == ml(f)
+        table = cube_table(f)
+        assert table == [f.eval_cube_point(m).coeffs for m in range(1 << f.n)]
+        assert interpolate_table(table, f.n, f.field) == ml(f)
 
     @pytest.mark.parametrize("p,k,nterms", [(2, 2, 300), (13, 1, 40), (13, 3, 40)])
     def test_multibyte_slots(self, p, k, nterms):
@@ -300,7 +299,7 @@ class TestCubeValues:
         while f.sparsity() < nterms:
             e = tuple(rng.randrange(3) for _ in range(9))
             f = f + Poly.monomial(9, field, e, top)
-        assert cube_values(f) == [f.eval_cube_point(m) for m in range(1 << 9)]
+        assert cube_table(f) == [f.eval_cube_point(m).coeffs for m in range(1 << 9)]
 
 
 class TestLinearPoly:
