@@ -41,6 +41,7 @@ from ipsforge.errors import (
     SatisfiableSystem,
 )
 from ipsforge.lowerbounds import (
+    budget_n,
     coefficient_matrix,
     degree_trial,
     eval_dimension,
@@ -122,6 +123,10 @@ def cli():
 
 def _build_instance(family: str, p: int, k: int, n: int, m: int,
                     seed: int | None, poly_texts: tuple[str, ...]) -> Instance:
+    # a symmetric axiom is expanded into its up to 2^n multilinear terms
+    if family == "symmetric" and n > (cap := budget_n()):
+        raise BudgetExceeded(f"the symmetric family needs n <= {cap} "
+                             f"(IPSFORGE_BUDGET_N), got n = {n}")
     if family == "symmetric" and poly_texts:
         fld = gf.field_spec(p, k)
         axioms = [_parse_sym_expr(text, n, fld) for text in poly_texts]

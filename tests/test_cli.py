@@ -261,6 +261,32 @@ def test_huge_field_exits_1_quickly(tmp_path, capsys):
         assert "2^5000" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["refute", "--family", "symmetric", "--p", "5", "--n", "40", "--m", "3", "--seed", "1"],
+    ["gen", "--family", "symmetric", "--p", "5", "--n", "40", "--m", "3", "--seed", "1"],
+    ["refute", "--family", "symmetric", "--p", "3", "--n", "40", "--poly", "e1+1"],
+    ["gen", "--family", "symmetric", "--p", "3", "--n", "40", "--poly", "e1+1"],
+], ids=["refute", "gen", "refute-poly", "gen-poly"])
+def test_symmetric_n_over_budget_exits_1_quickly(capsys, monkeypatch, argv):
+    """A symmetric axiom expands into up to 2^n terms, so n is capped by the
+    budget before any expansion: n = 40 used to run out of memory."""
+    monkeypatch.delenv("IPSFORGE_BUDGET_N", raising=False)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 1, err
+    assert "n <= 12" in err and "n = 40" in err
+
+
+def test_symmetric_n_cap_follows_budget_env(capsys, monkeypatch):
+    argv = ["gen", "--family", "symmetric", "--p", "2", "--n", "5", "--seed", "1"]
+    monkeypatch.setenv("IPSFORGE_BUDGET_N", "4")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and "n <= 4" in err
+    monkeypatch.setenv("IPSFORGE_BUDGET_N", "5")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_non_integer_budget_env_exits_1(capsys, monkeypatch):
     monkeypatch.setenv("IPSFORGE_BUDGET_N", "abc")
     code, _, err = run_cli(capsys, "oracle", "degree-trial", "--n", "4", "--p", "2",

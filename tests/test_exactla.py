@@ -1,12 +1,19 @@
 """rank, solve and invert against field-level matrix arithmetic, over random,
-zero, rank-deficient, tall, wide and empty matrices."""
+zero, rank-deficient, sparse, tall, wide and empty matrices; and against a
+dense Gauss-Jordan reference, output for output."""
+
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from ipsforge import _kernel as kn
 from ipsforge import exactla, gf
 from ipsforge.gf import FieldElem
 
-FIELDS = [gf.field_spec(2, 1), gf.field_spec(3, 2), gf.field_spec(2, 4)]
+# prime fields (small and large p) take the plain-int path, the rest the
+# kernel path, (2,4) and (2,12) through its p = 2 branch
+FIELDS = [gf.field_spec(p, k) for p, k in
+          [(2, 1), (5, 1), (7, 1), (1000003, 1), (3, 2), (2, 4), (2, 12)]]
 
 
 def elems(fld):
@@ -36,17 +43,40 @@ def matrices(draw, square=False):
     fld = draw(st.sampled_from(FIELDS))
     m = draw(st.integers(0, 5))
     n = m if square else draw(st.integers(0, 5))
-    kind = draw(st.sampled_from(["random", "zero", "low-rank"]))
+    kind = draw(st.sampled_from(["random", "zero", "low-rank", "sparse"]))
     if kind == "zero":
         return fld, [[fld.zero()] * n for _ in range(m)]
     if kind == "random":
         return fld, [draw(st.lists(elems(fld), min_size=n, max_size=n)) for _ in range(m)]
+    if kind == "sparse":
+        return fld, draw(sparse_rows(fld, m, n))
     r = draw(st.integers(0, min(m, n)))
     left = [draw(st.lists(elems(fld), min_size=r, max_size=r)) for _ in range(m)]
     right = [draw(st.lists(elems(fld), min_size=n, max_size=n)) for _ in range(r)]
     if r == 0:
         return fld, [[fld.zero()] * n for _ in range(m)]
     return fld, matmul(left, right, fld, r)
+
+
+@st.composite
+def sparse_rows(draw, fld, m, n):
+    """m mostly-zero rows of length n, where each row after the first is a
+    fresh sparse row, a scalar multiple of an earlier row or the sum of two,
+    so that entries cancel to zero during elimination."""
+    # about two entries in three are zero
+    sparse_elem = st.one_of(st.just(fld.zero()), st.just(fld.zero()), elems(fld))
+    rows = []
+    for _ in range(m):
+        how = draw(st.sampled_from(["fresh", "multiple", "sum"])) if rows else "fresh"
+        if how == "fresh":
+            rows.append(draw(st.lists(sparse_elem, min_size=n, max_size=n)))
+        elif how == "multiple":
+            src, c = draw(st.sampled_from(rows)), draw(elems(fld))
+            rows.append([c * x for x in src])
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([x + y for x, y in zip(a, b)])
+    return rows
 
 
 def raw(a):
@@ -108,3 +138,47 @@ def test_invert_exactly_when_full_rank(case):
     identity = [[fld.one() if i == j else fld.zero() for j in range(n)] for i in range(n)]
     assert matmul(b, a, fld, n) == identity
     assert matmul(a, b, fld, n) == identity
+
+
+def dense_eliminate(work, ncols, field):
+    """Dense Gauss-Jordan reference for exactla._eliminate, with the same
+    pivot order: every row is a list of kernel tuples, reduced in place over
+    all its columns."""
+    p, mod = field.p, field.modulus
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        pivot = next((i for i in range(r, len(work)) if any(work[i][c])), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = kn.vinv(work[r][c], p, mod)
+        work[r] = [kn.vmul(inv, x, p, mod) if any(x) else x for x in work[r]]
+        for i in range(len(work)):
+            if i != r and any(work[i][c]):
+                f = work[i][c]
+                work[i] = [kn.vsub(x, kn.vmul(f, s, p, mod), p) if any(s) else x
+                           for x, s in zip(work[i], work[r])]
+        pivots.append(c)
+    return pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_same_outputs_as_dense_reference(case, data):
+    """rank, solve's free-variables-zero solution and invert equal those of
+    the dense routine element for element: certificate bytes depend on the
+    particular solution, not just on its existence."""
+    fld, a = case
+    m, n = len(a), len(a[0]) if a else 0
+    rhs = [c.coeffs for c in data.draw(st.lists(elems(fld), min_size=m, max_size=m))]
+    rows = raw(a)
+    got = (exactla.rank(rows, fld), exactla.solve(rows, rhs, fld),
+           exactla.invert(rows, fld) if m == n else None)
+    assert rows == raw(a)  # rank reduces without a copy, but leaves its input as it was
+    with mock.patch.object(exactla, "_eliminate", dense_eliminate):
+        want = (exactla.rank(raw(a), fld), exactla.solve(raw(a), rhs, fld),
+                exactla.invert(raw(a), fld) if m == n else None)
+    assert got == want
