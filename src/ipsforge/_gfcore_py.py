@@ -24,11 +24,33 @@ low k slots of x + q * (modulus - t^k). Both products again count at most k-1 bi
 per slot, plus one bit of x, so they too are read by parity, and the work is
 two multiplies whatever the number of nonzero terms of the modulus. ``vinv``
 for p = 2 runs extended Euclid on bit-packed ints, one xor per quotient bit.
+
+Fields with k >= 3 and q = p^k <= 2^14 are answered from log/antilog tables
+(Zech's logarithms; Huber, IEEE Trans. IT 1990) once they are busy: LOG maps
+each nonzero vector to its discrete logarithm, EXP lists the powers of the
+generator twice over, so that ``vmul`` is EXP[LOG[a] + LOG[b]], ``vinv`` is
+EXP[q-1-LOG[a]] and ``vpow`` is EXP[LOG[a]*e mod (q-1)]; zero is the one
+vector missing from LOG. A field's tables are built on its first product
+after q generic ones, which is what one build costs, so that a field that
+makes few products never pays for them; only untabled products are counted.
+The build takes the least-encoding element of order q-1 and walks its
+powers, and stores "no table" if the walk repeats before it has covered the
+q-1 units: a ring whose q-1 nonzero elements are all powers of one unit is a
+field, so the tables never rest on the modulus being irreducible. Degrees 1
+and 2 keep their closed forms, which are as fast, and larger fields the
+packed paths, where a build would cost more than it saves.
 """
 
 from functools import lru_cache
 
 BACKEND = "python"
+
+_TABLE_BITS = 14  # tables for fields of at most 2^14 elements, hence k <= 14
+_TABLE_MAX = 1 << _TABLE_BITS
+_TABLE_FIELDS = 32  # tables kept at once; one of GF(2^14) holds about 4 MB
+_COUNTED_FIELDS = 128  # product counters kept at once, one per field in use
+_tables = {}  # (p, modulus) -> (LOG, EXP), or None for "no table"
+_products = {}  # (p, modulus) -> generic products made, for untabled fields
 
 
 def vadd(a, b, p):
@@ -91,6 +113,68 @@ def _plan2(modulus):
             int.from_bytes(bytes(modulus[:-1]), "little"), ones, ones >> 8 * (k - 1))
 
 
+def _keep(cache, key, value, size):
+    """cache[key] = value as the newest entry, dropping the oldest beyond size."""
+    cache.pop(key, None)
+    while len(cache) >= size:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
+def log_tables(p, modulus):
+    """Build and cache the (LOG, EXP) tables of F_p[t]/(modulus); None, also
+    cached, when the ring is not a field.
+
+    EXP[i] is g^i for the least-encoding g of order q-1, for 0 <= i < 2(q-1),
+    and LOG[EXP[i]] = i for i < q-1. A nonzero g with g^(q-1) != 1 already
+    shows that the ring is not a field.
+    """
+    key = (p, modulus)
+    _keep(_tables, key, None, _TABLE_FIELDS)  # the build's products go generic
+    k = len(modulus) - 1
+    q = p ** k
+    one = (1,) + (0,) * (k - 1)
+    primes, n, r = [], q - 1, 2
+    while r * r <= n:
+        if n % r == 0:
+            primes.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        primes.append(n)
+    for m in range(2, q):
+        g = tuple(m // p ** i % p for i in range(k))
+        if vpow(g, q - 1, p, modulus) != one:
+            return None
+        if all(vpow(g, (q - 1) // r, p, modulus) != one for r in primes):
+            break
+    else:
+        return None
+    log, exp, x = {}, [], one
+    for i in range(q - 1):
+        log[x] = i
+        exp.append(x)
+        x = vmul(x, g, p, modulus)
+    if len(log) < q - 1:  # the walk repeated
+        return None
+    _tables[key] = tab = (log, exp + exp)
+    return tab
+
+
+def _count_product(key, q):
+    """Count one generic product of an untabled field; the field's tables,
+    built now, once it has made q of them, else None."""
+    n = _products.get(key, 0)
+    if n < q:
+        if n:
+            _products[key] = n + 1
+        else:
+            _keep(_products, key, 1, _COUNTED_FIELDS)
+        return None
+    return log_tables(*key)
+
+
 def vmul(a, b, p, modulus):
     """Product of a and b in F_p[t]/(modulus): convolution then reduction."""
     k = len(a)
@@ -102,6 +186,18 @@ def vmul(a, b, p, modulus):
         top = a1 * b1
         return ((a0 * b0 - top * modulus[0]) % p,
                 (a0 * b1 + a1 * b0 - top * modulus[1]) % p)
+    if k <= _TABLE_BITS and p ** k <= _TABLE_MAX:
+        key = (p, modulus)
+        tab = _tables.get(key)
+        if tab is None and key not in _tables:
+            tab = _count_product(key, p ** k)
+        if tab is not None:
+            log, exp = tab
+            i, j = log.get(a), log.get(b)
+            if i is not None and j is not None:
+                return exp[i + j]
+            if not (any(a) and any(b)):
+                return (0,) * k
     if p == 2 and k < 256:  # no byte slot carries
         top, qshift, mu, taps, ones, low = _plan2(modulus)
         x = (int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")) & ones
@@ -129,6 +225,11 @@ def vmul(a, b, p, modulus):
 
 def vpow(a, e, p, modulus):
     k = len(a)
+    if 2 < k <= _TABLE_BITS and (tab := _tables.get((p, modulus))):
+        log, exp = tab
+        i = log.get(a)
+        if i is not None:
+            return exp[i * e % len(log)]
     result = (1,) + (0,) * (k - 1)
     if e == 0:
         return result
@@ -168,6 +269,11 @@ def vinv(a, p, modulus):
     Raises ZeroDivisionError on the zero vector.
     """
     k = len(a)
+    if 2 < k <= _TABLE_BITS and (tab := _tables.get((p, modulus))):
+        log, exp = tab
+        i = log.get(a)
+        if i is not None:
+            return exp[len(log) - i]
     if not any(a):
         raise ZeroDivisionError("inverse of zero field element")
     if k == 1:

@@ -123,9 +123,10 @@ def cli():
 
 def _build_instance(family: str, p: int, k: int, n: int, m: int,
                     seed: int | None, poly_texts: tuple[str, ...]) -> Instance:
-    # a symmetric axiom is expanded into its up to 2^n multilinear terms
-    if family == "symmetric" and n > (cap := budget_n()):
-        raise BudgetExceeded(f"the symmetric family needs n <= {cap} "
+    # a symmetric axiom is expanded into its up to 2^n multilinear terms, and
+    # a sparse-shifted certificate grows about 2.5-fold with each unit of n
+    if family in ("symmetric", "sparse-shifted") and n > (cap := budget_n()):
+        raise BudgetExceeded(f"the {family} family needs n <= {cap} "
                              f"(IPSFORGE_BUDGET_N), got n = {n}")
     if family == "symmetric" and poly_texts:
         fld = gf.field_spec(p, k)

@@ -266,10 +266,14 @@ def test_huge_field_exits_1_quickly(tmp_path, capsys):
     ["gen", "--family", "symmetric", "--p", "5", "--n", "40", "--m", "3", "--seed", "1"],
     ["refute", "--family", "symmetric", "--p", "3", "--n", "40", "--poly", "e1+1"],
     ["gen", "--family", "symmetric", "--p", "3", "--n", "40", "--poly", "e1+1"],
-], ids=["refute", "gen", "refute-poly", "gen-poly"])
+    ["refute", "--family", "sparse-shifted", "--p", "3", "--k", "2", "--n", "40",
+     "--seed", "1"],
+], ids=["refute", "gen", "refute-poly", "gen-poly", "refute-sparse"])
 def test_symmetric_n_over_budget_exits_1_quickly(capsys, monkeypatch, argv):
     """A symmetric axiom expands into up to 2^n terms, so n is capped by the
-    budget before any expansion: n = 40 used to run out of memory."""
+    budget before any expansion: n = 40 used to run out of memory. The
+    sparse-shifted family is capped the same way, before its instance is
+    drawn: at n = 40 it ran out of memory too."""
     monkeypatch.delenv("IPSFORGE_BUDGET_N", raising=False)
     start = time.perf_counter()
     code, _, err = run_cli(capsys, *argv)

@@ -8,8 +8,11 @@ checked against a list-based extended Euclid. Hypothesis drives random
 vectors over the first irreducible modulus of each field and over a dense
 one with many nonzero terms; the worst case for the slots (every component
 p-1, up to k = 127 for p = 2) and two small fields in full are fixed below.
+The log/antilog tables of fields with at most 2^14 elements are built
+explicitly and checked against the same references.
 """
 
+import functools
 import random
 
 import pytest
@@ -22,6 +25,22 @@ from ipsforge import gf
 # gf.FIELD_BITS admits, 127
 BINARY_FIELDS = [(2, k) for k in (5, 7, 8, 31, 64, 127)]
 FIELDS = [(p, k) for p in (2, 3, 5, 13) for k in (1, 2, 3, 4, 6, 12, 16, 24)] + BINARY_FIELDS
+
+# Nonzero terms of the modulus of gf.field_spec(p, k) and of dense_spec(p, k)
+# for k >= 2. They name the test cases, so that collection builds no field;
+# test_case_ids_name_the_moduli checks them.
+TERMS = {
+    (2, 1): (1,), (2, 2): (3, 3), (2, 3): (3, 3), (2, 4): (3, 5), (2, 6): (3, 5),
+    (2, 12): (3, 13), (2, 16): (5, 13), (2, 24): (5, 21),
+    (3, 1): (1,), (3, 2): (2, 3), (3, 3): (3, 4), (3, 4): (3, 4), (3, 6): (3, 5),
+    (3, 12): (3, 9), (3, 16): (4, 14), (3, 24): (3, 19),
+    (5, 1): (1,), (5, 2): (2, 3), (5, 3): (3, 3), (5, 4): (2, 5), (5, 6): (3, 7),
+    (5, 12): (3, 9), (5, 16): (2, 16), (5, 24): (4, 20),
+    (13, 1): (1,), (13, 2): (2, 3), (13, 3): (2, 3), (13, 4): (2, 4), (13, 6): (2, 5),
+    (13, 12): (2, 9), (13, 16): (2, 14), (13, 24): (2, 19),
+    (2, 5): (3, 5), (2, 7): (3, 7), (2, 8): (5, 7), (2, 31): (3, 25), (2, 64): (5, 53),
+    (2, 127): (3, 103),
+}
 
 
 def schoolbook(a, b, p, modulus):
@@ -76,13 +95,15 @@ def dense_spec(p, k):
             continue
 
 
-SPECS = [gf.field_spec(p, k) for p, k in FIELDS] + [
-    dense_spec(p, k) for p, k in FIELDS if k >= 2]
+@functools.cache
+def spec(p, k, dense):
+    return dense_spec(p, k) if dense else gf.field_spec(p, k)
 
 
-def spec_id(spec):
-    nonzero = sum(1 for c in spec.modulus if c)
-    return f"GF({spec.p}^{spec.k})-{nonzero}terms"
+CASES = [(p, k, False) for p, k in FIELDS] + [(p, k, True) for p, k in FIELDS if k >= 2]
+SPECS = [pytest.param(p, k, dense, id=f"GF({p}^{k})-{TERMS[p, k][dense]}terms")
+         for p, k, dense in CASES]
+P2_SPECS = [param for param in SPECS if param.values[0] == 2]
 
 
 def vectors(spec):
@@ -95,25 +116,32 @@ def vectors(spec):
     return st.tuples(*[st.integers(0, spec.p - 1) for _ in range(spec.k)])
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_case_ids_name_the_moduli():
+    for p, k, dense in CASES:
+        assert sum(1 for c in spec(p, k, dense).modulus if c) == TERMS[p, k][dense]
+
+
+@pytest.mark.parametrize("p,k,dense", SPECS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_vmul_matches_schoolbook(spec, data):
-    a, b = data.draw(vectors(spec)), data.draw(vectors(spec))
-    p, mod = spec.p, spec.modulus
+def test_vmul_matches_schoolbook(p, k, dense, data):
+    fld = spec(p, k, dense)
+    a, b = data.draw(vectors(fld)), data.draw(vectors(fld))
+    mod = fld.modulus
     assert kernel.vmul(a, b, p, mod) == schoolbook(a, b, p, mod)
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+@pytest.mark.parametrize("p,k,dense", SPECS)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_inverse_and_power(spec, data):
-    a = data.draw(vectors(spec))
-    p, mod = spec.p, spec.modulus
-    one = (1,) + (0,) * (spec.k - 1)
+def test_inverse_and_power(p, k, dense, data):
+    fld = spec(p, k, dense)
+    a = data.draw(vectors(fld))
+    mod = fld.modulus
+    one = (1,) + (0,) * (k - 1)
     if any(a):
         assert kernel.vmul(a, kernel.vinv(a, p, mod), p, mod) == one
-        assert kernel.vpow(a, spec.order - 1, p, mod) == one
+        assert kernel.vpow(a, fld.order - 1, p, mod) == one
     e = data.draw(st.integers(0, 40))
     expect = one
     for _ in range(e):
@@ -121,35 +149,32 @@ def test_inverse_and_power(spec, data):
     assert kernel.vpow(a, e, p, mod) == expect
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
-def test_all_top_worst_case(spec):
+@pytest.mark.parametrize("p,k,dense", SPECS)
+def test_all_top_worst_case(p, k, dense):
     """Every component p-1: the middle convolution slot reaches its bound
     k*(p-1)^2 exactly, and every tap of the reduction fires."""
-    p, mod = spec.p, spec.modulus
-    top = (p - 1,) * spec.k
+    mod = spec(p, k, dense).modulus
+    top = (p - 1,) * k
     assert kernel.vmul(top, top, p, mod) == schoolbook(top, top, p, mod)
-    lone = (0,) * (spec.k - 1) + (p - 1,)  # (p-1)^2 t^(2k-2), the highest slot
+    lone = (0,) * (k - 1) + (p - 1,)  # (p-1)^2 t^(2k-2), the highest slot
     assert kernel.vmul(lone, top, p, mod) == schoolbook(lone, top, p, mod)
     assert kernel.vmul(lone, lone, p, mod) == schoolbook(lone, lone, p, mod)
 
 
-P2_SPECS = [s for s in SPECS if s.p == 2]
-
-
-@pytest.mark.parametrize("spec", P2_SPECS, ids=spec_id)
+@pytest.mark.parametrize("p,k,dense", P2_SPECS)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_binary_inverse_matches_euclid(spec, data):
-    a = data.draw(vectors(spec))
-    p, mod = spec.p, spec.modulus
+def test_binary_inverse_matches_euclid(p, k, dense, data):
+    fld = spec(p, k, dense)
+    a = data.draw(vectors(fld))
     if any(a):
-        assert kernel.vinv(a, p, mod) == euclid_inverse(a, p, mod)
+        assert kernel.vinv(a, p, fld.modulus) == euclid_inverse(a, p, fld.modulus)
 
 
-@pytest.mark.parametrize("spec", P2_SPECS, ids=spec_id)
-def test_binary_inverse_of_zero_raises(spec):
+@pytest.mark.parametrize("p,k,dense", P2_SPECS)
+def test_binary_inverse_of_zero_raises(p, k, dense):
     with pytest.raises(ZeroDivisionError):
-        kernel.vinv((0,) * spec.k, 2, spec.modulus)
+        kernel.vinv((0,) * k, 2, spec(p, k, dense).modulus)
 
 
 def test_multibyte_slots_are_exercised():
@@ -167,3 +192,105 @@ def test_all_pairs(p, k):
         for y in spec.elements():
             a, b = x.coeffs, y.coeffs
             assert kernel.vmul(a, b, p, spec.modulus) == schoolbook(a, b, p, spec.modulus)
+
+
+def power(a, e, p, modulus):
+    """a^e by square-and-multiply on schoolbook products."""
+    result, acc = (1,) + (0,) * (len(a) - 1), a
+    while e:
+        if e & 1:
+            result = schoolbook(result, acc, p, modulus)
+        acc = schoolbook(acc, acc, p, modulus)
+        e >>= 1
+    return result
+
+
+def tabled(p, k, dense):
+    """The field, with its log/antilog tables built through the kernel's
+    builder unless the kernel holds them already."""
+    fld = spec(p, k, dense)
+    if not kernel._tables.get((p, fld.modulus)):
+        assert kernel.log_tables(p, fld.modulus)
+    return fld
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_table_all_pairs(p, k):
+    fld = tabled(p, k, False)
+    mod, elements = fld.modulus, [x.coeffs for x in fld.elements()]
+    for a in elements:
+        for b in elements:
+            assert kernel.vmul(a, b, p, mod) == schoolbook(a, b, p, mod)
+        if any(a):
+            assert kernel.vinv(a, p, mod) == euclid_inverse(a, p, mod)
+
+
+@pytest.mark.parametrize("p,k", [(2, 12), (3, 8), (5, 6)])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_table_matches_references(p, k, dense, data):
+    fld = tabled(p, k, dense)
+    mod = fld.modulus
+    a, b = data.draw(vectors(fld)), data.draw(vectors(fld))
+    e = data.draw(st.integers(0, 3 * fld.order))
+    assert kernel.vmul(a, b, p, mod) == schoolbook(a, b, p, mod)
+    assert kernel.vpow(a, e, p, mod) == power(a, e, p, mod)
+    if any(a):
+        assert kernel.vinv(a, p, mod) == euclid_inverse(a, p, mod)
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 6)])
+def test_table_power_edge_cases(p, k):
+    fld = tabled(p, k, False)
+    mod, q = fld.modulus, fld.order
+    zero, one = (0,) * k, (1,) + (0,) * (k - 1)
+    a = (0, 1) + (0,) * (k - 2)
+    for e in (0, q - 1, 2 * (q - 1), 5 * (q - 1)):
+        assert kernel.vpow(a, e, p, mod) == one
+    assert kernel.vpow(a, q, p, mod) == a
+    assert kernel.vpow(zero, 0, p, mod) == one
+    assert kernel.vpow(zero, 1, p, mod) == zero
+    assert kernel.vpow(zero, q - 1, p, mod) == zero
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 6)])
+def test_table_inverse_of_zero_raises(p, k):
+    fld = tabled(p, k, False)
+    with pytest.raises(ZeroDivisionError):
+        kernel.vinv((0,) * k, p, fld.modulus)
+
+
+@pytest.mark.parametrize("modulus", [(0, 0, 1, 1), (1, 0, 0, 1)],
+                         ids=["t^2(t+1)", "(t+1)(t^2+t+1)"])
+def test_no_table_for_reducible_modulus(modulus):
+    """Both rings have 8 elements, and neither is a field; products there
+    still take the generic path."""
+    assert kernel.log_tables(2, modulus) is None
+    elements = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    for a in elements:
+        for b in elements:
+            assert kernel.vmul(a, b, 2, modulus) == schoolbook(a, b, 2, modulus)
+
+
+def test_table_built_after_q_generic_products():
+    fld = spec(2, 5, True)
+    key, q = (2, fld.modulus), fld.order
+    kernel._tables.pop(key, None)
+    kernel._products.pop(key, None)
+    a = b = (1, 1, 0, 1, 0)
+    for _ in range(q):
+        kernel.vmul(a, b, 2, fld.modulus)
+    assert key not in kernel._tables
+    assert kernel.vmul(a, b, 2, fld.modulus) == schoolbook(a, b, 2, fld.modulus)
+    assert kernel._tables[key]
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 9)])
+def test_no_table_outside_limits(p, k):
+    """k <= 2 keeps its closed form, and 3^9 > 2^14 elements."""
+    fld = gf.field_spec(p, k)
+    a = (1,) * k
+    for _ in range(fld.order + 1):
+        kernel.vmul(a, a, p, fld.modulus)
+    assert (p, fld.modulus) not in kernel._tables
