@@ -31,8 +31,8 @@ from ipsforge.mvpoly import (
     collect,
     default_names,
     divide_by_axioms,
+    fermat_exponent,
     format_poly,
-    inddeg_p,
     linear_poly,
     ml,
     parse_poly,
@@ -270,15 +270,15 @@ def refute_linear_frobenius(L: Poly, tower: FieldTower) -> Certificate:
 
 def _geom_quotient(n: int, fld: FieldSpec, j: int, m: int) -> Poly:
     """(x_j^m - x_j) / (x_j^2 - x_j) = x_j^{m-2} + ... + x_j + 1 (zero for m <= 1)."""
-    acc = Poly.zero(n, fld)
-    for d in range(m - 1):
-        acc = acc + (Poly.var(n, fld, j, d) if d else Poly.one(n, fld))
-    return acc
+    one = fld.one()
+    return Poly(n, fld, {tuple(d if v == j else 0 for v in range(n)): one
+                         for d in range(m - 1)})
 
 
 def expand_monomial_axiom(mu: tuple[int, ...], n: int, fld: FieldSpec) -> list[Poly]:
     """E_1..E_n with (x^mu)^2 - x^mu = sum_j E_j (x_j^2 - x_j), peeling the
-    largest-index variable first."""
+    largest-index variable first; each variable is peeled once, so each E_j
+    is one product."""
     E = [Poly.zero(n, fld) for _ in range(n)]
     mu = list(mu)
     prefix = Poly.one(n, fld)
@@ -293,7 +293,7 @@ def expand_monomial_axiom(mu: tuple[int, ...], n: int, fld: FieldSpec) -> list[P
         x_nu2 = Poly.monomial(n, fld, tuple(2 * v for v in nu), fld.one())
         e_t = _geom_quotient(n, fld, t, 2 * mu[t]) * x_nu2 \
             - _geom_quotient(n, fld, t, mu[t]) * x_nu
-        E[t] = E[t] + prefix * e_t
+        E[t] = prefix * e_t
         prefix = prefix * Poly.var(n, fld, t)
         mu = nu
 
@@ -330,14 +330,12 @@ def refute_sparse(f: Poly, tower: FieldTower) -> Certificate:
     F = linear_poly(fld, [f.terms[e] for e in support], -beta)
     flat_cert = refute_linear_frobenius(F, tower)
     A = _substitute_monomials(flat_cert.A[0], support, n, fld)
-    B = [Poly.zero(n, fld) for _ in range(n)]
-    for idx, mu in enumerate(support):
-        b_mu = _substitute_monomials(flat_cert.B[idx], support, n, fld)
-        if b_mu.is_zero():
-            continue
-        for j, e_j in enumerate(expand_monomial_axiom(mu, n, fld)):
-            if not e_j.is_zero():
-                B[j] = B[j] + b_mu * e_j
+    # B_j = sum_mu b_mu E_j(mu), with b_mu the lifted flat B-multiplier of mu
+    lifted = [(_substitute_monomials(flat_cert.B[idx], support, n, fld),
+               expand_monomial_axiom(mu, n, fld))
+              for idx, mu in enumerate(support)]
+    B = [sum_of_products(n, fld, [(b_mu, E[j]) for b_mu, E in lifted])
+         for j in range(n)]
     return Certificate(
         [A], B,
         {"constructor": "sparse_lift", "p": tower.p, "k": tower.k, "n": n,
@@ -375,6 +373,17 @@ def ml_power_q_minus_2(L: Poly) -> Poly:
     return acc
 
 
+def _boolean_side(A: list[Poly], axioms: list[Poly]) -> list[Poly]:
+    """B_1..B_n completing A to a certificate: S = sum_i A_i f_i divided by
+    the Boolean axioms must leave remainder 1, and B_j is minus the j-th
+    quotient."""
+    n, fld = axioms[0].n, axioms[0].field
+    dec = divide_by_axioms(sum_of_products(n, fld, zip(A, axioms)), "boolean")
+    if dec.remainder != Poly.one(n, fld):
+        raise AssertionError("sum A_i f_i does not reduce to 1 on the cube")
+    return [-q for q in dec.quotients]
+
+
 def refute_linear_lowdegree(L: Poly) -> Certificate:
     """Refutation of an unsatisfiable base-field linear instance with
     A = ml[L^{q-2}] of degree <= k(p-1); B_j come from sequential division of
@@ -383,12 +392,8 @@ def refute_linear_lowdegree(L: Poly) -> Certificate:
         raise SatisfiableInstance("instance has a Boolean zero")
     fld = L.field
     A = ml_power_q_minus_2(L)
-    dec = divide_by_axioms(A * L, "boolean")
-    if dec.remainder != Poly.one(L.n, fld):
-        raise AssertionError("division remainder is not 1; A*L != 1 mod cube")
-    B = [-q for q in dec.quotients]
     return Certificate(
-        [A], B,
+        [A], _boolean_side([A], [L]),
         {"constructor": "linear_lowdegree", "p": fld.p, "k": fld.k, "n": L.n},
     )
 
@@ -409,17 +414,16 @@ def _solve_multipliers(axioms: list[Poly], basis: list[tuple[int, ...]],
     """Multipliers M_i in the span of the basis monomials with
     sum_i M_i g_i = 1, by exact linear algebra, or None when there are none.
 
-    Column (i, mono) is x^mono * g_i, passed through reduce when given (so
-    the identity holds modulo what reduce takes out); rows are the monomials
-    of the columns in grlex order.
+    Column (i, mono) is x^mono * g_i with every exponent passed through
+    reduce when given (so the identity holds modulo the ideal whose
+    remainders reduce computes); rows are the monomials of the columns in
+    grlex order.
     """
     n, fld = axioms[0].n, axioms[0].field
-    columns = []
-    for g in axioms:
-        for mono in basis:
-            col = Poly(n, fld, {tuple(a + b for a, b in zip(e, mono)): c
-                                for e, c in g.terms.items()})
-            columns.append(reduce(col) if reduce else col)
+    reduce = reduce or (lambda d: d)
+    columns = [collect(n, fld, ((tuple([reduce(a + b) for a, b in zip(e, mono)]), c.coeffs)
+                                for e, c in g.terms.items()))
+               for g in axioms for mono in basis]
     rows = sorted({e for col in columns for e in col.terms}, key=lambda e: (sum(e), e))
     index = {e: i for i, e in enumerate(rows)}
     constant = index.get((0,) * n)
@@ -518,15 +522,13 @@ def refute_symmetric_system(system: list[Poly]) -> Certificate | NoCertificateAt
     q_polys = [qt_poly(t, r, p, fld) for t in range(n + 1, p ** r)]
     axioms_y = [c.poly for c in compressed] + q_polys
     multipliers = _solve_multipliers(axioms_y, _monomial_basis(r, r * (p - 1), p - 1),
-                                     lambda f: inddeg_p(f)[0])
+                                     lambda d: fermat_exponent(d, p))
     if multipliers is None:
         return NoCertificateAtDegree(p - 1, "low-variate solve failed at individual degree p-1")
     # Fermat-side quotients certify the exact low-variate identity.
-    H = Poly.zero(r, fld)
-    for mult, ax in zip(multipliers, axioms_y):
-        H = H + mult * ax
-    reduced, fermat_quotients = inddeg_p(H - Poly.one(r, fld))
-    if not reduced.is_zero():
+    H = sum_of_products(r, fld, zip(multipliers, axioms_y))
+    fermat = divide_by_axioms(H - Poly.one(r, fld), "fermat")
+    if not fermat.remainder.is_zero():
         raise AssertionError("low-variate certificate failed to reduce to 1")
     # Lift: A_i is the multilinear symmetric polynomial whose weight values
     # are A~_i evaluated at e-hat's weight values.
@@ -536,17 +538,11 @@ def refute_symmetric_system(system: list[Poly]) -> Certificate | NoCertificateAt
     A = [ElemSymExpansion.from_weight_values(
              [mult.eval(ehat_values[w]) for w in range(n + 1)], fld).to_poly()
          for mult in multipliers[:m]]
-    target = Poly.one(n, fld)
-    for a, f in zip(A, system):
-        target = target - a * f
-    dec = divide_by_axioms(target, "boolean")
-    if not dec.remainder.is_zero():
-        raise AssertionError("lifted combination does not reduce to 1 on the cube")
-    B = dec.quotients
+    B = _boolean_side(A, system)
     low_variate = {
         "A": [format_poly(mu, default_names(r, "y")) for mu in multipliers[:m]],
         "S": [format_poly(mu, default_names(r, "y")) for mu in multipliers[m:]],
-        "B_fermat": [format_poly(g, default_names(r, "y")) for g in fermat_quotients],
+        "B_fermat": [format_poly(g, default_names(r, "y")) for g in fermat.quotients],
     }
     return Certificate(
         A, B,

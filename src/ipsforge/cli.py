@@ -300,7 +300,7 @@ def gen(family, p, k, n, m, seed, polys, out, fmt, canonical):
 @click.option("--p", type=int, default=2, show_default=True, callback=_prime)
 @click.option("--k", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option("--trials", type=int, default=100, show_default=True)
+@click.option("--trials", type=click.IntRange(min=0), default=100, show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--scan-all", is_flag=True,
               help="degree-trial: require every restriction to reach full degree.")

@@ -305,7 +305,7 @@ class Poly:
         self.n, self.field, self.terms = n, field, terms
         return self
 
-    # -- evaluation and substitution ----------------------------------------------
+    # -- evaluation and restriction -----------------------------------------------
 
     def eval(self, point: Sequence[FieldElem]) -> FieldElem:
         """Direct monomial evaluation at a full point."""
@@ -344,33 +344,8 @@ class Poly:
                 acc = kn.vadd(acc, c.coeffs, p)
         return FieldElem(self.field, acc)
 
-    def substitute(self, assignments: Mapping[int, "Poly"]) -> "Poly":
-        """Simultaneous substitution of polynomials for 0-based variables."""
-        for i, g in assignments.items():
-            if not 0 <= i < self.n:
-                raise ArityMismatch(f"variable index {i} out of range")
-            if g.n != self.n or g.field != self.field:
-                raise ArityMismatch("substituted polynomial has different arity or field")
-        pieces = []
-        pow_cache: dict[tuple[int, int], Poly] = {}
-
-        def cached_pow(i: int, d: int) -> Poly:
-            key = (i, d)
-            if key not in pow_cache:
-                pow_cache[key] = assignments[i] ** d
-            return pow_cache[key]
-
-        for e, c in self.terms.items():
-            residual = tuple(0 if i in assignments else d for i, d in enumerate(e))
-            term = Poly.monomial(self.n, self.field, residual, c)
-            for i, d in enumerate(e):
-                if d and i in assignments:
-                    term = term * cached_pow(i, d)
-            pieces.extend((key, v.coeffs) for key, v in term.terms.items())
-        return collect(self.n, self.field, pieces)
-
     def restrict(self, values: Mapping[int, FieldElem]) -> "Poly":
-        """Substitute constants for some variables (cheaper than substitute)."""
+        """Substitute constants for some variables."""
         field = self.field
         p, mod = field.p, field.modulus
         pieces = []
@@ -440,13 +415,9 @@ class QuotientDecomposition:
     def recompose(self) -> Poly:
         n, field = self.remainder.n, self.remainder.field
         e = 2 if self.axiom_kind == "boolean" else field.p
-        acc = self.remainder
-        for j, q in enumerate(self.quotients):
-            if q.is_zero():
-                continue
-            axiom = Poly.var(n, field, j, e) - Poly.var(n, field, j)
-            acc = acc + q * axiom
-        return acc
+        return sum_of_products(n, field, [(self.remainder, Poly.one(n, field))] + [
+            (q, Poly.var(n, field, j, e) - Poly.var(n, field, j))
+            for j, q in enumerate(self.quotients)])
 
 
 def divide_by_axioms(f: Poly, axiom_kind: str = "boolean") -> QuotientDecomposition:
@@ -486,12 +457,11 @@ def divide_by_axioms(f: Poly, axiom_kind: str = "boolean") -> QuotientDecomposit
     return QuotientDecomposition(remainder, quotients, axiom_kind)
 
 
-def inddeg_p(f: Poly) -> tuple[Poly, list[Poly]]:
-    """Reduce every exponent below the characteristic via y^p -> y, returning
-    the reduction and the Fermat quotients G_j with
-    f = reduced + sum G_j (y_j^p - y_j)."""
-    dec = divide_by_axioms(f, "fermat")
-    return dec.remainder, dec.quotients
+def fermat_exponent(d: int, p: int) -> int:
+    """The exponent of y^d mod y^p - y, the remainder divide_by_axioms(.,
+    "fermat") leaves: d itself below p, else the e in [1, p-1] with
+    e = d mod (p-1), as y^p = y on F_p."""
+    return d if d < p else (d - 1) % (p - 1) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Sequence
 from ipsforge import exactla
 from ipsforge.errors import FieldTooSmall, NotSymmetric, OutOfRange
 from ipsforge.gf import FieldElem, FieldSpec
-from ipsforge.mvpoly import Poly, divide_by_axioms, ml
+from ipsforge.mvpoly import Poly, divide_by_axioms, sum_of_products
 
 
 def lucas_binom(a: int, b: int, p: int) -> int:
@@ -69,11 +69,10 @@ class ElemSymExpansion:
     lambdas: tuple[FieldElem, ...]  # length n + 1
 
     def to_poly(self) -> Poly:
-        acc = Poly.zero(self.n, self.field)
-        for d, lam in enumerate(self.lambdas):
-            if not lam.is_zero():
-                acc = acc + elem_sym(self.n, d, self.field).scale(lam)
-        return acc
+        n, field = self.n, self.field
+        return sum_of_products(n, field, [
+            (elem_sym(n, d, field), Poly.const(n, field, lam))
+            for d, lam in enumerate(self.lambdas) if not lam.is_zero()])
 
     def eval_at_weight(self, w: int) -> FieldElem:
         acc = self.field.zero()
@@ -171,11 +170,10 @@ class BenOrForm:
         return Poly(self.n, self.field, terms)
 
     def expand_row(self, k: int) -> Poly:
-        acc = Poly.zero(self.n, self.field)
-        for i, c in enumerate(self.coeffs[k]):
-            if not c.is_zero():
-                acc = acc + self.product_factor(i).scale(c)
-        return acc
+        n, field = self.n, self.field
+        return sum_of_products(n, field, [
+            (self.product_factor(i), Poly.const(n, field, c))
+            for i, c in enumerate(self.coeffs[k]) if not c.is_zero()])
 
 
 def ben_or_coeffs(n: int, field: FieldSpec) -> BenOrForm:
@@ -250,22 +248,16 @@ def num_compressed_vars(n: int, p: int) -> int:
 
 
 def compress_char_p(f: Poly) -> CompressedSymmetric:
-    """Compress a multilinear symmetric polynomial to r = floor(log_p n) + 1
-    coordinates via the digit polynomials S_{d,i}."""
+    """Compress a multilinear symmetric polynomial sum_d lambda_d e_d to
+    r = floor(log_p n) + 1 coordinates as sum_d lambda_d Q_d(y) (Q_0 = 1)."""
     n, field = f.n, f.field
     p = field.p
     r = num_compressed_vars(n, p)
     expansion = sym_to_elem_basis(f)
-    acc = Poly.zero(r, field)
-    for d, lam in enumerate(expansion.lambdas):
-        if lam.is_zero():
-            continue
-        factor = Poly.const(r, field, lam)
-        for i, di in enumerate(_digits(d, p, r)):
-            if di:
-                factor = factor * _falling_factorial_poly(r, i, di, field)
-        acc = acc + factor
-    return CompressedSymmetric(n, r, field, acc)
+    poly = sum_of_products(r, field, [
+        (qt_poly(d, r, p, field) if d else Poly.one(r, field), Poly.const(r, field, lam))
+        for d, lam in enumerate(expansion.lambdas) if not lam.is_zero()])
+    return CompressedSymmetric(n, r, field, poly)
 
 
 def qt_poly(t: int, r: int, p: int, field: FieldSpec) -> Poly:
@@ -309,21 +301,15 @@ def ml_prod_elem(alphas, n: int, field: FieldSpec) -> tuple[ElemSymExpansion, li
 
     expansion = unit_expansion(degrees[0])
     quotients = [Poly.zero(n, field) for _ in range(n)]
-    pair_cache: dict[int, list[Poly]] = {}
     for beta in degrees[1:]:
+        # R_j' = R_j e_beta + sum_i lambda_i D_ij, where D_ij are the Boolean
+        # quotients of e_i e_beta
         e_beta = elem_sym(n, beta, field)
-        new_quotients = [q * e_beta for q in quotients]
-        for i, lam in enumerate(expansion.lambdas):
-            if lam.is_zero():
-                continue
-            if i not in pair_cache:
-                prod = elem_sym(n, i, field) * e_beta
-                dec = divide_by_axioms(prod, "boolean")
-                pair_cache[i] = dec.quotients
-            for j, d_ij in enumerate(pair_cache[i]):
-                if not d_ij.is_zero():
-                    new_quotients[j] = new_quotients[j] + d_ij.scale(lam)
+        scaled = [(Poly.const(n, field, lam),
+                   divide_by_axioms(elem_sym(n, i, field) * e_beta, "boolean").quotients)
+                  for i, lam in enumerate(expansion.lambdas) if not lam.is_zero()]
+        quotients = [sum_of_products(n, field, [(q, e_beta)] + [
+                         (lam, d[j]) for lam, d in scaled])
+                     for j, q in enumerate(quotients)]
         expansion = expansion_times_elem(expansion, beta)
-        quotients = new_quotients
-        pair_cache.clear()  # cache keyed to the previous beta
     return expansion, quotients

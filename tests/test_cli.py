@@ -106,7 +106,10 @@ class TestRefuteVerify:
     ["gen", "--family", "linear-base", "--p", "9", "--n", "2", "--seed", "1"],
     ["oracle", "scan", "--p", "4", "--n", "2", "--seed", "1"],
     ["oracle", "rank", "--p", "318665857834031151167461", "--n", "2", "--seed", "1"],
-], ids=["p4", "k0", "n-1", "m0", "gen-p9", "oracle-p4", "oracle-pseudoprime"])
+    ["oracle", "degree-trial", "--p", "2", "--k", "1", "--n", "2", "--trials", "-1",
+     "--seed", "1"],
+], ids=["p4", "k0", "n-1", "m0", "gen-p9", "oracle-p4", "oracle-pseudoprime",
+        "oracle-trials-1"])
 def test_bad_field_or_size_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1, err

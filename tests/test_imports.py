@@ -1,0 +1,51 @@
+"""No module of src/ipsforge imports a private (underscore-prefixed) ipsforge
+module or name from another module. The kernel selector ``_kernel`` is the
+one exception, and ``_kernel.py`` itself may import the backends it selects
+between."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ipsforge"
+ALLOWED = {"_kernel"}
+KERNEL_BACKENDS = {"_gfcore", "_gfcore_py"}
+
+
+def private_imports(source: str, filename: str) -> list[str]:
+    """The private ipsforge modules and names that source imports."""
+    allowed = ALLOWED | (KERNEL_BACKENDS if filename == "_kernel.py" else set())
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = (["ipsforge"] if node.level else []) + (node.module or "").split(".")
+            base = [part for part in base if part]
+            paths = [base + [alias.name] for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            if path[0] == "ipsforge" and any(
+                    part.startswith("_") and part not in allowed for part in path[1:]):
+                found.append(".".join(path))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_cross_module_imports(path):
+    assert private_imports(path.read_text(), path.name) == []
+
+
+def test_private_imports_are_found():
+    source = ("from ipsforge.mvpoly import _pack, Poly\n"
+              "from ipsforge import _gfcore_py, _kernel as kn\n"
+              "import ipsforge._gfcore\n"
+              "from . import _kernel\n"
+              "from .gf import _least_root\n")
+    assert private_imports(source, "mvpoly.py") == [
+        "ipsforge.mvpoly._pack", "ipsforge._gfcore_py", "ipsforge._gfcore",
+        "ipsforge.gf._least_root"]
+    assert private_imports(source, "_kernel.py") == [
+        "ipsforge.mvpoly._pack", "ipsforge.gf._least_root"]

@@ -12,8 +12,8 @@ from ipsforge.mvpoly import (
     cube_table,
     default_names,
     divide_by_axioms,
+    fermat_exponent,
     format_poly,
-    inddeg_p,
     interpolate_table,
     leading_monomial,
     linear_poly,
@@ -51,16 +51,6 @@ class TestRingOps:
 
 
 class TestSubstitute:
-    def test_simple(self, f4):
-        h = Poly.var(3, f4, 0) + Poly.var(3, f4, 1)
-        s = h.substitute({0: Poly.monomial(3, f4, (1, 1, 0), f4.one()),
-                          1: Poly.var(3, f4, 2)})
-        assert s == Poly.monomial(3, f4, (1, 1, 0), f4.one()) + Poly.var(3, f4, 2)
-
-    def test_empty_is_identity(self, f4, rng):
-        h = rand_poly(3, f4, rng)
-        assert h.substitute({}) == h
-
     def test_lifted_instance_partition_restriction(self, f9):
         # n=2 any-order instance with unit coefficients: substituting the
         # balanced-partition assignment collapses it to u1 v1 + u2 v2 - beta
@@ -123,29 +113,37 @@ class TestMultilinearization:
             assert f.eval_cube_point(mask) == m.eval_cube_point(mask)
 
 
+def fermat(f):
+    """(remainder, quotients) of f divided by the axioms y_j^p - y_j."""
+    dec = divide_by_axioms(f, "fermat")
+    return dec.remainder, dec.quotients
+
+
 class TestInddegP:
+    """Reduction below individual degree p by the Fermat axioms."""
+
     def test_y4_reduces_to_y2_char3(self, f3):
-        red, quots = inddeg_p(Poly.var(1, f3, 0, 4))
+        red, quots = fermat(Poly.var(1, f3, 0, 4))
         assert red == Poly.var(1, f3, 0, 2)
 
     def test_low_degree_fixed(self, f3, rng):
         f = ml(rand_poly(3, f3, rng, 5, 1)) + rand_poly(3, f3, rng, 3, 2)
         if f.individual_degree() < 3:
-            red, quots = inddeg_p(f)
+            red, quots = fermat(f)
             assert red == f
             assert all(q.is_zero() for q in quots)
 
     def test_char2_matches_ml(self, f2, rng):
         for _ in range(20):
             f = rand_poly(3, f2, rng, 5, 4)
-            red, quots = inddeg_p(f)
+            red, quots = fermat(f)
             assert red == ml(f)
             assert quots == divide_by_axioms(f, "boolean").quotients
 
     def test_quotient_identity(self, f3, rng):
         for _ in range(20):
             f = rand_poly(3, f3, rng, 6, 6)
-            red, quots = inddeg_p(f)
+            red, quots = fermat(f)
             assert red.individual_degree() <= 2
             recon = red
             for j, g in enumerate(quots):
@@ -158,9 +156,20 @@ class TestInddegP:
         for _ in range(10):
             f = rand_poly(3, f3, rng, 6, 6)
             d = f.individual_degree()
-            _, quots = inddeg_p(f)
+            _, quots = fermat(f)
             cap = f.sparsity() * max(d, 1) / (3 - 1)
             assert all(g.sparsity() <= cap for g in quots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_exponent_is_the_remainder(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 13]))
+        fld = gf.field_spec(p, 1)
+        exp = tuple(data.draw(st.lists(st.integers(0, 3 * p), min_size=1, max_size=3)))
+        c = fld.from_int(data.draw(st.integers(1, p - 1)))
+        red, _ = fermat(Poly.monomial(len(exp), fld, exp, c))
+        assert red == Poly.monomial(len(exp), fld,
+                                    tuple(fermat_exponent(d, p) for d in exp), c)
 
 
 class TestDivideByAxioms:
