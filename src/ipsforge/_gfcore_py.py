@@ -23,7 +23,8 @@ most 2k-2 is q = ((x div t^k) * mu) div t^(k-2), and x mod modulus is the
 low k slots of x + q * (modulus - t^k). Both products again count at most k-1 bit products
 per slot, plus one bit of x, so they too are read by parity, and the work is
 two multiplies whatever the number of nonzero terms of the modulus. ``vinv``
-for p = 2 runs extended Euclid on bit-packed ints, one xor per quotient bit.
+for p = 2 runs extended Euclid on bit-packed ints, one xor per quotient bit;
+for odd p it is a^(q-2) by ``vpow``, as a^(q-1) = 1 for every unit of F_q.
 
 Fields with k >= 3 and q = p^k <= 2^14 are answered from log/antilog tables
 (Zech's logarithms; Huber, IEEE Trans. IT 1990) once they are busy: LOG maps
@@ -243,28 +244,9 @@ def vpow(a, e, p, modulus):
         acc = vmul(acc, acc, p, modulus)
 
 
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(num, den, p):
-    num = list(num)
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], -1, p)
-    quo = [0] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = (num[i] * inv_lead) % p
-        if c:
-            quo[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
-    return quo, _poly_trim(num)
-
-
 def vinv(a, p, modulus):
-    """Inverse of a in F_p[t]/(modulus) via extended Euclid.
+    """Inverse of a in F_p[t]/(modulus): a table lookup, else extended
+    Euclid for p = 2 and a^(q-2) for odd p.
 
     Raises ZeroDivisionError on the zero vector.
     """
@@ -288,26 +270,4 @@ def vinv(a, p, modulus):
             u ^= v << j
             g1 ^= g2 << j
         return tuple(_unbits(g1, k))
-    r0, r1 = list(modulus), _poly_trim([x % p for x in a])
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        # s_next = s0 - q * s1
-        prod = [0] * (len(q) + len(s1) - 1 if q and s1 else 0)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    prod[i + j] = (prod[i + j] + qi * sj) % p
-        nxt = [0] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            nxt[i] = c
-        for i, c in enumerate(prod):
-            nxt[i] = (nxt[i] - c) % p
-        s0, s1 = s1, _poly_trim(nxt)
-    # r0 is the gcd, a nonzero constant since the modulus is irreducible
-    c_inv = pow(r0[0], -1, p)
-    out = [0] * k
-    for i, c in enumerate(s0):
-        out[i] = (c * c_inv) % p
-    return tuple(out)
+    return vpow(a, p ** k - 2, p, modulus)

@@ -46,6 +46,7 @@ from ipsforge.lowerbounds import (
 )
 from ipsforge.mvpoly import (
     Poly,
+    cube_table,
     divide_by_axioms,
     ml,
 )
@@ -76,6 +77,12 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} criterion-{self.cid:02d} {self.name}"
+
+    def timed_line(self) -> str:
+        """line() with the wall time, and the budget where there is one."""
+        budget = self.details.get("runtime_budget_s")
+        of = f" of {budget:g} s budget" if budget else ""
+        return f"{self.line()}  [{self.runtime_s:.1f} s{of}]"
 
     def to_dict(self) -> dict:
         return {
@@ -199,13 +206,11 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         result = refute_symmetric_system(inst.axioms)
         ok = ok and isinstance(result, Certificate) and verify(inst, result).ok
         compressed = [compress_char_p(f) for f in inst.axioms]
-        ehat = [elem_sym(n, p ** i, fld) for i in range(compressed[0].r)]
+        ehat = [cube_table(elem_sym(n, p ** i, fld)) for i in range(compressed[0].r)]
+        points = [[gf.FieldElem(fld, v) for v in col] for col in zip(*ehat)]
         for f, comp in zip(inst.axioms, compressed):
-            for mask in range(1 << n):
-                point = [e.eval_cube_point(mask) for e in ehat]
-                if comp.poly.eval(point) != f.eval_cube_point(mask):
-                    ok = False
-                    break
+            if [comp.poly.eval(point).coeffs for point in points] != cube_table(f):
+                ok = False
         # re-expand one ml_prod_elem certificate on this field/size
         degrees = [p ** i for i in range(comp.r) if p ** i <= n][:3]
         if len(degrees) >= 2:

@@ -404,7 +404,7 @@ def experiment(suite, seed, only, out, fmt, canonical):
         lines.append(f"all passed: {payload['all_passed']}")
         _emit(payload, out, fmt, canonical, text_lines=lines)
         for r in results:
-            click.echo(r.line(), err=True)
+            click.echo(r.timed_line(), err=True)
         if not payload["all_passed"]:
             raise MathFailure("acceptance_failed", "one or more criteria failed")
         return

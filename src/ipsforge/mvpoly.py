@@ -18,7 +18,7 @@ from operator import lshift
 from typing import Iterable, Mapping, Sequence
 
 from ipsforge import _kernel as kn
-from ipsforge.errors import ArityMismatch, ParseError, ZeroPolynomial
+from ipsforge.errors import ArityMismatch, LevelMismatch, ParseError, ZeroPolynomial
 from ipsforge.gf import FieldElem, FieldSpec
 
 
@@ -156,6 +156,12 @@ def sum_of_products(n: int, field: FieldSpec,
     return _products(n, field, pairs)
 
 
+def _same_field(field: FieldSpec, c: FieldElem) -> None:
+    """LevelMismatch unless c lies in field, as FieldElem arithmetic raises."""
+    if c.spec is not field and c.spec != field:
+        raise LevelMismatch(f"cannot combine {c.spec.text()} with {field.text()}")
+
+
 class Poly:
     """Immutable sparse polynomial in n variables over a fixed field."""
 
@@ -267,6 +273,7 @@ class Poly:
         return _products(self.n, self.field, [(self, other)])
 
     def scale(self, c: FieldElem) -> "Poly":
+        _same_field(self.field, c)
         if c.is_zero():
             return Poly.zero(self.n, self.field)
         field = self.field
@@ -308,32 +315,10 @@ class Poly:
     # -- evaluation and restriction -----------------------------------------------
 
     def eval(self, point: Sequence[FieldElem]) -> FieldElem:
-        """Direct monomial evaluation at a full point."""
+        """The value at a full point: restrict every variable, read the constant."""
         if len(point) != self.n:
             raise ArityMismatch(f"point has {len(point)} coordinates, expected {self.n}")
-        field = self.field
-        p, mod = field.p, field.modulus
-        maxes = [0] * self.n
-        for e in self.terms:
-            for i, d in enumerate(e):
-                if d > maxes[i]:
-                    maxes[i] = d
-        one = (1,) + (0,) * (field.k - 1)
-        powers = []
-        for i in range(self.n):
-            row = [one]
-            base = point[i].coeffs
-            for _ in range(maxes[i]):
-                row.append(kn.vmul(row[-1], base, p, mod))
-            powers.append(row)
-        acc = (0,) * field.k
-        for e, c in self.terms.items():
-            val = c.coeffs
-            for i, d in enumerate(e):
-                if d:
-                    val = kn.vmul(val, powers[i][d], p, mod)
-            acc = kn.vadd(acc, val, p)
-        return FieldElem(field, acc)
+        return self.restrict(dict(enumerate(point))).coeff((0,) * self.n)
 
     def eval_cube_point(self, mask: int) -> FieldElem:
         """Evaluation at the 0/1 point with bit i of mask giving x_{i+1}."""
@@ -345,25 +330,33 @@ class Poly:
         return FieldElem(self.field, acc)
 
     def restrict(self, values: Mapping[int, FieldElem]) -> "Poly":
-        """Substitute constants for some variables."""
-        field = self.field
+        """Substitute constants for some variables (0-based indices). Each
+        constant's powers are made once, as terms first need them, and a term
+        that meets a zero constant is dropped at once."""
+        n, field = self.n, self.field
         p, mod = field.p, field.modulus
+        subs = []  # (index, [v, v^2, ...]), the row None for a zero constant v
+        for i, v in values.items():
+            if not 0 <= i < n:
+                raise ArityMismatch(f"variable index {i} out of range for n={n}")
+            _same_field(field, v)
+            subs.append((i, None if v.is_zero() else [v.coeffs]))
         pieces = []
         for e, c in self.terms.items():
             val = c.coeffs
             key = list(e)
-            dead = False
-            for i, v in values.items():
+            for i, row in subs:
                 d = e[i]
                 if d:
-                    if v.is_zero():
-                        dead = True
+                    if row is None:
                         break
-                    val = kn.vmul(val, kn.vpow(v.coeffs, d, p, mod), p, mod)
-                key[i] = 0
-            if not dead:
+                    while len(row) < d:
+                        row.append(kn.vmul(row[-1], row[0], p, mod))
+                    val = kn.vmul(val, row[d - 1], p, mod)
+                    key[i] = 0
+            else:
                 pieces.append((tuple(key), val))
-        return collect(self.n, field, pieces)
+        return collect(n, field, pieces)
 
 
 def linear_poly(field: FieldSpec, coeffs: Sequence[FieldElem], const: FieldElem) -> Poly:

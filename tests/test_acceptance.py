@@ -12,5 +12,5 @@ from ipsforge import acceptance
                          ids=[fn.__name__ for fn in acceptance.ALL_CRITERIA])
 def test_criterion(criterion):
     result = criterion(acceptance.DEFAULT_SEED)
-    print(f"{result.line()}  [{result.runtime_s:.1f}s]")
+    print(result.timed_line())
     assert result.passed, (result.details, f"runtime_s={result.runtime_s:.1f}")

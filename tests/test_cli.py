@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -331,6 +332,18 @@ class TestDeterminism:
 
     def test_unknown_suite(self, capsys):
         assert run_cli(capsys, "experiment", "mystery")[0] == 1
+
+    @pytest.mark.parametrize("only,timing", [
+        ("7", r"\[\d+\.\d s\]"),  # no budget
+        ("8", r"\[\d+\.\d s of 5 s budget\]"),
+    ])
+    def test_acceptance_times_go_to_stderr_only(self, capsys, only, timing):
+        code, stdout, err = run_cli(capsys, "experiment", "acceptance", "--only", only,
+                                    "--format", "text")
+        assert code == 0
+        m = re.fullmatch(rf"(PASS criterion-0{only} [^\n]+)  {timing}\n", err)
+        assert m, err
+        assert stdout.splitlines() == [m.group(1), "all passed: True"]
 
 
 class TestOracles:

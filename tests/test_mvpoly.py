@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipsforge import _kernel as kn, gf
-from ipsforge.errors import ArityMismatch, ParseError, ZeroPolynomial
+from ipsforge.gf import FieldElem
+from ipsforge.errors import ArityMismatch, LevelMismatch, ParseError, ZeroPolynomial
 from ipsforge.mvpoly import (
     Poly,
     collect,
@@ -73,6 +74,58 @@ class TestSubstitute:
         for mask in range(1 << 4):
             full = mask  # x-variables only; z's already substituted
             assert restricted.eval_cube_point(full) == expect.eval_cube_point(full)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_restrict_then_eval_is_eval(self, data):
+        fld = data.draw(st.sampled_from(
+            [gf.field_spec(2, 3), gf.field_spec(3, 2), gf.field_spec(5, 1), gf.field_spec(7, 3)]))
+        n = data.draw(st.integers(1, 4))
+        elems = st.one_of(st.just(fld.zero()), st.tuples(
+            *[st.integers(0, fld.p - 1)] * fld.k).map(lambda c: FieldElem(fld, c)))
+        terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), elems,
+                                          max_size=8))
+        f = Poly(n, fld, terms)
+        point = data.draw(st.lists(elems, min_size=n, max_size=n))
+        subset = data.draw(st.sets(st.integers(0, n - 1)))
+        # the reference: each term's coefficient times its factors, one by one
+        expect = fld.zero()
+        for e, c in f.terms.items():
+            for x, d in zip(point, e):
+                c = c * x ** d
+            expect = expect + c
+        g = f.restrict({i: point[i] for i in subset})
+        assert all(e[i] == 0 for e in g.terms for i in subset)
+        assert g.eval(point) == f.eval(point) == expect
+
+
+class TestConstantChecks:
+    """A constant of another field or an index outside 0..n-1 is refused."""
+
+    def test_other_field_of_the_same_characteristic(self, f9):
+        f = parse_poly("x1^2 + x1 + 1", 1, f9)
+        c = gf.field_spec(5, 2).from_coeffs([4, 3])
+        with pytest.raises(LevelMismatch):
+            f.eval([c])
+        with pytest.raises(LevelMismatch):
+            f.restrict({0: c})
+        with pytest.raises(LevelMismatch):
+            f.scale(c)
+
+    def test_other_extension_degree(self, f4):
+        f = parse_poly("x1^2 + x1 + 1", 1, f4)
+        c = gf.field_spec(2, 3).gen()
+        with pytest.raises(LevelMismatch):
+            f.restrict({0: c})
+        with pytest.raises(LevelMismatch):
+            f.eval([c])
+
+    @pytest.mark.parametrize("i", [5, 2, -1])
+    def test_index_out_of_range(self, f9, i):
+        f = Poly.var(2, f9, 0) + Poly.var(2, f9, 1)
+        with pytest.raises(ArityMismatch):
+            f.restrict({i: f9.one()})
 
 
 class TestMultilinearization:

@@ -161,10 +161,11 @@ def test_all_top_worst_case(p, k, dense):
     assert kernel.vmul(lone, lone, p, mod) == schoolbook(lone, lone, p, mod)
 
 
-@pytest.mark.parametrize("p,k,dense", P2_SPECS)
+@pytest.mark.parametrize("p,k,dense", SPECS)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_binary_inverse_matches_euclid(p, k, dense, data):
+    """Bitwise Euclid for p = 2 and a^(q-2) for odd p, outside the tables."""
     fld = spec(p, k, dense)
     a = data.draw(vectors(fld))
     if any(a):
