@@ -174,7 +174,7 @@ def _linear_parts(L: Poly) -> tuple[list[FieldElem], FieldElem]:
     fld = L.field
     alphas = [fld.zero()] * L.n
     beta = fld.zero()
-    for exp, c in L.terms.items():
+    for exp, c in L.items():
         if sum(exp) == 0:
             beta = -c
         else:
@@ -302,7 +302,7 @@ def _substitute_monomials(poly_y: Poly, monomials: list[tuple[int, ...]],
                           n: int, fld: FieldSpec) -> Poly:
     """Plug x^{mu_i} in for y_i; exponents add linearly so no expansion blowup."""
     pieces = []
-    for e, c in poly_y.terms.items():
+    for e, c in poly_y.items():
         new = [0] * n
         for idx, d in enumerate(e):
             if d:
@@ -319,15 +319,15 @@ def refute_sparse(f: Poly, tower: FieldTower) -> Certificate:
     linear instance by the Frobenius chain, substitute the monomials back, and
     expand every lifted Boolean axiom through the monomial-axiom identity."""
     n, fld = f.n, f.field
-    support = sorted((e for e in f.terms if sum(e) > 0), key=lambda e: (sum(e), e))
+    support = sorted((e for e in f.exponents() if sum(e) > 0), key=lambda e: (sum(e), e))
     beta = -f.coeff((0,) * n)
     for e in support:
-        if not tower.is_in_subfield(f.terms[e]):
+        if not tower.is_in_subfield(f.coeff(e)):
             raise BetaInSubfield("monomial coefficient outside the base field")
     if tower.is_in_subfield(beta):
         raise BetaInSubfield("beta lies in the base field")
     s = len(support)
-    F = linear_poly(fld, [f.terms[e] for e in support], -beta)
+    F = linear_poly(fld, [f.coeff(e) for e in support], -beta)
     flat_cert = refute_linear_frobenius(F, tower)
     A = _substitute_monomials(flat_cert.A[0], support, n, fld)
     # B_j = sum_mu b_mu E_j(mu), with b_mu the lifted flat B-multiplier of mu
@@ -422,9 +422,9 @@ def _solve_multipliers(axioms: list[Poly], basis: list[tuple[int, ...]],
     n, fld = axioms[0].n, axioms[0].field
     reduce = reduce or (lambda d: d)
     columns = [collect(n, fld, ((tuple([reduce(a + b) for a, b in zip(e, mono)]), c.coeffs)
-                                for e, c in g.terms.items()))
-               for g in axioms for mono in basis]
-    rows = sorted({e for col in columns for e in col.terms}, key=lambda e: (sum(e), e))
+                                for e, c in terms))
+               for terms in [g.items() for g in axioms] for mono in basis]
+    rows = sorted({e for col in columns for e in col.exponents()}, key=lambda e: (sum(e), e))
     index = {e: i for i, e in enumerate(rows)}
     constant = index.get((0,) * n)
     if constant is None:
@@ -432,7 +432,7 @@ def _solve_multipliers(axioms: list[Poly], basis: list[tuple[int, ...]],
     zero = (0,) * fld.k
     matrix = [[zero] * len(columns) for _ in rows]
     for cidx, col in enumerate(columns):
-        for e, c in col.terms.items():
+        for e, c in col.items():
             matrix[index[e]][cidx] = c.coeffs
     rhs = [zero] * len(rows)
     rhs[constant] = fld.one().coeffs

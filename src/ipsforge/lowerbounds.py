@@ -298,7 +298,7 @@ def restricted_degree_scan(alphas: Sequence[FieldElem], beta: FieldElem,
     monomial is a term of the full inverse."""
     alphas = _normalize_alphas(alphas, beta, tower)
     n = len(alphas)
-    terms = ml_inverse(alphas, beta).terms
+    terms = set(ml_inverse(alphas, beta).exponents())
     failing = []
     count = 0
     for r in range(1, n + 1):
@@ -353,10 +353,7 @@ def coefficient_matrix(f: Poly, partition: tuple[Sequence[int], Sequence[int]]
     left, right = tuple(partition[0]), tuple(partition[1])
     if set(left) | set(right) != set(range(f.n)) or set(left) & set(right):
         raise ValueError("partition must split the variable set")
-    max_deg = [0] * f.n
-    for e in f.terms:
-        for i, d in enumerate(e):
-            max_deg[i] = max(max_deg[i], d)
+    max_deg = list(map(max, zip(*f.exponents()))) or [0] * f.n
     row_index = sorted(itertools.product(*(range(max_deg[i] + 1) for i in left)))
     col_index = sorted(itertools.product(*(range(max_deg[i] + 1) for i in right)))
     if len(row_index) > 1 << budget_n() or len(col_index) > 1 << budget_n():
@@ -365,7 +362,7 @@ def coefficient_matrix(f: Poly, partition: tuple[Sequence[int], Sequence[int]]
     cols = {e: i for i, e in enumerate(col_index)}
     zero = f.field.zero()
     entries = [[zero] * len(col_index) for _ in row_index]
-    for e, c in f.terms.items():
+    for e, c in f.items():
         re = tuple(e[i] for i in left)
         ce = tuple(e[i] for i in right)
         entries[rows[re]][cols[ce]] = c
@@ -386,7 +383,7 @@ def eval_dimension(f: Poly, partition: tuple[Sequence[int], Sequence[int]],
     for assignment in itertools.product(points, repeat=len(right)):
         g = f.restrict(dict(zip(right, assignment)))
         vec: dict[int, tuple] = {}
-        for e, c in g.terms.items():
+        for e, c in g.items():
             key = tuple(e[i] for i in left)
             idx = mono_index.setdefault(key, len(mono_index))
             vec[idx] = c.coeffs

@@ -1,20 +1,21 @@
-"""Sparse multivariate polynomials over a FieldSpec field.
+"""Sparse multivariate polynomials over a FieldSpec field: multilinearization,
+division by Boolean/Fermat axioms, cube interpolation and the text grammar.
 
-Terms map exponent vectors (tuples of non-negative ints) to nonzero field
-elements, so equality is map equality and serialization is canonical. The
-module carries the multilinearization operators, division by Boolean/Fermat
-axioms with quotient tracking, cube interpolation, and the text grammar used
-by every file format in the workbench.
+``Poly.terms`` maps packed monomial keys (an nb-byte exponent slot per
+variable, nb the least that holds the largest exponent, so equal polynomials
+have equal terms) to packed coefficients (_Coeffs). Exponent tuples and
+FieldElems appear only at the boundary: the constructor, ``collect``,
+``coeff``, ``items``, ``exponents`` and the text grammar.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import lshift
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import lshift, or_
 from typing import Iterable, Mapping, Sequence
 
 from ipsforge import _kernel as kn
@@ -22,25 +23,16 @@ from ipsforge.errors import ArityMismatch, LevelMismatch, ParseError, ZeroPolyno
 from ipsforge.gf import FieldElem, FieldSpec
 
 
-def _grlex_key(exp: tuple[int, ...]):
-    return (sum(exp), exp)
-
-
 # ---------------------------------------------------------------------------
 # packed arithmetic
 #
-# A product packs every exponent vector into one int, one byte-aligned slot
-# per variable, so a monomial product is one integer add (Monagan & Pearce,
-# CASC 2007). Coefficient vectors are Kronecker-packed into one int, one slot
-# per power of t, so a coefficient product is one integer multiply whose
-# slots hold the convolution. Products accumulate unreduced per output
-# monomial and are reduced mod the modulus and mod p once per output term
-# (delayed reduction, Harvey, JSC 2009). Every slot is wide enough for the
-# largest value it can reach, so no slot ever carries into the next.
+# A monomial product is one add of keys (Monagan & Pearce, CASC 2007), a
+# coefficient product one multiply of Kronecker-spread ints, reduced once per
+# output term (Harvey, JSC 2009). No slot ever carries into the next.
 
 def _pack(vals: Sequence[int], nb: int) -> int:
     """The int whose nb-byte little-endian slots are vals."""
-    if nb == 1:  # the usual width for exponents; bytes() packs it at C speed
+    if nb == 1:  # the usual width; bytes() packs it at C speed
         return int.from_bytes(bytes(vals), "little")
     return int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in vals), "little")
 
@@ -53,93 +45,123 @@ def _unpack(v: int, count: int, nb: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb))
 
 
-class _Coeffs:
-    """Kronecker codec of one field's coefficient vectors with ``bits``-bit
-    slots.
+def _width(top: int) -> int:
+    """The least number of bytes in a slot that holds top."""
+    return (top.bit_length() + 7) // 8 or 1
 
-    A product of two packed vectors has 2k-1 slots holding the convolution,
-    each at most k*(p-1)^2, so a sum of ``pairs`` of them has slots
-    v_i <= pairs*k*(p-1)^2. ``reduce`` maps the slots to the coefficients
-    sum_i v_i * (t^i mod modulus) with one multiply by ``fold``, whose slot
-    (2k-2-i) + j*(2k-1) holds coefficient j of t^i mod the modulus: slot
-    (2k-2) + j*(2k-1) of the product is then coefficient j, and no slot of
-    the product exceeds (2k-1)*(p-1) times the largest v_i. ``_codec``
-    sizes the slots for that bound. Every coefficient lies in [0, p), as
-    FieldElem keeps them.
+
+class _Coeffs:
+    """Codec of one field's packed coefficients: an nb-byte slot per power of
+    t (a lone residue for k = 1), nb the least with 2p < 2^(8nb-1).
+
+    ``fix`` takes every slot from [0, 2p) to [0, p) (broadword, Knuth, TAOCP
+    4A 7.1.3): adding 2^(8nb-1) - p sets a slot's top bit where it is >= p,
+    and that bit times p comes off; so a + b, a + plus - b and plus - a are
+    reduced at once.
+
+    ``spread`` widens the slots to ``wide`` bytes. A sum of ``pairs`` products
+    of spread elements has 2k-1 convolution slots v_i <= pairs*k*(p-1)^2.
+    ``reduce`` maps them to sum_i v_i * (t^i mod modulus) with one multiply by
+    ``fold``, whose slot (2k-2-i) + j*(2k-1) holds coefficient j of t^i mod
+    the modulus, so slot (2k-2) + j*(2k-1) of the product is coefficient j;
+    no slot exceeds (2k-1)*(p-1) max v_i, the bound ``_wide`` sizes for.
     """
 
-    __slots__ = ("p", "k", "shifts", "fold", "take", "mask")
+    __slots__ = ("field", "p", "k", "nb", "plus", "bias", "high", "shift",
+                 "moves", "fold", "take", "mask")
 
-    def __init__(self, field: FieldSpec, bits: int):
+    def __init__(self, field: FieldSpec, wide: int):
         p, k = field.p, field.k
-        self.p, self.k = p, k
-        self.shifts = [bits * i for i in range(k)]
+        self.field, self.p, self.k = field, p, k
+        self.nb = ((2 * p).bit_length() + 8) // 8
+        self.shift, ones = 8 * self.nb - 1, _pack([1] * k, self.nb)
+        self.plus, self.high = p * ones, ones << self.shift
+        self.bias = self.high - self.plus
+        self.moves = [8 * (wide * i + j) for i in range(k) for j in range(self.nb)]
+        bits, self.fold = 8 * wide, 0
         self.take = [bits * (2 * k - 2 + j * (2 * k - 1)) for j in range(k)]
         self.mask = (1 << bits) - 1
-        fold = 0
         t, r = field.gen().coeffs, field.one().coeffs  # r = t^i mod the modulus
         for i in range(2 * k - 1):
             for j, c in enumerate(r):
-                fold += c << (bits * (2 * k - 2 - i + j * (2 * k - 1)))
+                self.fold += c << (bits * (2 * k - 2 - i + j * (2 * k - 1)))
             r = kn.vmul(r, t, p, field.modulus)
-        self.fold = fold
 
-    def pack(self, c: FieldElem) -> int:
-        return c.coeffs[0] if self.k == 1 else sum(map(lshift, c.coeffs, self.shifts))
+    def fix(self, d: int) -> int:
+        return d - (((d + self.bias) & self.high) >> self.shift) * self.p
 
-    def reduce(self, v: int) -> tuple[int, ...]:
-        """The coefficient vector of a packed, unreduced sum of products."""
-        p = self.p
+    def pack(self, coeffs: Sequence[int]) -> int:
+        return _pack(coeffs, self.nb)
+
+    def elem(self, v: int) -> FieldElem:
+        return FieldElem(self.field, _unpack(v, self.k, self.nb))
+
+    def spread(self, v: int) -> int:
+        return sum(map(lshift, v.to_bytes(self.k * self.nb, "little"), self.moves))
+
+    def reduce(self, v: int) -> int:
         if self.k == 1:
-            return (v % p,)
-        w, mask = v * self.fold, self.mask
-        return tuple([((w >> s) & mask) % p for s in self.take])
+            return v % self.p
+        w, mask, p = v * self.fold, self.mask, self.p
+        return _pack([((w >> s) & mask) % p for s in self.take], self.nb)
 
 
-@lru_cache(maxsize=128)  # a few fields, each with a few dozen slot widths
-def _codec_bits(field: FieldSpec, bits: int) -> _Coeffs:
-    return _Coeffs(field, bits)
+def _wide(field: FieldSpec, pairs: int) -> int:
+    """The bytes of a wide slot that holds sums of up to ``pairs`` products."""
+    return _width(pairs * field.k * (2 * field.k - 1) * (field.p - 1) ** 3)
 
 
-def _codec(field: FieldSpec, pairs: int) -> _Coeffs:
-    """The codec whose slots hold sums of up to ``pairs`` products."""
-    p, k = field.p, field.k
-    return _codec_bits(field, (pairs * k * (2 * k - 1) * (p - 1) ** 3).bit_length())
+@lru_cache(maxsize=128)  # a few fields, each with a few slot widths
+def _codec(field: FieldSpec, wide: int = 0) -> _Coeffs:
+    """The codec with ``wide``-byte wide slots, by default those of one product."""
+    return _Coeffs(field, wide or _wide(field, 1))
+
+
+def _canon(n: int, field: FieldSpec, nb: int, terms: dict) -> "Poly":
+    """The Poly of terms with nb-byte key slots, repacked to the least width."""
+    if nb > 1:
+        need = _width(max((max(_unpack(e, n, nb), default=0) for e in terms), default=0))
+        if need < nb:
+            terms = {_pack(_unpack(e, n, nb), need): c for e, c in terms.items()}
+            nb = need
+    return Poly._of(n, field, nb, terms)
+
+
+def _merge(n: int, field: FieldSpec, nb: int, pieces: Iterable[tuple[int, int]]) -> "Poly":
+    """The sum of the packed terms (key, coefficient), keys with nb-byte
+    slots: equal keys add, and sums that are zero leave no term."""
+    fix = _codec(field).fix
+    out: dict[int, int] = {}
+    for e, c in pieces:
+        cur = out.get(e)
+        out[e] = c if cur is None else fix(cur + c)
+    return _canon(n, field, nb, {e: c for e, c in out.items() if c})
 
 
 def _products(n: int, field: FieldSpec, pairs: Iterable[tuple["Poly", "Poly"]]) -> "Poly":
-    """sum f*g over the pairs: packed, accumulated unreduced per output
-    monomial, and reduced once per output term."""
-    # an output monomial of f*g collects at most one term pair per term of
-    # the smaller factor, and its exponents never exceed the sum of the
-    # factors' largest ones
-    factors = []
+    """sum f*g over the pairs, reduced once per output term. An output
+    monomial of f*g collects at most one term pair per term of the smaller
+    factor, and no exponent above the sum of the factors' largest ones."""
+    def top(h):  # at least h's largest exponent: the largest slot of the keys' or
+        return max(_unpack(reduce(or_, h.terms), n, h.nb), default=0)
+
+    factors, most = [], 0
     for f, g in pairs:
-        small, big = f.terms, g.terms
-        if len(small) > len(big):
-            small, big = big, small
-        if small:
-            factors.append((small, big))
-    if not factors:
-        return Poly.zero(n, field)
-    top = max(max(map(max, s)) + max(map(max, b)) for s, b in factors) if n else 0
-    enb = (top.bit_length() + 7) // 8 or 1
-    codec = _codec(field, sum(len(s) for s, _ in factors))
-    pc = codec.pack
+        if f.terms and g.terms:
+            most = max(most, top(f) + top(g))
+            factors.append((f, g) if len(f.terms) <= len(g.terms) else (g, f))
+    nb = _width(most)
+    codec = _codec(field, _wide(field, sum(len(f.terms) for f, _ in factors)))
+    sp, red = codec.spread, codec.reduce
     out: dict[int, int] = defaultdict(int)
-    for small, big in factors:
-        a = [(_pack(e, enb), pc(c)) for e, c in small.items()]
-        b = [(_pack(e, enb), pc(c)) for e, c in big.items()]
+    for f, g in factors:
+        a, b = f._at(nb).items(), g._at(nb).items()
+        if field.k > 1:  # a lone residue is its own Kronecker form
+            a, b = [(e, sp(c)) for e, c in a], [(e, sp(c)) for e, c in b]
         for e1, c1 in a:
             for e2, c2 in b:
                 out[e1 + e2] += c1 * c2
-    reduce = codec.reduce
-    terms = {}
-    for key, v in out.items():
-        c = reduce(v)
-        if any(c):
-            terms[_unpack(key, n, enb)] = FieldElem(field, c)
-    return Poly._of(n, field, terms)
+    return _canon(n, field, nb, {e: c for e, v in out.items() if (c := red(v))})
 
 
 def sum_of_products(n: int, field: FieldSpec,
@@ -165,38 +187,48 @@ def _same_field(field: FieldSpec, c: FieldElem) -> None:
 class Poly:
     """Immutable sparse polynomial in n variables over a fixed field."""
 
-    __slots__ = ("n", "field", "terms")
+    __slots__ = ("n", "field", "nb", "terms")
 
     def __init__(self, n: int, field: FieldSpec, terms: Mapping[tuple[int, ...], FieldElem]):
-        self.n = n
-        self.field = field
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        pack = _codec(field).pack
+        packed = [(e, v) for e, c in terms.items() if (v := pack(c.coeffs))]
+        top = max((max(e, default=0) for e, _ in packed), default=0)
+        self.n, self.field, self.nb = n, field, _width(top)
+        self.terms = {_pack(e, self.nb): v for e, v in packed}
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def zero(cls, n: int, field: FieldSpec) -> "Poly":
-        return cls(n, field, {})
+        return cls._of(n, field, 1, {})
 
     @classmethod
     def const(cls, n: int, field: FieldSpec, c: FieldElem) -> "Poly":
-        return cls(n, field, {(0,) * n: c})
+        v = _codec(field).pack(c.coeffs)
+        return cls._of(n, field, 1, {0: v} if v else {})
 
     @classmethod
     def one(cls, n: int, field: FieldSpec) -> "Poly":
-        return cls.const(n, field, field.one())
+        return cls._of(n, field, 1, {0: 1})
 
     @classmethod
     def var(cls, n: int, field: FieldSpec, i: int, exp: int = 1) -> "Poly":
         """The monomial x_{i+1}^exp (i is 0-based)."""
         if not 0 <= i < n:
             raise ArityMismatch(f"variable index {i} out of range for n={n}")
-        e = tuple(exp if j == i else 0 for j in range(n))
-        return cls(n, field, {e: field.one()})
+        nb = _width(exp)
+        return cls._of(n, field, nb, {exp << (8 * nb * i): 1})
 
     @classmethod
     def monomial(cls, n: int, field: FieldSpec, exp: tuple[int, ...], c: FieldElem) -> "Poly":
         return cls(n, field, {tuple(exp): c})
+
+    @classmethod
+    def _of(cls, n: int, field: FieldSpec, nb: int, terms: dict) -> "Poly":
+        """A Poly owning packed terms: no zero coefficient, nb the least."""
+        self = object.__new__(cls)
+        self.n, self.field, self.nb, self.terms = n, field, nb, terms
+        return self
 
     # -- inspection -------------------------------------------------------------
 
@@ -208,65 +240,71 @@ class Poly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(sum, self.exponents()), default=-1)
 
     def individual_degree(self) -> int:
-        return max((max(e) for e in self.terms), default=0) if self.n else 0
+        return max(map(max, self.exponents()), default=0) if self.n else 0
 
     def coeff(self, exp: tuple[int, ...]) -> FieldElem:
-        return self.terms.get(tuple(exp), self.field.zero())
+        exp = tuple(exp)
+        fits = len(exp) == self.n and all(0 <= d < 1 << 8 * self.nb for d in exp)
+        v = self.terms.get(_pack(exp, self.nb)) if fits else None
+        return self.field.zero() if v is None else _codec(self.field).elem(v)
+
+    def items(self) -> list[tuple[tuple[int, ...], FieldElem]]:
+        """(exponent vector, coefficient) of every term."""
+        return list(zip(self.exponents(), map(_codec(self.field).elem, self.terms.values())))
+
+    def exponents(self) -> list[tuple[int, ...]]:
+        n, nb = self.n, self.nb
+        if nb == 1:  # the key's bytes are the exponents
+            return [tuple(e.to_bytes(n, "little")) for e in self.terms]
+        return [_unpack(e, n, nb) for e in self.terms]
 
     def is_multilinear(self) -> bool:
-        return all(all(x <= 1 for x in e) for e in self.terms)
+        ones = _pack([1] * self.n, self.nb)
+        return not any(e & ~ones for e in self.terms)
+
+    def _at(self, nb: int) -> dict[int, int]:
+        """The terms with keys of nb >= self.nb bytes a slot."""
+        n, old = self.n, self.nb
+        return self.terms if nb == old else {
+            _pack(_unpack(e, n, old), nb): c for e, c in self.terms.items()}
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.n == other.n
-            and self.field == other.field
-            and self.terms == other.terms
-        )
+        return isinstance(other, Poly) and (self.n, self.nb, self.field, self.terms) == (
+            other.n, other.nb, other.field, other.terms)
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+        return hash((self.n, self.nb, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
 
     def _check(self, other: "Poly") -> None:
         if self.n != other.n or self.field != other.field:
-            raise ArityMismatch(
-                f"cannot combine polys over n={self.n},{self.field.text()} "
-                f"and n={other.n},{other.field.text()}"
-            )
+            raise ArityMismatch(f"cannot combine polys over n={self.n},{self.field.text()} "
+                                f"and n={other.n},{other.field.text()}")
 
     # -- ring operations ---------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        field = self.field
-        p = field.p
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            if cur is None:
-                out[e] = c
-            else:
-                s = kn.vadd(cur.coeffs, c.coeffs, p)
-                if any(s):
-                    out[e] = FieldElem(field, s)
-                else:
-                    del out[e]
-        return Poly._of(self.n, field, out)
+        nb = max(self.nb, other.nb)
+        a, b = sorted((self._at(nb), other._at(nb)), key=len)
+        fix, out = _codec(self.field).fix, dict(b)
+        for e, c in a.items():
+            out[e] = fix(out[e] + c) if e in out else c
+        return _canon(self.n, self.field, nb, {e: c for e, c in out.items() if c})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        p = self.field.p
-        return Poly._of(self.n, self.field,
-                        {e: FieldElem(self.field, kn.vneg(c.coeffs, p))
-                         for e, c in self.terms.items()})
+        codec = _codec(self.field)
+        fix, plus = codec.fix, codec.plus
+        return Poly._of(self.n, self.field, self.nb,
+                        {e: fix(plus - c) for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -276,20 +314,12 @@ class Poly:
         _same_field(self.field, c)
         if c.is_zero():
             return Poly.zero(self.n, self.field)
-        field = self.field
-        codec = _codec(field, 1)
-        pc, reduce = codec.pack, codec.reduce
-        s = pc(c)
-        # each distinct coefficient is multiplied once; a product of nonzero
-        # field elements is nonzero
-        images: dict[tuple[int, ...], FieldElem] = {}
-        terms = {}
-        for e, x in self.terms.items():
-            y = images.get(x.coeffs)
-            if y is None:
-                y = images[x.coeffs] = FieldElem(field, reduce(pc(x) * s))
-            terms[e] = y
-        return Poly._of(self.n, field, terms)
+        codec = _codec(self.field)
+        s = codec.spread(codec.pack(c.coeffs))
+        # each distinct coefficient is multiplied once, to a nonzero product
+        images = {x: codec.reduce(codec.spread(x) * s) for x in set(self.terms.values())}
+        return Poly._of(self.n, self.field, self.nb,
+                        {e: images[x] for e, x in self.terms.items()})
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -304,14 +334,6 @@ class Poly:
                 acc = acc * acc
         return result
 
-    @classmethod
-    def _of(cls, n: int, field: FieldSpec, terms: dict) -> "Poly":
-        """A Poly that takes ownership of terms, whose coefficients are all
-        nonzero already."""
-        self = object.__new__(cls)
-        self.n, self.field, self.terms = n, field, terms
-        return self
-
     # -- evaluation and restriction -----------------------------------------------
 
     def eval(self, point: Sequence[FieldElem]) -> FieldElem:
@@ -322,64 +344,65 @@ class Poly:
 
     def eval_cube_point(self, mask: int) -> FieldElem:
         """Evaluation at the 0/1 point with bit i of mask giving x_{i+1}."""
-        acc = (0,) * self.field.k
-        p = self.field.p
+        return self.eval([self.field.from_int(mask >> i & 1) for i in range(self.n)])
+
+    def eval_cube_prefixes(self) -> list[FieldElem]:
+        """The values at the 0/1 points 1^w 0^{n-w}, w = 0..n, in one pass:
+        a term counts toward every w past its highest-index variable."""
+        w, codec = 8 * self.nb, _codec(self.field)
+        first = [0] * (self.n + 1)  # first[h]: the terms whose last variable is x_h
         for e, c in self.terms.items():
-            if all((mask >> i) & 1 or d == 0 for i, d in enumerate(e)):
-                acc = kn.vadd(acc, c.coeffs, p)
-        return FieldElem(self.field, acc)
+            h = (e.bit_length() + w - 1) // w
+            first[h] = codec.fix(first[h] + c)
+        return [codec.elem(v) for v in accumulate(first, lambda a, c: codec.fix(a + c))]
 
     def restrict(self, values: Mapping[int, FieldElem]) -> "Poly":
         """Substitute constants for some variables (0-based indices). Each
         constant's powers are made once, as terms first need them, and a term
         that meets a zero constant is dropped at once."""
-        n, field = self.n, self.field
-        p, mod = field.p, field.modulus
+        n, field, nb, w = self.n, self.field, self.nb, 8 * self.nb
+        p, k, mod, codec = field.p, field.k, field.modulus, _codec(field)
+        slot, keep = (1 << w) - 1, (1 << (w * n)) - 1  # keep: the slots left
         subs = []  # (index, [v, v^2, ...]), the row None for a zero constant v
         for i, v in values.items():
             if not 0 <= i < n:
                 raise ArityMismatch(f"variable index {i} out of range for n={n}")
             _same_field(field, v)
             subs.append((i, None if v.is_zero() else [v.coeffs]))
+            keep &= ~(slot << (w * i))
         pieces = []
-        for e, c in self.terms.items():
-            val = c.coeffs
-            key = list(e)
+        for (e, c), ex in zip(self.terms.items(), self.exponents()):
+            val = None
             for i, row in subs:
-                d = e[i]
-                if d:
+                if d := ex[i]:
                     if row is None:
                         break
                     while len(row) < d:
                         row.append(kn.vmul(row[-1], row[0], p, mod))
-                    val = kn.vmul(val, row[d - 1], p, mod)
-                    key[i] = 0
+                    val = kn.vmul(_unpack(c, k, codec.nb) if val is None else val, row[d - 1], p, mod)
             else:
-                pieces.append((tuple(key), val))
-        return collect(n, field, pieces)
+                pieces.append((e & keep, c if val is None else codec.pack(val)))
+        return _merge(n, field, nb, pieces)
 
 
 def linear_poly(field: FieldSpec, coeffs: Sequence[FieldElem], const: FieldElem) -> Poly:
     """sum_i coeffs[i] * x_{i+1} + const in len(coeffs) variables; zero
     coefficients leave no term."""
-    n = len(coeffs)
-    terms = {tuple(1 if v == i else 0 for v in range(n)): c
-             for i, c in enumerate(coeffs) if not c.is_zero()}
+    pack = _codec(field).pack
+    terms = {1 << (8 * i): pack(c.coeffs) for i, c in enumerate(coeffs) if not c.is_zero()}
     if not const.is_zero():
-        terms[(0,) * n] = const
-    return Poly._of(n, field, terms)
+        terms[0] = pack(const.coeffs)
+    return Poly._of(len(coeffs), field, 1, terms)
 
 
 def collect(n: int, field: FieldSpec,
             terms: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]) -> Poly:
     """The sum of the terms c * x^e over the (e, c) pairs, c a coefficient
     vector: equal exponents add, and sums that are zero leave no term."""
-    p = field.p
-    out: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for e, c in terms:
-        cur = out.get(e)
-        out[e] = c if cur is None else kn.vadd(cur, c, p)
-    return Poly._of(n, field, {e: FieldElem(field, c) for e, c in out.items() if any(c)})
+    pieces = [(tuple(e), c) for e, c in terms]
+    nb = _width(max((max(e) for e, _ in pieces if e), default=0))
+    pack = _codec(field).pack
+    return _merge(n, field, nb, [(_pack(e, nb), pack(c)) for e, c in pieces])
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +414,15 @@ def ml(f: Poly) -> Poly:
 
 
 def ml_partial(f: Poly, variables: Iterable[int]) -> Poly:
-    vs = set(variables)
-    return collect(f.n, f.field, (
-        (tuple(min(d, 1) if i in vs else d for i, d in enumerate(e)), c.coeffs)
-        for e, c in f.terms.items()))
+    """Clamp the exponents of the given variables to 1 on the keys: adding
+    2^(w-1) - 1 to a w-bit slot's low bits sets its top bit where it is
+    nonzero, and that bit, shifted down, is the clamped exponent."""
+    w, vs = 8 * f.nb, set(variables)
+    low = sum(((1 << (w - 1)) - 1) << (w * i) for i in vs)
+    high = sum(1 << (w * i + w - 1) for i in vs)
+    return _merge(f.n, f.field, f.nb, [
+        (e & ~(low | high) | (((e & low) + low | e) & high) >> (w - 1), c)
+        for e, c in f.terms.items()])
 
 
 @dataclass
@@ -414,40 +442,25 @@ class QuotientDecomposition:
 
 
 def divide_by_axioms(f: Poly, axiom_kind: str = "boolean") -> QuotientDecomposition:
-    """Sequential division by x_j^e - x_j, j ascending (e = 2 or p).
-
-    Remainder has individual degree < e and the reconstruction identity is
-    term-exact.
-    """
-    if axiom_kind == "boolean":
-        e = 2
-    elif axiom_kind == "fermat":
-        e = f.field.p
-    else:
+    """Sequential division by x_j^e - x_j, j ascending (e = 2 or p). The
+    remainder has individual degree < e; recompose() is term-exact."""
+    e = {"boolean": 2, "fermat": f.field.p}.get(axiom_kind)
+    if e is None:
         raise ValueError(f"unknown axiom kind {axiom_kind!r}")
-    field = f.field
-    p = field.p
-    rem = {exp: c.coeffs for exp, c in f.terms.items()}
-    quotients = []
+    rem, quotients = f, []
     for j in range(f.n):
-        qj: dict[tuple[int, ...], tuple[int, ...]] = {}
-        new_rem: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-        def put(table, key, val):
-            cur = table.get(key)
-            table[key] = val if cur is None else kn.vadd(cur, val, p)
-
-        for exp, c in rem.items():
-            d = exp[j]
-            while d >= e:
-                put(qj, exp[:j] + (d - e,) + exp[j + 1:], c)
+        s, slot = 8 * rem.nb * j, (1 << 8 * rem.nb) - 1
+        q, r = [], []
+        for key, c in rem.terms.items():
+            d = (key >> s) & slot
+            while d >= e:  # x_j^d = x_j^(d-e) (x_j^e - x_j) + x_j^(d-e+1)
+                q.append((key - (e << s), c))
+                key -= (e - 1) << s
                 d -= e - 1
-            put(new_rem, exp[:j] + (d,) + exp[j + 1:], c)
-        rem = {k: v for k, v in new_rem.items() if any(v)}
-        quotients.append(Poly(f.n, field,
-                              {k: FieldElem(field, v) for k, v in qj.items() if any(v)}))
-    remainder = Poly(f.n, field, {k: FieldElem(field, v) for k, v in rem.items()})
-    return QuotientDecomposition(remainder, quotients, axiom_kind)
+            r.append((key, c))
+        quotients.append(_merge(f.n, f.field, rem.nb, q))
+        rem = _merge(f.n, f.field, rem.nb, r)
+    return QuotientDecomposition(rem, quotients, axiom_kind)
 
 
 def fermat_exponent(d: int, p: int) -> int:
@@ -466,35 +479,26 @@ def interpolate_table(table: Sequence[tuple[int, ...]], n: int,
     coefficient vectors: table[mask] is its value at the 0/1 point with bit
     i of mask = x_{i+1}.
 
-    Broadword Moebius inversion: each vector is one int with a w-bit slot per
-    power of t, w the byte multiple with 2p < 2^(w-1), so one cell subtracts
-    every slot mod p at once. d = a + p - b puts each slot in [1, 2p); adding
-    2^(w-1) - p sets a slot's top bit exactly where d >= p, and that bit,
-    shifted down and times p, takes p off those slots. No slot leaves
-    [0, 2^w), so none carries into the next. The transform runs once per bit:
-    a perfect shuffle brings the next bit to the top, where the pairs
-    (mask, mask ^ bit) are the two halves of the table. FieldElems are built
-    only for the nonzero coefficients.
+    Broadword Moebius inversion on packed elements, once per bit: a perfect
+    shuffle brings the next bit to the top, where the pairs (mask, mask ^ bit)
+    are the two halves of the table. A cell is _Coeffs.fix(a + plus - b),
+    written out because a call per cell costs an oracle pass several percent.
     """
     size = 1 << n
     if len(table) != size:
         raise ArityMismatch(f"table has {len(table)} entries, expected {size}")
-    p, k = field.p, field.k
-    nb = ((2 * p).bit_length() + 8) // 8
-    shift = 8 * nb - 1
-    ones = _pack([1] * k, nb)
-    plus, high = p * ones, ones << shift
-    bias = high - plus
-    c = [_pack(v, nb) for v in table]
+    co = _codec(field)
+    p, plus, bias, high, shift = co.p, co.plus, co.bias, co.high, co.shift
+    c = [_pack(v, co.nb) for v in table]
     half = size >> 1
     for _ in range(n):
         c = c[0::2] + c[1::2]  # rotate the mask bits: bit 0 becomes the top
         c[half:] = [(d := a + plus - b) - (((d + bias) & high) >> shift) * p
                     for a, b in zip(c[half:], c)]
-    # the product's j-th tuple lists the bits of j from the top down
-    terms = {e[::-1]: FieldElem(field, _unpack(v, k, nb))
-             for e, v in zip(itertools.product((0, 1), repeat=n), c) if v}
-    return Poly._of(n, field, terms)
+    keys = [0]  # keys[mask]: the key of x_{i+1} over the bits i of mask
+    for i in range(n):
+        keys += [e + (1 << (8 * i)) for e in keys]
+    return Poly._of(n, field, 1, {e: v for e, v in zip(keys, c) if v})
 
 
 def cube_table(f: Poly) -> list[tuple[int, ...]]:
@@ -502,29 +506,26 @@ def cube_table(f: Poly) -> list[tuple[int, ...]]:
     point with bit i of mask giving x_{i+1}, the table interpolate_table reads.
 
     One zeta transform over the subset lattice, the inverse of the Moebius
-    step: each term's coefficient goes to the slot of its support mask, then
-    for each bit c[mask] += c[mask ^ bit]. The coefficient vectors are packed
-    one int per mask, one byte-aligned slot per power of t; a value is a sum
-    of at most every term's coefficient, so slots sized for len(terms)*(p-1)
-    never carry into each other.
+    step: each term's coefficient goes to the cell of its support mask, then
+    for each bit c[mask] += c[mask ^ bit]. The cells' slots are spread to hold
+    len(terms)*(p-1), so none carries into the next.
     """
     n, field = f.n, f.field
     p, k = field.p, field.k
-    nb = ((len(f.terms) * (p - 1)).bit_length() + 7) // 8 or 1
+    nb = max(_codec(field).nb, _width(len(f.terms) * (p - 1)))
+    spread = _codec(field, nb).spread
     c = [0] * (1 << n)
-    for e, v in f.terms.items():
+    for e, v in zip(f.exponents(), f.terms.values()):
         mask = 0
         for i, d in enumerate(e):
             if d:
                 mask |= 1 << i
-        c[mask] += _pack(v.coeffs, nb)
+        c[mask] += spread(v)
     for i in range(n):
         bit = 1 << i
         for mask in range(bit, 1 << n):
-            if mask & bit:
-                src = c[mask ^ bit]
-                if src:
-                    c[mask] += src
+            if mask & bit and (src := c[mask ^ bit]):
+                c[mask] += src
     return [tuple([x % p for x in _unpack(v, k, nb)]) for v in c]
 
 
@@ -533,7 +534,7 @@ def leading_monomial(f: Poly) -> tuple[int, ...]:
     first, ties broken left-to-right on variable index)."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial has no leading monomial")
-    return max(f.terms, key=_grlex_key)
+    return max(f.exponents(), key=lambda e: (sum(e), e))
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +567,14 @@ def format_elem(c: FieldElem) -> str:
 def format_poly(f: Poly, names: Sequence[str] | None = None) -> str:
     if f.is_zero():
         return "0"
-    names = names or default_names(f.n)
+    heads = [f"*{name}^" for name in names or default_names(f.n)]
+    elem, texts = _codec(f.field).elem, {}  # texts: coefficient -> its text
     parts = []
-    for exp in sorted(f.terms, key=_grlex_key, reverse=True):
-        c = f.terms[exp]
-        factors = [format_elem(c)]
-        for i, d in enumerate(exp):
-            if d:
-                factors.append(f"{names[i]}^{d}")
-        parts.append("*".join(factors))
+    exps = f.exponents()  # sorted grlex-descending; no two terms share exponents
+    for _, e, c in sorted(zip(map(sum, exps), exps, f.terms.values()), reverse=True):
+        if (text := texts.get(c)) is None:
+            text = texts[c] = format_elem(elem(c))
+        parts.append(text + "".join([heads[i] + str(d) for i, d in enumerate(e) if d]))
     return " + ".join(parts)
 
 
@@ -637,7 +637,7 @@ def parse_poly(text: str, n: int, field: FieldSpec,
                              column=lit.start()) from None
         if coeff is None:
             coeff = one
-        pieces.append((tuple(exp), kn.vneg(coeff, p) if sign == "-" else coeff))
+        pieces.append((exp, kn.vneg(coeff, p) if sign == "-" else coeff))
         pos = m.end()
     if not pieces:
         raise ParseError("empty polynomial", column=0)

@@ -100,21 +100,21 @@ class ElemSymExpansion:
 
 def weight_values(f: Poly) -> list[FieldElem]:
     """f at the points 1^w 0^{n-w}; a symmetric polynomial is determined by these."""
-    return [f.eval_cube_point((1 << w) - 1) for w in range(f.n + 1)]
+    return f.eval_cube_prefixes()
 
 
 def sym_to_elem_basis(f: Poly) -> ElemSymExpansion:
     """Expand a multilinear symmetric polynomial in the e_d basis.
 
-    Symmetry is verified by weight-class consistency of the coefficients;
-    lambdas come from a triangular solve against the weight values.
+    Symmetry is verified by weight-class consistency of the coefficients,
+    and then f = sum_d c_d e_d with c_d the coefficient of the degree-d class.
     """
     if not f.is_multilinear():
         raise NotSymmetric("input must be multilinear")
     n, field = f.n, f.field
     by_degree: dict[int, FieldElem] = {}
     counts: dict[int, int] = {}
-    for exp, c in f.terms.items():
+    for exp, c in f.items():
         d = sum(exp)
         if d in by_degree and by_degree[d] != c:
             raise NotSymmetric(f"degree-{d} monomials carry unequal coefficients")
@@ -123,7 +123,8 @@ def sym_to_elem_basis(f: Poly) -> ElemSymExpansion:
     for d, cnt in counts.items():
         if d > 0 and cnt != comb(n, d):
             raise NotSymmetric(f"degree-{d} class is incomplete ({cnt} of {comb(n, d)})")
-    return ElemSymExpansion.from_weight_values(weight_values(f), field)
+    zero = field.zero()
+    return ElemSymExpansion(n, field, tuple(by_degree.get(d, zero) for d in range(n + 1)))
 
 
 def ml_pair_expansion(a: int, b: int, n: int, field: FieldSpec) -> ElemSymExpansion:

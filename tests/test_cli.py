@@ -265,25 +265,38 @@ def test_huge_field_exits_1_quickly(tmp_path, capsys):
         assert "2^5000" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["refute", "--family", "symmetric", "--p", "5", "--n", "40", "--m", "3", "--seed", "1"],
-    ["gen", "--family", "symmetric", "--p", "5", "--n", "40", "--m", "3", "--seed", "1"],
-    ["refute", "--family", "symmetric", "--p", "3", "--n", "40", "--poly", "e1+1"],
-    ["gen", "--family", "symmetric", "--p", "3", "--n", "40", "--poly", "e1+1"],
-    ["refute", "--family", "sparse-shifted", "--p", "3", "--k", "2", "--n", "40",
-     "--seed", "1"],
-], ids=["refute", "gen", "refute-poly", "gen-poly", "refute-sparse"])
-def test_symmetric_n_over_budget_exits_1_quickly(capsys, monkeypatch, argv):
+SPARSE = ["--family", "sparse-shifted", "--p", "3", "--k", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["refute", "--family", "symmetric", "--p", "5", "--n", "40", "--m", "3", "--seed", "1"],
+     12),
+    (["gen", "--family", "symmetric", "--p", "5", "--n", "40", "--m", "3", "--seed", "1"], 12),
+    (["refute", "--family", "symmetric", "--p", "3", "--n", "40", "--poly", "e1+1"], 12),
+    (["gen", "--family", "symmetric", "--p", "3", "--n", "40", "--poly", "e1+1"], 12),
+    (["refute", *SPARSE, "--n", "40"], 10),
+    (["refute", *SPARSE, "--n", "11"], 10),
+], ids=["refute", "gen", "refute-poly", "gen-poly", "refute-sparse", "refute-sparse-11"])
+def test_symmetric_n_over_budget_exits_1_quickly(capsys, monkeypatch, argv, cap):
     """A symmetric axiom expands into up to 2^n terms, so n is capped by the
     budget before any expansion: n = 40 used to run out of memory. The
     sparse-shifted family is capped the same way, before its instance is
-    drawn: at n = 40 it ran out of memory too."""
+    drawn, at n <= 10: at n = 40 it ran out of memory too, and n = 11 ran
+    for about a minute."""
     monkeypatch.delenv("IPSFORGE_BUDGET_N", raising=False)
     start = time.perf_counter()
     code, _, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 2
     assert code == 1, err
-    assert "n <= 12" in err and "n = 40" in err
+    assert f"n <= {cap}" in err and f"n = {argv[argv.index('--n') + 1]}" in err
+
+
+def test_sparse_cap_admits_n_10(capsys, monkeypatch):
+    monkeypatch.delenv("IPSFORGE_BUDGET_N", raising=False)
+    assert run_cli(capsys, "gen", *SPARSE, "--n", "10")[0] == 0
+    monkeypatch.setenv("IPSFORGE_BUDGET_N", "4")
+    code, _, err = run_cli(capsys, "gen", *SPARSE, "--n", "5")
+    assert code == 1 and "n <= 4" in err
 
 
 def test_symmetric_n_cap_follows_budget_env(capsys, monkeypatch):

@@ -306,8 +306,8 @@ class TestCoefficientMatrix:
                 continue
             # f(x1,x2,y1,y2) = g(x) * h(y)
             terms = {}
-            for (e1, c1) in g.terms.items():
-                for (e2, c2) in h.terms.items():
+            for (e1, c1) in g.items():
+                for (e2, c2) in h.items():
                     terms[e1 + e2] = c1 * c2
             f = Poly(4, f9, terms)
             assert coefficient_matrix(f, ((0, 1), (2, 3))).rank() == 1
@@ -411,7 +411,7 @@ class TestLiftedInstances:
         for u, v in inst.balanced_partitions():
             restricted = inst.restricted(u, v)
             # z variables are gone after substitution
-            x_only = Poly(4, tower.ext, {e[:4]: c for e, c in restricted.terms.items()})
+            x_only = Poly(4, tower.ext, {e[:4]: c for e, c in restricted.items()})
             values = [x_only.eval_cube_point(m) for m in range(1 << 4)]
             if any(val.is_zero() for val in values):
                 continue

@@ -1,9 +1,12 @@
-"""The packed product in Poly against a schoolbook reference.
+"""Poly's packed terms against references on exponent and coefficient tuples.
 
-The reference multiplies term by term with the pure-Python kernel's vmul and
-adds with its vadd, reducing every single product; Poly packs exponents and
-coefficients into ints and reduces once per output term. Hypothesis drives
-random operands; the worst cases for the coefficient slots are fixed below.
+The product reference multiplies term by term with the pure-Python kernel's
+vmul and adds with its vadd, reducing every single product; Poly keeps
+exponents and coefficients packed into ints and reduces once per output
+term. Sums, negation, scaling, restriction, multilinearization, collect,
+division by the axioms and the text round trip have references on tuple
+dicts too. Hypothesis drives random operands; the worst cases for the
+coefficient slots are fixed below.
 """
 
 import itertools
@@ -14,7 +17,15 @@ from hypothesis import given, settings, strategies as st
 from ipsforge import _gfcore_py as ref
 from ipsforge import gf
 from ipsforge.errors import ArityMismatch
-from ipsforge.mvpoly import Poly, sum_of_products
+from ipsforge.mvpoly import (
+    Poly,
+    collect,
+    divide_by_axioms,
+    format_poly,
+    ml_partial,
+    parse_poly,
+    sum_of_products,
+)
 
 FIELDS = [(p, k) for p in (2, 3, 5, 13) for k in (1, 2, 3, 6, 12)]
 
@@ -24,8 +35,8 @@ def schoolbook(pairs, field):
     p, mod = field.p, field.modulus
     out = {}
     for f, g in pairs:
-        for e1, c1 in f.terms.items():
-            for e2, c2 in g.terms.items():
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 prod = ref.vmul(c1.coeffs, c2.coeffs, p, mod)
                 out[key] = ref.vadd(out[key], prod, p) if key in out else prod
@@ -33,7 +44,7 @@ def schoolbook(pairs, field):
 
 
 def coeff_map(f):
-    return {e: c.coeffs for e, c in f.terms.items()}
+    return {e: c.coeffs for e, c in f.items()}
 
 
 @st.composite
@@ -114,3 +125,155 @@ def test_sum_of_products_checks_every_factor():
         sum_of_products(2, f4, [(Poly.one(2, f4), Poly.one(3, f4))])
     with pytest.raises(ArityMismatch):
         sum_of_products(2, f4, [(Poly.one(2, f9), Poly.one(2, f9))])
+
+
+# ---------------------------------------------------------------------------
+# every term-level operation against a reference on {exponent tuple:
+# coefficient tuple} dicts, built with the pure kernel's vadd, vneg and vmul
+
+REF_FIELDS = [(p, k) for p in (2, 3, 13) for k in (1, 2, 3, 6, 12)]
+
+
+def tuple_map(f):
+    return {e: c.coeffs for e, c in f.items()}
+
+
+def ref_collect(pieces, p):
+    out = {}
+    for e, c in pieces:
+        e = tuple(e)
+        out[e] = ref.vadd(out[e], c, p) if e in out else c
+    return {e: c for e, c in out.items() if any(c)}
+
+
+def ref_restrict(terms, values, field):
+    p, mod = field.p, field.modulus
+    pieces = []
+    for e, c in terms.items():
+        for i, v in values.items():
+            if e[i]:
+                c = ref.vmul(c, ref.vpow(v.coeffs, e[i], p, mod), p, mod)
+        pieces.append((tuple(0 if i in values else d for i, d in enumerate(e)), c))
+    return ref_collect(pieces, p)
+
+
+def ref_divide(terms, n, e, p):
+    """Sequential division by x_j^e - x_j, j ascending, on tuples."""
+    rem, quotients = dict(terms), []
+    for j in range(n):
+        q, pieces = [], []
+        for exp, c in rem.items():
+            d = exp[j]
+            while d >= e:
+                q.append((exp[:j] + (d - e,) + exp[j + 1:], c))
+                d -= e - 1
+            pieces.append((exp[:j] + (d,) + exp[j + 1:], c))
+        rem = ref_collect(pieces, p)
+        quotients.append(ref_collect(q, p))
+    return rem, quotients
+
+
+@st.composite
+def ref_operands(draw, count):
+    p, k = draw(st.sampled_from(REF_FIELDS))
+    field = gf.field_spec(p, k)
+    n = draw(st.integers(0, 3))
+    exps = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(120, 300))
+                       for _ in range(n)])
+    coeffs = st.tuples(*[st.integers(0, p - 1) for _ in range(k)])
+    maps = [draw(st.dictionaries(exps, coeffs, max_size=10)) for _ in range(count)]
+    return field, n, maps
+
+
+def poly_of(field, n, terms):
+    return Poly(n, field, {e: gf.FieldElem(field, c) for e, c in terms.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_operands(2))
+def test_sums_and_negation_match_reference(case):
+    field, n, (a, b) = case
+    p = field.p
+    f, g = poly_of(field, n, a), poly_of(field, n, b)
+    a, b = tuple_map(f), tuple_map(g)  # zero coefficients dropped
+    neg_b = {e: ref.vneg(c, p) for e, c in b.items()}
+    assert tuple_map(f + g) == ref_collect(list(a.items()) + list(b.items()), p)
+    assert tuple_map(f - g) == ref_collect(list(a.items()) + list(neg_b.items()), p)
+    assert tuple_map(-g) == neg_b
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_operands(1), st.data())
+def test_scale_restrict_and_ml_partial_match_reference(case, data):
+    field, n, (a,) = case
+    p, k = field.p, field.k
+    f = poly_of(field, n, a)
+    a = tuple_map(f)
+    elem = st.tuples(*[st.integers(0, p - 1) for _ in range(k)]).map(
+        lambda c: gf.FieldElem(field, c))
+    c = data.draw(elem)
+    assert tuple_map(f.scale(c)) == ref_collect(
+        [(e, ref.vmul(x, c.coeffs, p, field.modulus)) for e, x in a.items()], p)
+    values = data.draw(st.dictionaries(st.integers(0, n - 1), elem) if n else st.just({}))
+    assert tuple_map(f.restrict(values)) == ref_restrict(a, values, field)
+    vs = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
+    assert tuple_map(ml_partial(f, vs)) == ref_collect(
+        [(tuple(min(d, 1) if i in vs else d for i, d in enumerate(e)), x)
+         for e, x in a.items()], p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_operands(1), st.data())
+def test_collect_matches_reference(case, data):
+    field, n, (a,) = case
+    if not a:
+        a = {(0,) * n: (1,) + (0,) * (field.k - 1)}
+    # repeated exponents, so that equal ones add and some sums cancel
+    pieces = data.draw(st.lists(st.tuples(st.sampled_from(list(a)),
+                                          st.sampled_from(list(a.values()))), max_size=12))
+    assert tuple_map(collect(n, field, pieces)) == ref_collect(pieces, field.p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_operands(1), st.sampled_from(["boolean", "fermat"]))
+def test_divide_by_axioms_matches_reference(case, kind):
+    field, n, (a,) = case
+    f = poly_of(field, n, a)
+    dec = divide_by_axioms(f, kind)
+    rem, quotients = ref_divide(tuple_map(f), n, 2 if kind == "boolean" else field.p, field.p)
+    assert tuple_map(dec.remainder) == rem
+    assert [tuple_map(q) for q in dec.quotients] == quotients
+    assert dec.recompose() == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_operands(1))
+def test_format_parse_round_trip(case):
+    field, n, (a,) = case
+    f = poly_of(field, n, a)
+    back = parse_poly(format_poly(f), n, field)
+    assert tuple_map(back) == tuple_map(f) == {e: c for e, c in a.items() if any(c)}
+    assert back == f and hash(back) == hash(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_operands(2))
+def test_routes_to_one_poly_compare_and_hash_equal(case):
+    """The same polynomial by routes whose exponent slots differ in width:
+    a detour through exponents of 256 and more, cancelled again, leaves the
+    storage of the direct route."""
+    field, n, (a, b) = case
+    f, g = poly_of(field, n, a), poly_of(field, n, b)
+    far = Poly.monomial(n, field, (300,) * n, field.one()) if n else Poly.one(0, field)
+    routes = [
+        f,
+        (f + g) - g,
+        (f + far) - far,
+        collect(n, field, [(e, c.coeffs) for e, c in f.items()]),
+        parse_poly(format_poly(f), n, field),
+        sum_of_products(n, field, [(f, Poly.one(n, field)), (g, far), (-g, far)]),
+        divide_by_axioms(f * far, "boolean").recompose() - f * far + f,
+        f.scale(field.one()),
+    ]
+    for h in routes:
+        assert h == f and hash(h) == hash(f) and h.terms == f.terms

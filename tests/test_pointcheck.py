@@ -86,7 +86,7 @@ class PointEvaluator:
 
     def __call__(self, f: Poly) -> gf.FieldElem:
         acc = self.ext.zero()
-        for e, c in f.terms.items():
+        for e, c in f.items():
             v = self.coeff(c)
             for j, d in enumerate(e):
                 if d:
@@ -147,7 +147,7 @@ def _mutations(cert: Certificate, rng: random.Random):
         nonzero = [i for i, f in enumerate(polys) if not f.is_zero()]
         if nonzero:
             i = rng.choice(nonzero)
-            picks.append((side, i, rng.choice(sorted(polys[i].terms))))
+            picks.append((side, i, rng.choice(sorted(polys[i].exponents()))))
     if n:
         picks.append(("B", rng.randrange(n), tuple(rng.randrange(2) for _ in range(n))))
     for side, idx, exp in picks:

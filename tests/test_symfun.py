@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ipsforge import gf
 from ipsforge.errors import FieldTooSmall, NotSymmetric, OutOfRange
@@ -20,6 +20,7 @@ from ipsforge.symfun import (
     num_compressed_vars,
     qt_poly,
     sym_to_elem_basis,
+    weight_values,
 )
 
 
@@ -47,7 +48,7 @@ class TestElemSym:
         tail_ed1 = elem_sym(n - 1, d - 1, f9)
 
         def shift(f):
-            terms = {(0,) + e: c for e, c in f.terms.items()}
+            terms = {(0,) + e: c for e, c in f.items()}
             return Poly(n, f9, terms)
 
         rhs = Poly.var(n, f9, 0) * shift(tail_ed1) + shift(tail_ed)
@@ -141,6 +142,28 @@ class TestElemBasis:
         expansion = ElemSymExpansion.from_weight_values(values, field)
         assert expansion.n == len(values) - 1
         assert [expansion.eval_at_weight(w) for w in range(len(values))] == values
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]), st.integers(0, 6),
+           st.data())
+    def test_weight_values_and_expansion_match_cube_points(self, pk, n, data):
+        """weight_values (one pass over the terms) and sym_to_elem_basis (the
+        degree-class coefficients) against eval_cube_point at 1^w 0^(n-w):
+        on a random symmetric multilinear f, and for weight_values also on
+        any f, exponents above 1 included."""
+        field = gf.field_spec(*pk)
+        elem = st.integers(0, field.order - 1).map(field.from_encoding)
+        lams = tuple(data.draw(st.lists(elem, min_size=n + 1, max_size=n + 1)))
+        f = ElemSymExpansion(n, field, lams).to_poly()
+        prefix = [f.eval_cube_point((1 << w) - 1) for w in range(n + 1)]
+        assert weight_values(f) == prefix
+        expansion = sym_to_elem_basis(f)
+        assert expansion.lambdas == lams and expansion.to_poly() == f
+        assert [expansion.eval_at_weight(w) for w in range(n + 1)] == prefix
+        terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), elem,
+                                          max_size=10))
+        g = Poly(n, field, terms)
+        assert weight_values(g) == [g.eval_cube_point((1 << w) - 1) for w in range(n + 1)]
 
     def test_not_symmetric(self, f3):
         with pytest.raises(NotSymmetric):
