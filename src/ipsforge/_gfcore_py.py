@@ -1,7 +1,6 @@
-"""Pure-Python kernel for F_p[t] coefficient-vector arithmetic.
+"""The arithmetic kernel: F_p[t] coefficient-vector arithmetic in pure Python.
 
-Twin of the compiled ``_gfcore`` extension; selected by ``_kernel`` when the
-extension is unavailable or ``IPSFORGE_PURE_PY=1``. Vectors are tuples of ints
+Other modules read it through ``_kernel``. Vectors are tuples of ints
 reduced mod p; ``modulus`` is the monic modulus as a tuple of length k+1.
 Everything here is exact integer arithmetic.
 
@@ -43,8 +42,6 @@ packed paths, where a build would cost more than it saves.
 """
 
 from functools import lru_cache
-
-BACKEND = "python"
 
 _TABLE_BITS = 14  # tables for fields of at most 2^14 elements, hence k <= 14
 _TABLE_MAX = 1 << _TABLE_BITS

@@ -1,29 +1,13 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The arithmetic kernel that every module reads F_p[t] vector operations from.
 
-Set ``IPSFORGE_PURE_PY=1`` to force the pure-Python kernel (used by the
-benchmark to compare both backends on the same workload).
+A plain re-export of the pure-Python ``_gfcore_py``. Callers look the
+functions up on this module at call time, so a profiler or counter can wrap
+them here without seeing the kernel's own internal calls.
 """
 
-import os
-
-if os.environ.get("IPSFORGE_PURE_PY") == "1":
-    from ipsforge import _gfcore_py as _impl
-else:
-    try:
-        from ipsforge import _gfcore as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from ipsforge import _gfcore_py as _impl
-
-BACKEND = _impl.BACKEND
-vadd = _impl.vadd
-vsub = _impl.vsub
-vneg = _impl.vneg
-vsmul = _impl.vsmul
-vmul = _impl.vmul
-vpow = _impl.vpow
-vinv = _impl.vinv
+from ipsforge._gfcore_py import vadd, vsub, vneg, vsmul, vmul, vpow, vinv
 
 
 def kernel_backend() -> str:
-    """Name of the active kernel backend: ``cython`` or ``python``."""
-    return BACKEND
+    """Name of the kernel backend; there is one, ``python``."""
+    return "python"

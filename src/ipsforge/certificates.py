@@ -625,6 +625,11 @@ def certificate_from_dict(data: dict) -> tuple[Instance, Certificate]:
             raise ParseError(f"certificate {key!r} must be a list of strings")
     if len(data["var_names"]) != n:
         raise ParseError(f"certificate declares {len(data['var_names'])} names for n = {n}")
+    provenance = data.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ParseError("certificate 'provenance' must be a JSON object")
+    if not isinstance(provenance.get("constructor", ""), str):
+        raise ParseError("certificate 'provenance.constructor' must be a string")
     fld = parse_field_spec(data["field"])
     names = tuple(data["var_names"])
     tower = None
@@ -645,5 +650,5 @@ def certificate_from_dict(data: dict) -> tuple[Instance, Certificate]:
 
     instance = Instance(n, fld, parse_list("instance"), data.get("meta", "generic"),
                         tower, names)
-    cert = Certificate(parse_list("A"), parse_list("B"), data.get("provenance", {}))
+    cert = Certificate(parse_list("A"), parse_list("B"), provenance)
     return instance, cert

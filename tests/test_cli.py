@@ -141,12 +141,15 @@ def test_bad_field_or_size_is_usage_error(capsys, argv):
     ("e1^" + "9" * 5000, 1),
     (lambda cert: {**cert, "B": ["x1^" + "9" * 5000] + cert["B"][1:]}, 1),
     (lambda cert: {**cert, "B": ["[1," + "7" * 5000 + ",0,0]*x1"] + cert["B"][1:]}, 1),
+    (lambda cert: {**cert, "provenance": None}, 1),
+    (lambda cert: {**cert, "provenance": {**cert["provenance"], "constructor": ["x"]}}, 1),
 ], ids=["poly-product", "poly-degree", "poly-dangling", "poly-variable",
         "poly-juxtaposed", "poly-double-sign",
         "cert-list", "cert-no-A", "cert-n-string", "cert-short-B",
         "tower-int", "tower-no-base", "tower-rows-of-9", "tower-t-to-zero",
         "instance-list", "cert-A-juxtaposed", "field-extra-parens",
-        "poly-long-exponent", "cert-long-exponent", "cert-long-coefficient"])
+        "poly-long-exponent", "cert-long-exponent", "cert-long-coefficient",
+        "cert-provenance-null", "cert-constructor-list"])
 def test_bad_input_exit_code(tmp_path, capsys, bad, expected):
     """Malformed --poly text, certificate and instance files exit 1; a
     certificate of the wrong shape for its instance exits 2; neither is an

@@ -1,16 +1,18 @@
 """No module of src/ipsforge imports a private (underscore-prefixed) ipsforge
-module or name from another module. The kernel selector ``_kernel`` is the
-one exception, and ``_kernel.py`` itself may import the backends it selects
-between."""
+module or name from another module. The kernel module ``_kernel`` is the
+one exception, and ``_kernel.py`` itself may import the kernel it re-exports.
+The package holds Python source only: no generated or compiled files."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+import ipsforge
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "ipsforge"
 ALLOWED = {"_kernel"}
-KERNEL_BACKENDS = {"_gfcore", "_gfcore_py"}
+KERNEL_BACKENDS = {"_gfcore_py"}
 
 
 def private_imports(source: str, filename: str) -> list[str]:
@@ -48,4 +50,10 @@ def test_private_imports_are_found():
         "ipsforge.mvpoly._pack", "ipsforge._gfcore_py", "ipsforge._gfcore",
         "ipsforge.gf._least_root"]
     assert private_imports(source, "_kernel.py") == [
-        "ipsforge.mvpoly._pack", "ipsforge.gf._least_root"]
+        "ipsforge.mvpoly._pack", "ipsforge._gfcore", "ipsforge.gf._least_root"]
+
+
+def test_package_holds_python_source_only():
+    assert [path.name for path in SRC.iterdir()
+            if path.is_file() and path.suffix != ".py"] == []
+    assert ipsforge.kernel_backend() == "python"

@@ -6,8 +6,9 @@ parities and reduces by Barrett's quotient; the reference below convolves
 term by term and reduces with every coefficient of the modulus, and vinv is
 checked against a list-based extended Euclid. Hypothesis drives random
 vectors over the first irreducible modulus of each field and over a dense
-one with many nonzero terms; the worst case for the slots (every component
-p-1, up to k = 127 for p = 2) and two small fields in full are fixed below.
+one with many nonzero terms, from p = 2 up to p = 2^61 - 1; the worst case
+for the slots (every component p-1, up to k = 127 for p = 2) and two small
+fields in full are fixed below.
 The log/antilog tables of fields with at most 2^14 elements are built
 explicitly and checked against the same references.
 """
@@ -24,7 +25,11 @@ from ipsforge import gf
 # p = 2 adds odd, prime, byte-sized, word-sized and the largest k that
 # gf.FIELD_BITS admits, 127
 BINARY_FIELDS = [(2, k) for k in (5, 7, 8, 31, 64, 127)]
-FIELDS = [(p, k) for p in (2, 3, 5, 13) for k in (1, 2, 3, 4, 6, 12, 16, 24)] + BINARY_FIELDS
+# Large primes: 2^61 - 1, whose k = 3 would be over gf.FIELD_BITS, and a
+# seven-digit prime, whose slots take six bytes
+BIG_FIELDS = [((1 << 61) - 1, 1), ((1 << 61) - 1, 2), (1000003, 3), (1000003, 4)]
+FIELDS = ([(p, k) for p in (2, 3, 5, 13) for k in (1, 2, 3, 4, 6, 12, 16, 24)]
+          + BINARY_FIELDS + BIG_FIELDS)
 
 # Nonzero terms of the modulus of gf.field_spec(p, k) and of dense_spec(p, k)
 # for k >= 2. They name the test cases, so that collection builds no field;
@@ -40,6 +45,8 @@ TERMS = {
     (13, 12): (2, 9), (13, 16): (2, 14), (13, 24): (2, 19),
     (2, 5): (3, 5), (2, 7): (3, 7), (2, 8): (5, 7), (2, 31): (3, 25), (2, 64): (5, 53),
     (2, 127): (3, 103),
+    ((1 << 61) - 1, 1): (1,), ((1 << 61) - 1, 2): (2, 3),
+    (1000003, 3): (2, 4), (1000003, 4): (3, 4),
 }
 
 
@@ -103,7 +110,6 @@ def spec(p, k, dense):
 CASES = [(p, k, False) for p, k in FIELDS] + [(p, k, True) for p, k in FIELDS if k >= 2]
 SPECS = [pytest.param(p, k, dense, id=f"GF({p}^{k})-{TERMS[p, k][dense]}terms")
          for p, k, dense in CASES]
-P2_SPECS = [param for param in SPECS if param.values[0] == 2]
 
 
 def vectors(spec):
@@ -172,18 +178,19 @@ def test_binary_inverse_matches_euclid(p, k, dense, data):
         assert kernel.vinv(a, p, fld.modulus) == euclid_inverse(a, p, fld.modulus)
 
 
-@pytest.mark.parametrize("p,k,dense", P2_SPECS)
+@pytest.mark.parametrize("p,k,dense", SPECS)
 def test_binary_inverse_of_zero_raises(p, k, dense):
+    """For every p, also where a^(q-2) would return zero."""
     with pytest.raises(ZeroDivisionError):
-        kernel.vinv((0,) * k, 2, spec(p, k, dense).modulus)
+        kernel.vinv((0,) * k, p, spec(p, k, dense).modulus)
 
 
 def test_multibyte_slots_are_exercised():
-    """The slot bound k*(p-1)^2 needs two bytes here, so the hypothesis cases
-    above cover the multi-byte packing too."""
-    for p, k in ((13, 4), (5, 16), (13, 24)):
+    """The slot bound k*(p-1)^2 needs two bytes, or six for p = 1000003, so
+    the hypothesis cases above cover the multi-byte packing too."""
+    for p, k, nb in ((13, 4, 2), (5, 16, 2), (13, 24, 2), (1000003, 3, 6), (1000003, 4, 6)):
         spec = gf.field_spec(p, k)
-        assert kernel._plan(p, spec.modulus)[0] == 2
+        assert kernel._plan(p, spec.modulus)[0] == nb
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3)])
