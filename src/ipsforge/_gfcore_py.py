@@ -25,27 +25,38 @@ two multiplies whatever the number of nonzero terms of the modulus. ``vinv``
 for p = 2 runs extended Euclid on bit-packed ints, one xor per quotient bit;
 for odd p it is a^(q-2) by ``vpow``, as a^(q-1) = 1 for every unit of F_q.
 
+An element's stored form, the one ``mvpoly`` keeps coefficients in, is an
+int with a ``cell_bytes(p)``-byte slot per power of t (``pack``/``unpack``).
+
 Fields with k >= 3 and q = p^k <= 2^14 are answered from log/antilog tables
-(Zech's logarithms; Huber, IEEE Trans. IT 1990) once they are busy: LOG maps
-each nonzero vector to its discrete logarithm, EXP lists the powers of the
-generator twice over, so that ``vmul`` is EXP[LOG[a] + LOG[b]], ``vinv`` is
-EXP[q-1-LOG[a]] and ``vpow`` is EXP[LOG[a]*e mod (q-1)]; zero is the one
-vector missing from LOG. A field's tables are built on its first product
-after q generic ones, which is what one build costs, so that a field that
-makes few products never pays for them; only untabled products are counted.
-The build takes the least-encoding element of order q-1 and walks its
-powers, and stores "no table" if the walk repeats before it has covered the
-q-1 units: a ring whose q-1 nonzero elements are all powers of one unit is a
-field, so the tables never rest on the modulus being irreducible. Degrees 1
-and 2 keep their closed forms, which are as fast, and larger fields the
-packed paths, where a build would cost more than it saves.
+(Zech's logarithms; Huber, IEEE Trans. IT 1990) once they are busy, keyed on
+the stored int, one byte per power of t as p <= 25: LOG maps each nonzero
+element to its discrete logarithm, EXP lists the powers of the generator
+twice over, so that a product is EXP[LOG[a] + LOG[b]], an inverse
+EXP[q-1-LOG[a]] and a power EXP[LOG[a]*e mod (q-1)]; zero is the one element
+missing from LOG. ``vmul``, ``vinv`` and ``vpow`` convert their tuples at
+that boundary. A field's tables are built on its first product after q
+generic ones, which is what one build costs, so that a field that makes few
+products never pays for them; only untabled products are counted. The build
+takes the least-encoding element of order q-1 and walks its powers, and
+stores "no table" if the walk repeats before it has covered the q-1 units: a
+ring whose q-1 nonzero elements are all powers of one unit is a field, so the
+tables never rest on the modulus being irreducible. Degrees 1 and 2 keep
+their closed forms, which are as fast, and larger fields the packed paths,
+where a build would cost more than it saves.
+
+``vinv_cells`` inverts a list of stored elements: by table lookups where the
+field has tables, else by Montgomery's trick (3(N-1) products, counted
+toward the same threshold, and one inversion), on the stored ints with the
+p = 2 Barrett product and on tuples converted at its boundary otherwise.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate
 
 _TABLE_BITS = 14  # tables for fields of at most 2^14 elements, hence k <= 14
 _TABLE_MAX = 1 << _TABLE_BITS
-_TABLE_FIELDS = 32  # tables kept at once; one of GF(2^14) holds about 4 MB
+_TABLE_FIELDS = 32  # tables kept at once; one of GF(2^14) holds about 2 MB
 _COUNTED_FIELDS = 128  # product counters kept at once, one per field in use
 _tables = {}  # (p, modulus) -> (LOG, EXP), or None for "no table"
 _products = {}  # (p, modulus) -> generic products made, for untabled fields
@@ -66,6 +77,27 @@ def vneg(a, p):
 def vsmul(a, s, p):
     s %= p
     return tuple((x * s) % p for x in a)
+
+
+def cell_bytes(p):
+    """Bytes of a slot of the stored form: the least nb with 2p < 2^(8nb-1),
+    so that a slot holds the sum of two residues below a spare top bit."""
+    return ((2 * p).bit_length() + 8) // 8
+
+
+def pack(vals, nb):
+    """The int whose nb-byte little-endian slots are vals."""
+    if nb == 1:  # the usual width; bytes() packs it at C speed
+        return int.from_bytes(bytes(vals), "little")
+    return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in vals]), "little")
+
+
+def unpack(v, count, nb):
+    """The first count nb-byte slots of v; inverse of pack."""
+    raw = v.to_bytes(count * nb, "little")
+    if nb == 1:
+        return tuple(raw)
+    return tuple([int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)])
 
 
 @lru_cache(maxsize=128)  # one entry per field in use
@@ -96,19 +128,23 @@ def _unbits(x, n):
 
 @lru_cache(maxsize=128)  # one entry per binary field in use
 def _plan2(modulus):
-    """(bit offset of slot k, bit offset of slot k-2, mu, taps, ones, low)
-    of the p = 2 vmul: mu = t^(2k-2) div modulus and taps = modulus - t^k
-    packed one byte per coefficient, and the masks of the low bit of each of
-    the 2k-1 convolution slots and of the k lowest slots."""
+    """The p = 2 product of stored elements, 3 <= k < 256: with mu = t^(2k-2)
+    div modulus and taps = modulus - t^k packed a byte per coefficient, and
+    masks of the low bits of the 2k-1 convolution slots and the k low ones."""
     k = len(modulus) - 1
     f, rem, mu = _bits(modulus), 1 << (2 * k - 2), 0
     while rem.bit_length() > k:
         s = rem.bit_length() - 1 - k
         mu |= 1 << s
         rem ^= f << s
-    ones = int.from_bytes(b"\x01" * (2 * k - 1), "little")
-    return (8 * k, 8 * (k - 2), int.from_bytes(_unbits(mu, k - 1), "little"),
-            int.from_bytes(bytes(modulus[:-1]), "little"), ones, ones >> 8 * (k - 1))
+    top, qshift, mu = 8 * k, 8 * (k - 2), pack(_unbits(mu, k - 1), 1)
+    taps, ones = pack(modulus[:-1], 1), pack(b"\x01" * (2 * k - 1), 1)
+    low = ones >> 8 * (k - 1)
+
+    def mul(x, y):
+        x = (x * y) & ones
+        return (x + ((x >> top) * mu >> qshift & ones) * taps) & low
+    return mul
 
 
 def _keep(cache, key, value, size):
@@ -120,8 +156,8 @@ def _keep(cache, key, value, size):
 
 
 def log_tables(p, modulus):
-    """Build and cache the (LOG, EXP) tables of F_p[t]/(modulus); None, also
-    cached, when the ring is not a field.
+    """Build and cache the (LOG, EXP) tables of F_p[t]/(modulus), keyed on
+    the stored int; None, also cached, when the ring is not a field.
 
     EXP[i] is g^i for the least-encoding g of order q-1, for 0 <= i < 2(q-1),
     and LOG[EXP[i]] = i for i < q-1. A nonzero g with g^(q-1) != 1 already
@@ -149,26 +185,27 @@ def log_tables(p, modulus):
             break
     else:
         return None
-    log, exp, x = {}, [], one
-    for i in range(q - 1):
-        log[x] = i
-        exp.append(x)
-        x = vmul(x, g, p, modulus)
+    if p == 2:  # walk the stored ints
+        exp = list(accumulate([pack(g, 1)] * (q - 2), _plan2(modulus), initial=1))
+    else:
+        exp = [pack(x, 1) for x in accumulate(
+            [g] * (q - 2), lambda x, y: vmul(x, y, p, modulus), initial=one)]
+    log = {x: i for i, x in enumerate(exp)}
     if len(log) < q - 1:  # the walk repeated
         return None
     _tables[key] = tab = (log, exp + exp)
     return tab
 
 
-def _count_product(key, q):
-    """Count one generic product of an untabled field; the field's tables,
+def _count_product(key, q, n=1):
+    """Count n generic products of an untabled field; the field's tables,
     built now, once it has made q of them, else None."""
-    n = _products.get(key, 0)
-    if n < q:
-        if n:
-            _products[key] = n + 1
+    done = _products.get(key, 0)
+    if done < q:
+        if done:
+            _products[key] = done + n
         else:
-            _keep(_products, key, 1, _COUNTED_FIELDS)
+            _keep(_products, key, n, _COUNTED_FIELDS)
         return None
     return log_tables(*key)
 
@@ -191,25 +228,17 @@ def vmul(a, b, p, modulus):
             tab = _count_product(key, p ** k)
         if tab is not None:
             log, exp = tab
-            i, j = log.get(a), log.get(b)
+            i = log.get(int.from_bytes(bytes(a), "little"))
+            j = log.get(int.from_bytes(bytes(b), "little"))
             if i is not None and j is not None:
-                return exp[i + j]
+                return tuple(exp[i + j].to_bytes(k, "little"))
             if not (any(a) and any(b)):
                 return (0,) * k
     if p == 2 and k < 256:  # no byte slot carries
-        top, qshift, mu, taps, ones, low = _plan2(modulus)
-        x = (int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")) & ones
-        q = ((x >> top) * mu >> qshift) & ones
-        return tuple(((x + q * taps) & low).to_bytes(k, "little"))
+        x = _plan2(modulus)(int.from_bytes(bytes(a), "little"), int.from_bytes(bytes(b), "little"))
+        return tuple(x.to_bytes(k, "little"))
     nb, taps = _plan(p, modulus)
-    if nb == 1:
-        prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
-        conv = list(prod.to_bytes(2 * k - 1, "little"))
-    else:
-        x = int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in a]), "little")
-        y = int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in b]), "little")
-        raw = (x * y).to_bytes((2 * k - 1) * nb, "little")
-        conv = [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
+    conv = list(unpack(pack(a, nb) * pack(b, nb), 2 * k - 1, nb))
     i = 2 * k - 2
     while i >= k:  # t^i = t^(i-k) * t^k
         c = conv[i] % p
@@ -225,9 +254,9 @@ def vpow(a, e, p, modulus):
     k = len(a)
     if 2 < k <= _TABLE_BITS and (tab := _tables.get((p, modulus))):
         log, exp = tab
-        i = log.get(a)
+        i = log.get(int.from_bytes(bytes(a), "little"))
         if i is not None:
-            return exp[i * e % len(log)]
+            return tuple(exp[i * e % len(log)].to_bytes(k, "little"))
     result = (1,) + (0,) * (k - 1)
     if e == 0:
         return result
@@ -250,9 +279,9 @@ def vinv(a, p, modulus):
     k = len(a)
     if 2 < k <= _TABLE_BITS and (tab := _tables.get((p, modulus))):
         log, exp = tab
-        i = log.get(a)
+        i = log.get(int.from_bytes(bytes(a), "little"))
         if i is not None:
-            return exp[len(log) - i]
+            return tuple(exp[len(log) - i].to_bytes(k, "little"))
     if not any(a):
         raise ZeroDivisionError("inverse of zero field element")
     if k == 1:
@@ -268,3 +297,35 @@ def vinv(a, p, modulus):
             g1 ^= g2 << j
         return tuple(_unbits(g1, k))
     return vpow(a, p ** k - 2, p, modulus)
+
+
+def _montgomery(xs, mul, inv):
+    """The inverses of the units xs by Montgomery's trick: with prefix[i] =
+    x_0...x_i and rest[i] = 1/prefix[i], 1/x_i = prefix[i-1] * rest[i]."""
+    prefix = list(accumulate(xs, mul))
+    rest = list(accumulate(reversed(xs[1:]), mul, initial=inv(prefix[-1])))[::-1]
+    return [rest[0]] + list(map(mul, prefix, rest[1:]))
+
+
+def vinv_cells(cells, p, modulus):
+    """The inverses of the stored elements cells of F_p[t]/(modulus), in
+    order. Raises ZeroDivisionError if one of them is zero."""
+    if 0 in cells:
+        raise ZeroDivisionError("inverse of zero field element")
+    k = len(modulus) - 1
+    if 2 < k <= _TABLE_BITS and p ** k <= _TABLE_MAX:
+        key = (p, modulus)
+        tab = _tables.get(key)
+        if tab is None and key not in _tables and p == 2:  # odd p: vmul counts
+            tab = _count_product(key, p ** k, 3 * len(cells) - 3)
+        if tab:
+            log, exp = tab
+            top = len(log)
+            return [exp[top - log[c]] for c in cells]
+    if p == 2 and 2 < k < 256:
+        return _montgomery(cells, _plan2(modulus),
+                           lambda x: pack(vinv(unpack(x, k, 1), 2, modulus), 1))
+    nb = cell_bytes(p)
+    inverses = _montgomery([unpack(c, k, nb) for c in cells], partial(vmul, p=p, modulus=modulus),
+                           partial(vinv, p=p, modulus=modulus))
+    return [pack(v, nb) for v in inverses]

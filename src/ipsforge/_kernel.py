@@ -5,7 +5,8 @@ functions up on this module at call time, so a profiler or counter can wrap
 them here without seeing the kernel's own internal calls.
 """
 
-from ipsforge._gfcore_py import vadd, vsub, vneg, vsmul, vmul, vpow, vinv
+from ipsforge._gfcore_py import (cell_bytes, pack, unpack, vadd, vsub, vneg, vsmul, vmul,
+                                 vpow, vinv, vinv_cells)
 
 
 def kernel_backend() -> str:

@@ -151,12 +151,6 @@ class FieldSpec:
         """Prime-subfield constant n mod p."""
         return FieldElem(self, (n % self.p,) + (0,) * (self.k - 1))
 
-    def from_coeffs(self, coeffs) -> "FieldElem":
-        c = tuple(int(x) % self.p for x in coeffs)
-        if len(c) != self.k:
-            raise ValueError(f"expected {self.k} coefficients, got {len(c)}")
-        return FieldElem(self, c)
-
     def from_encoding(self, m: int) -> "FieldElem":
         """Element with coefficient vector = base-p digits of m (c0 first)."""
         if not 0 <= m < self.order:

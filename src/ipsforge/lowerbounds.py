@@ -23,9 +23,9 @@ from ipsforge.mvpoly import (
     Poly,
     cube_table,
     default_names,
-    format_elem,
     interpolate_table,
     linear_poly,
+    unpack_cells,
 )
 
 
@@ -63,38 +63,19 @@ def _normalize_alphas(alphas: Sequence[FieldElem], beta: FieldElem,
     return out
 
 
-def _batch_inverse(table: list[tuple[int, ...]], field: FieldSpec) -> list[tuple[int, ...]]:
-    """Montgomery's trick on coefficient vectors: the inverse of every entry
-    of a table with no zero, from 3(N-1) products and one inversion."""
-    p, mod = field.p, field.modulus
-    vmul = kn.vmul
-    prefix = [table[0]]
-    for v in table[1:]:
-        prefix.append(vmul(prefix[-1], v, p, mod))
-    inv = kn.vinv(prefix[-1], p, mod)
-    out = [inv] * len(table)
-    for i in range(len(table) - 1, 0, -1):
-        out[i] = vmul(prefix[i - 1], inv, p, mod)
-        inv = vmul(inv, table[i], p, mod)
-    out[0] = inv
-    return out
-
-
-def _reciprocal_of_table(table: list[tuple[int, ...]], n: int, field: FieldSpec) -> Poly:
-    zero = (0,) * field.k
-    if zero in table:
-        raise ZeroDenominator(f"denominator vanishes at mask {table.index(zero):b}")
-    return interpolate_table(_batch_inverse(table, field), n, field)
+def _reciprocal_of_table(cells: list[int], n: int, field: FieldSpec) -> Poly:
+    if 0 in cells:
+        raise ZeroDenominator(f"denominator vanishes at mask {cells.index(0):b}")
+    return interpolate_table(kn.vinv_cells(cells, field.p, field.modulus), n, field)
 
 
 def ml_reciprocal(f: Poly) -> Poly:
     """The unique multilinear polynomial agreeing with 1 / f on the cube.
     ZeroDenominator when f vanishes at a cube point.
 
-    Runs on coefficient vectors from start to finish: f's cube table from
-    cube_table, one Montgomery batch inversion with the kernel's products,
-    and interpolate_table, which builds FieldElems only for the nonzero
-    coefficients of the result."""
+    Runs on stored cells from start to finish: f's cube table from
+    cube_table, the kernel's batch inversion vinv_cells, and
+    interpolate_table, whose cells are the result's coefficients."""
     return _reciprocal_of_table(cube_table(f), f.n, f.field)
 
 
@@ -112,7 +93,7 @@ def alternating_cube_sum(f: Poly) -> FieldElem:
     extension, signed so the identity is exact in every characteristic."""
     p = f.field.p
     acc = f.field.zero().coeffs
-    for mask, v in enumerate(cube_table(f)):
+    for mask, v in enumerate(unpack_cells(f.field, cube_table(f))):
         acc = (kn.vsub if (f.n - mask.bit_count()) % 2 else kn.vadd)(acc, v, p)
     return FieldElem(f.field, acc)
 
@@ -147,7 +128,7 @@ def top_coeff(alphas: Sequence[FieldElem], beta: FieldElem,
     table = cube_table(linear_poly(fld, alphas, -beta))
     poly = _reciprocal_of_table(table, n, fld)
     num, den = fld.zero().coeffs, fld.one().coeffs
-    for mask, d in enumerate(table):
+    for mask, d in enumerate(unpack_cells(fld, table)):
         step = kn.vsub if (n - mask.bit_count()) % 2 else kn.vadd
         num = step(kn.vmul(num, d, p, mod), den, p)
         den = kn.vmul(den, d, p, mod)
@@ -339,12 +320,6 @@ class CoefficientMatrix:
         return exactla.rank([[c.coeffs for c in row] for row in self.entries],
                             self.field)
 
-    def to_csv(self) -> str:
-        lines = []
-        for row in self.entries:
-            lines.append(",".join(format_elem(c) for c in row))
-        return "\n".join(lines) + "\n"
-
 
 def coefficient_matrix(f: Poly, partition: tuple[Sequence[int], Sequence[int]]
                        ) -> CoefficientMatrix:
@@ -441,15 +416,6 @@ class LiftedInstance:
             raise ValueError("z_pairs applies to any-order instances")
         m = 2 * self.nx
         return [(i, j) for i in range(m) for j in range(i + 1, m)]
-
-    def balanced_partitions(self):
-        """All balanced splits (u, v) of the x variables, u ascending and
-        containing x_1 (complement symmetry removed), each v ascending."""
-        m = 2 * self.nx
-        for rest in itertools.combinations(range(1, m), self.nx - 1):
-            u = (0,) + rest
-            v = tuple(i for i in range(m) if i not in u)
-            yield u, v
 
     def restriction_assignment(self, u: Sequence[int], v: Sequence[int]) -> dict[int, FieldElem]:
         """The 0/1 z-assignment b_{u,v} pairing u_k with v_k (both ascending);

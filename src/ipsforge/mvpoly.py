@@ -19,6 +19,7 @@ from operator import lshift, or_
 from typing import Iterable, Mapping, Sequence
 
 from ipsforge import _kernel as kn
+from ipsforge._kernel import pack as _pack, unpack as _unpack
 from ipsforge.errors import ArityMismatch, LevelMismatch, ParseError, ZeroPolynomial
 from ipsforge.gf import FieldElem, FieldSpec
 
@@ -29,21 +30,6 @@ from ipsforge.gf import FieldElem, FieldSpec
 # A monomial product is one add of keys (Monagan & Pearce, CASC 2007), a
 # coefficient product one multiply of Kronecker-spread ints, reduced once per
 # output term (Harvey, JSC 2009). No slot ever carries into the next.
-
-def _pack(vals: Sequence[int], nb: int) -> int:
-    """The int whose nb-byte little-endian slots are vals."""
-    if nb == 1:  # the usual width; bytes() packs it at C speed
-        return int.from_bytes(bytes(vals), "little")
-    return int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in vals), "little")
-
-
-def _unpack(v: int, count: int, nb: int) -> tuple[int, ...]:
-    """The first count nb-byte slots of v; inverse of _pack."""
-    raw = v.to_bytes(count * nb, "little")
-    if nb == 1:
-        return tuple(raw)
-    return tuple(int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb))
-
 
 def _width(top: int) -> int:
     """The least number of bytes in a slot that holds top."""
@@ -73,7 +59,7 @@ class _Coeffs:
     def __init__(self, field: FieldSpec, wide: int):
         p, k = field.p, field.k
         self.field, self.p, self.k = field, p, k
-        self.nb = ((2 * p).bit_length() + 8) // 8
+        self.nb = kn.cell_bytes(p)
         self.shift, ones = 8 * self.nb - 1, _pack([1] * k, self.nb)
         self.plus, self.high = p * ones, ones << self.shift
         self.bias = self.high - self.plus
@@ -242,9 +228,6 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         return max(map(sum, self.exponents()), default=-1)
 
-    def individual_degree(self) -> int:
-        return max(map(max, self.exponents()), default=0) if self.n else 0
-
     def coeff(self, exp: tuple[int, ...]) -> FieldElem:
         exp = tuple(exp)
         fits = len(exp) == self.n and all(0 <= d < 1 << 8 * self.nb for d in exp)
@@ -341,10 +324,6 @@ class Poly:
         if len(point) != self.n:
             raise ArityMismatch(f"point has {len(point)} coordinates, expected {self.n}")
         return self.restrict(dict(enumerate(point))).coeff((0,) * self.n)
-
-    def eval_cube_point(self, mask: int) -> FieldElem:
-        """Evaluation at the 0/1 point with bit i of mask giving x_{i+1}."""
-        return self.eval([self.field.from_int(mask >> i & 1) for i in range(self.n)])
 
     def eval_cube_prefixes(self) -> list[FieldElem]:
         """The values at the 0/1 points 1^w 0^{n-w}, w = 0..n, in one pass:
@@ -473,24 +452,34 @@ def fermat_exponent(d: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 # cube interpolation and leading monomials
 
-def interpolate_table(table: Sequence[tuple[int, ...]], n: int,
-                      field: FieldSpec) -> Poly:
-    """The unique multilinear polynomial matching a full 2^n table of
-    coefficient vectors: table[mask] is its value at the 0/1 point with bit
-    i of mask = x_{i+1}.
+def pack_cells(field: FieldSpec, vectors: Iterable[Sequence[int]]) -> list[int]:
+    """The stored cells of coefficient vectors, the form of Poly.terms'
+    coefficients, of cube_table and interpolate_table and of kn.vinv_cells."""
+    return list(map(_codec(field).pack, vectors))
 
-    Broadword Moebius inversion on packed elements, once per bit: a perfect
-    shuffle brings the next bit to the top, where the pairs (mask, mask ^ bit)
-    are the two halves of the table. A cell is _Coeffs.fix(a + plus - b),
-    written out because a call per cell costs an oracle pass several percent.
+
+def unpack_cells(field: FieldSpec, cells: Iterable[int]) -> list[tuple[int, ...]]:
+    """The coefficient vectors of stored cells; inverse of pack_cells."""
+    k, nb = field.k, _codec(field).nb
+    return [_unpack(v, k, nb) for v in cells]
+
+
+def interpolate_table(table: Sequence[int], n: int, field: FieldSpec) -> Poly:
+    """The unique multilinear polynomial matching a full 2^n table of stored
+    cells (see pack_cells): table[mask] is its value at the 0/1 point with
+    bit i of mask = x_{i+1}.
+
+    Broadword Moebius inversion, once per bit: a perfect shuffle brings the
+    next bit to the top, where the pairs (mask, mask ^ bit) are the two halves
+    of the table. A cell is _Coeffs.fix(a + plus - b), written out because a
+    call per cell costs an oracle pass several percent.
     """
     size = 1 << n
     if len(table) != size:
         raise ArityMismatch(f"table has {len(table)} entries, expected {size}")
     co = _codec(field)
     p, plus, bias, high, shift = co.p, co.plus, co.bias, co.high, co.shift
-    c = [_pack(v, co.nb) for v in table]
-    half = size >> 1
+    c, half = list(table), size >> 1
     for _ in range(n):
         c = c[0::2] + c[1::2]  # rotate the mask bits: bit 0 becomes the top
         c[half:] = [(d := a + plus - b) - (((d + bias) & high) >> shift) * p
@@ -501,32 +490,27 @@ def interpolate_table(table: Sequence[tuple[int, ...]], n: int,
     return Poly._of(n, field, 1, {e: v for e, v in zip(keys, c) if v})
 
 
-def cube_table(f: Poly) -> list[tuple[int, ...]]:
-    """f at every 0/1 point as coefficient vectors: entry mask is f at the
-    point with bit i of mask giving x_{i+1}, the table interpolate_table reads.
+def cube_table(f: Poly) -> list[int]:
+    """f at every 0/1 point as stored cells (see pack_cells): entry mask is f
+    at the point with bit i of mask giving x_{i+1}, the table
+    interpolate_table reads.
 
-    One zeta transform over the subset lattice, the inverse of the Moebius
-    step: each term's coefficient goes to the cell of its support mask, then
-    for each bit c[mask] += c[mask ^ bit]. The cells' slots are spread to hold
-    len(terms)*(p-1), so none carries into the next.
+    The zeta transform over the subset lattice, the mirror of
+    interpolate_table's Moebius step: each term's coefficient goes to the
+    cell of its support mask, then for each bit c[mask] += c[mask ^ bit],
+    as one broadword _Coeffs.fix(a + b) per cell after a perfect shuffle.
     """
-    n, field = f.n, f.field
-    p, k = field.p, field.k
-    nb = max(_codec(field).nb, _width(len(f.terms) * (p - 1)))
-    spread = _codec(field, nb).spread
-    c = [0] * (1 << n)
+    n, co = f.n, _codec(f.field)
+    p, bias, high, shift = co.p, co.bias, co.high, co.shift
+    c, half = [0] * (1 << n), (1 << n) >> 1
     for e, v in zip(f.exponents(), f.terms.values()):
-        mask = 0
-        for i, d in enumerate(e):
-            if d:
-                mask |= 1 << i
-        c[mask] += spread(v)
-    for i in range(n):
-        bit = 1 << i
-        for mask in range(bit, 1 << n):
-            if mask & bit and (src := c[mask ^ bit]):
-                c[mask] += src
-    return [tuple([x % p for x in _unpack(v, k, nb)]) for v in c]
+        mask = sum(1 << i for i, d in enumerate(e) if d)
+        c[mask] = co.fix(c[mask] + v)
+    for _ in range(n):
+        c = c[0::2] + c[1::2]
+        c[half:] = [(d := a + b) - (((d + bias) & high) >> shift) * p
+                    for a, b in zip(c[half:], c)]
+    return c
 
 
 def leading_monomial(f: Poly) -> tuple[int, ...]:

@@ -127,14 +127,6 @@ def sym_to_elem_basis(f: Poly) -> ElemSymExpansion:
     return ElemSymExpansion(n, field, tuple(by_degree.get(d, zero) for d in range(n + 1)))
 
 
-def ml_pair_expansion(a: int, b: int, n: int, field: FieldSpec) -> ElemSymExpansion:
-    """ml[e_a * e_b] in the e-basis, from weight evaluation C(w,a)C(w,b)."""
-    if not (0 <= a <= n and 0 <= b <= n):
-        raise OutOfRange("elementary symmetric degrees out of range")
-    values = [binom_elem(w, a, field) * binom_elem(w, b, field) for w in range(n + 1)]
-    return ElemSymExpansion.from_weight_values(values, field)
-
-
 def expansion_times_elem(expansion: ElemSymExpansion, b: int) -> ElemSymExpansion:
     """ml[(sum lambdas[d] e_d) * e_b] in the e-basis."""
     n, field = expansion.n, expansion.field

@@ -38,6 +38,8 @@ from ipsforge.errors import (
 from ipsforge.mvpoly import Poly, ml
 from ipsforge.symfun import elem_sym
 
+from conftest import eval_cube_point, from_coeffs
+
 
 def linear_poly(n, fld, alphas, beta):
     terms = {tuple(1 if v == i else 0 for v in range(n)): a
@@ -183,7 +185,7 @@ class TestLowDegree:
         assert A == linear_poly(2, f4, [f4.one(), f4.one()], -(t * t))
         assert A.degree() == 1 <= 2 * (2 - 1)
         for mask in range(4):
-            assert (A.eval_cube_point(mask) * L.eval_cube_point(mask)) == f4.one()
+            assert (eval_cube_point(A, mask) * eval_cube_point(L, mask)) == f4.one()
         cert = refute_linear_lowdegree(L)
         assert verify(Instance(2, f4, [L], "linear"), cert).ok
 
@@ -390,7 +392,7 @@ class TestTowerSerialization:
 
     def test_any_root_of_the_base_modulus_is_an_embedding(self):
         tower = gf.field_tower(2, 3)
-        theta = tower.ext.from_coeffs(tower.embed_table[1]) ** 2  # a conjugate root
+        theta = from_coeffs(tower.ext, tower.embed_table[1]) ** 2  # a conjugate root
         data = tower_to_dict(tower)
         data["embed_table"] = [list((theta ** i).coeffs) for i in range(3)]
         assert tower_from_dict(data).embed_table[1] == theta.coeffs

@@ -14,6 +14,8 @@ from ipsforge.errors import ParseError
 from ipsforge.mvpoly import Poly
 from ipsforge.symfun import elem_sym
 
+from conftest import from_coeffs
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -241,7 +243,7 @@ def test_parse_sym_expr(text, p, k, combo):
     fld, n = gf.field_spec(p, k), 3
     expect = Poly.zero(n, fld)
     for d, c in combo.items():
-        coeff = fld.from_coeffs(c) if isinstance(c, tuple) else fld.from_int(c)
+        coeff = from_coeffs(fld, c) if isinstance(c, tuple) else fld.from_int(c)
         expect = expect + elem_sym(n, d, fld).scale(coeff)
     assert _parse_sym_expr(text, n, fld) == expect
     with pytest.raises(ParseError):

@@ -21,9 +21,9 @@ from ipsforge.lowerbounds import (
     sparsity_probe,
     top_coeff,
 )
-from ipsforge.mvpoly import Poly, interpolate_table, ml
+from ipsforge.mvpoly import Poly, format_elem, interpolate_table, ml, pack_cells
 
-from conftest import rand_poly
+from conftest import eval_cube_point, rand_poly
 
 
 class TestMlInverse:
@@ -52,8 +52,8 @@ class TestMlInverse:
         t = ext.gen()
         f = ml_inverse([tower.base.one()], t, tower)
         # values 1/(0 - t) and 1/(1 - t)
-        assert f.eval_cube_point(0) == (-t).inv()
-        assert f.eval_cube_point(1) == (ext.one() - t).inv()
+        assert eval_cube_point(f, 0) == (-t).inv()
+        assert eval_cube_point(f, 1) == (ext.one() - t).inv()
         L = Poly.var(1, ext, 0) + Poly.const(1, ext, -t)
         assert ml(f * L) == Poly.one(1, ext)
 
@@ -94,30 +94,42 @@ class TestMlReciprocal:
     @settings(max_examples=80, deadline=None)
     @given(nonlinear_polys())
     def test_reciprocal_on_every_cube_point(self, f):
-        values = [f.eval_cube_point(m) for m in range(1 << f.n)]
+        values = [eval_cube_point(f, m) for m in range(1 << f.n)]
         assume(all(not v.is_zero() for v in values))
         g = ml_reciprocal(f)
         assert g.is_multilinear()
         one = f.field.one()
-        assert all(g.eval_cube_point(m) * v == one for m, v in enumerate(values))
+        assert all(eval_cube_point(g, m) * v == one for m, v in enumerate(values))
 
     @settings(max_examples=60, deadline=None)
     @given(nonlinear_polys())
     def test_matches_pointwise_inverse(self, f):
-        """The batch inversion on vectors gives what one inv() per point
+        """The batch inversion on stored cells gives what one inv() per point
         and interpolate_table give."""
-        values = [f.eval_cube_point(m) for m in range(1 << f.n)]
+        values = [eval_cube_point(f, m) for m in range(1 << f.n)]
         assume(all(not v.is_zero() for v in values))
-        expected = interpolate_table([v.inv().coeffs for v in values], f.n, f.field)
+        expected = interpolate_table(pack_cells(f.field, [v.inv().coeffs for v in values]),
+                                     f.n, f.field)
         assert ml_reciprocal(f) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(nonlinear_polys(), st.data())
     def test_cube_zero_raises(self, f, data):
         mask = data.draw(st.integers(0, (1 << f.n) - 1))
-        g = f - Poly.const(f.n, f.field, f.eval_cube_point(mask))
+        g = f - Poly.const(f.n, f.field, eval_cube_point(f, mask))
         with pytest.raises(ZeroDenominator):
             ml_reciprocal(g)
+
+    @pytest.mark.parametrize("p,k", [(5, 1), (2, 12), (3, 4), (2, 24)])
+    def test_zero_names_the_first_zero_mask(self, p, k):
+        """x1 + x2 + x3 - 2 vanishes at the masks 0b011, 0b101 and 0b110; in
+        characteristic 2, x1 + x2 + x3 + 1 at 0b001, 0b010, 0b100 and 0b111."""
+        fld = gf.field_spec(p, k)
+        f = Poly(3, fld, {(1, 0, 0): fld.one(), (0, 1, 0): fld.one(), (0, 0, 1): fld.one(),
+                          (0, 0, 0): fld.one() if p == 2 else -fld.from_int(2)})
+        first = "1" if p == 2 else "11"
+        with pytest.raises(ZeroDenominator, match=f"at mask {first}$"):
+            ml_reciprocal(f)
 
 
 class TestTopCoeff:
@@ -313,8 +325,10 @@ class TestCoefficientMatrix:
             assert coefficient_matrix(f, ((0, 1), (2, 3))).rank() == 1
 
     def test_csv_export(self, f9):
+        """The matrix's rows export as one line of format_elem texts each."""
         f = Poly.monomial(2, f9, (1, 1), f9.one())
-        csv = coefficient_matrix(f, ((0,), (1,))).to_csv()
+        csv = "".join(",".join(format_elem(c) for c in row) + "\n"
+                      for row in coefficient_matrix(f, ((0,), (1,))).entries)
         assert csv.count("\n") == 2
 
     def test_bad_partition(self, f9):
@@ -377,6 +391,16 @@ class TestRoabpWidth:
             roabp_width(Poly.one(2, f9), [0, 0])
 
 
+def balanced_partitions(inst):
+    """All balanced splits (u, v) of the x variables of an any-order
+    instance, u ascending and containing x_1 (complement symmetry removed),
+    each v ascending."""
+    m = 2 * inst.nx
+    for rest in itertools.combinations(range(1, m), inst.nx - 1):
+        u = (0,) + rest
+        yield u, tuple(i for i in range(m) if i not in u)
+
+
 class TestLiftedInstances:
     def test_fixed_order_layout(self):
         tower = gf.field_tower(2, 4)
@@ -389,7 +413,7 @@ class TestLiftedInstances:
     def test_any_order_assignments_are_boolean_with_n_ones(self):
         tower = gf.field_tower(2, 4)
         inst = lifted_instance("any-order", 3, tower, random.Random(11))
-        for u, v in inst.balanced_partitions():
+        for u, v in balanced_partitions(inst):
             assignment = inst.restriction_assignment(u, v)
             ones = sum(1 for val in assignment.values() if not val.is_zero())
             assert ones == 3
@@ -399,7 +423,7 @@ class TestLiftedInstances:
     def test_partition_count(self):
         tower = gf.field_tower(2, 4)
         inst = lifted_instance("any-order", 3, tower, random.Random(12))
-        assert sum(1 for _ in inst.balanced_partitions()) == math.comb(6, 3) // 2
+        assert sum(1 for _ in balanced_partitions(inst)) == math.comb(6, 3) // 2
 
     def test_specialized_eval_dim_across_partitions(self):
         # n=2 keeps the sweep fast: every balanced partition reaches 2^n
@@ -408,11 +432,11 @@ class TestLiftedInstances:
         inst = lifted_instance("any-order", 2, tower, rng)
         full = 0
         total = 0
-        for u, v in inst.balanced_partitions():
+        for u, v in balanced_partitions(inst):
             restricted = inst.restricted(u, v)
             # z variables are gone after substitution
             x_only = Poly(4, tower.ext, {e[:4]: c for e, c in restricted.items()})
-            values = [x_only.eval_cube_point(m) for m in range(1 << 4)]
+            values = [eval_cube_point(x_only, m) for m in range(1 << 4)]
             if any(val.is_zero() for val in values):
                 continue
             g = ml_reciprocal(x_only)

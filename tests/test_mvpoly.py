@@ -20,10 +20,11 @@ from ipsforge.mvpoly import (
     linear_poly,
     ml,
     ml_partial,
+    pack_cells,
     parse_poly,
 )
 
-from conftest import rand_poly
+from conftest import eval_cube_point, from_coeffs, individual_degree, rand_poly
 
 
 class TestRingOps:
@@ -73,7 +74,7 @@ class TestSubstitute:
         # equality as cube functions as well
         for mask in range(1 << 4):
             full = mask  # x-variables only; z's already substituted
-            assert restricted.eval_cube_point(full) == expect.eval_cube_point(full)
+            assert eval_cube_point(restricted, full) == eval_cube_point(expect, full)
 
 
     @settings(max_examples=60, deadline=None)
@@ -105,7 +106,7 @@ class TestConstantChecks:
 
     def test_other_field_of_the_same_characteristic(self, f9):
         f = parse_poly("x1^2 + x1 + 1", 1, f9)
-        c = gf.field_spec(5, 2).from_coeffs([4, 3])
+        c = from_coeffs(gf.field_spec(5, 2), [4, 3])
         with pytest.raises(LevelMismatch):
             f.eval([c])
         with pytest.raises(LevelMismatch):
@@ -157,13 +158,13 @@ class TestMultilinearization:
             f = rand_poly(4, f9, rng, 6, 3)
             m = ml(f)
             for mask in range(16):
-                assert f.eval_cube_point(mask) == m.eval_cube_point(mask)
+                assert eval_cube_point(f, mask) == eval_cube_point(m, mask)
 
     def test_agrees_on_cube_exhaustive_n10(self, f3, rng):
         f = rand_poly(10, f3, rng, 8, 3)
         m = ml(f)
         for mask in range(1 << 10):
-            assert f.eval_cube_point(mask) == m.eval_cube_point(mask)
+            assert eval_cube_point(f, mask) == eval_cube_point(m, mask)
 
 
 def fermat(f):
@@ -181,7 +182,7 @@ class TestInddegP:
 
     def test_low_degree_fixed(self, f3, rng):
         f = ml(rand_poly(3, f3, rng, 5, 1)) + rand_poly(3, f3, rng, 3, 2)
-        if f.individual_degree() < 3:
+        if individual_degree(f) < 3:
             red, quots = fermat(f)
             assert red == f
             assert all(q.is_zero() for q in quots)
@@ -197,7 +198,7 @@ class TestInddegP:
         for _ in range(20):
             f = rand_poly(3, f3, rng, 6, 6)
             red, quots = fermat(f)
-            assert red.individual_degree() <= 2
+            assert individual_degree(red) <= 2
             recon = red
             for j, g in enumerate(quots):
                 axiom = Poly.var(3, f3, j, 3) - Poly.var(3, f3, j)
@@ -208,7 +209,7 @@ class TestInddegP:
         # sparsity(G_j) <= sparsity(f) * D / (p - 1)
         for _ in range(10):
             f = rand_poly(3, f3, rng, 6, 6)
-            d = f.individual_degree()
+            d = individual_degree(f)
             _, quots = fermat(f)
             cap = f.sparsity() * max(d, 1) / (3 - 1)
             assert all(g.sparsity() <= cap for g in quots)
@@ -251,29 +252,30 @@ class TestDivideByAxioms:
 class TestCubeInterpolate:
     def test_constant(self, f3):
         c = f3.from_int(2)
-        assert interpolate_table([c.coeffs] * 8, 3, f3) == Poly.const(3, f3, c)
+        assert interpolate_table(pack_cells(f3, [c.coeffs] * 8), 3, f3) == Poly.const(3, f3, c)
 
     def test_and_truth_table(self, f2):
         vals = [(1,) if mask == 0b1111 else (0,) for mask in range(16)]
-        assert interpolate_table(vals, 4, f2) == Poly.monomial(4, f2, (1,) * 4, f2.one())
+        assert interpolate_table(pack_cells(f2, vals), 4, f2) == \
+            Poly.monomial(4, f2, (1,) * 4, f2.one())
 
     def test_roundtrip_on_multilinear(self, f9, rng):
         for _ in range(20):
             f = ml(rand_poly(3, f9, rng, 6, 1))
-            vals = [f.eval_cube_point(m).coeffs for m in range(8)]
-            assert interpolate_table(vals, 3, f9) == f
+            vals = [eval_cube_point(f, m).coeffs for m in range(8)]
+            assert interpolate_table(pack_cells(f9, vals), 3, f9) == f
 
     def test_roundtrip_n8(self, f4, rng):
         f = ml(rand_poly(8, f4, rng, 12, 1))
-        vals = [f.eval_cube_point(m).coeffs for m in range(1 << 8)]
-        assert interpolate_table(vals, 8, f4) == f
+        vals = [eval_cube_point(f, m).coeffs for m in range(1 << 8)]
+        assert interpolate_table(pack_cells(f4, vals), 8, f4) == f
 
     def test_top_coefficient_alternating_sum(self, f9, rng):
         from ipsforge.lowerbounds import alternating_cube_sum
 
         for _ in range(10):
             vals = [f9.sample(rng).coeffs for _ in range(8)]
-            poly = interpolate_table(vals, 3, f9)
+            poly = interpolate_table(pack_cells(f9, vals), 3, f9)
             assert poly.coeff((1, 1, 1)) == alternating_cube_sum(poly)
 
 
@@ -285,6 +287,17 @@ def moebius_by_vsub(table, n, p):
         for mask in range(1 << n):
             if mask & bit:
                 c[mask] = kn.vsub(c[mask], c[mask ^ bit], p)
+    return c
+
+
+def zeta_by_vadd(table, n, p):
+    """Reference zeta transform: one kernel addition per pair."""
+    c = list(table)
+    for i in range(n):
+        bit = 1 << i
+        for mask in range(1 << n):
+            if mask & bit:
+                c[mask] = kn.vadd(c[mask], c[mask ^ bit], p)
     return c
 
 
@@ -311,7 +324,7 @@ class TestInterpolateTable:
         c = moebius_by_vsub(table, n, field.p)
         expected = {tuple((mask >> i) & 1 for i in range(n)): gf.FieldElem(field, v)
                     for mask, v in enumerate(c) if any(v)}
-        assert dict(interpolate_table(table, n, field).items()) == expected
+        assert dict(interpolate_table(pack_cells(field, table), n, field).items()) == expected
 
     def test_extreme_slots(self):
         """0 - (p-1) and (p-1) - 0 in every slot, where a borrow or a carry
@@ -320,14 +333,14 @@ class TestInterpolateTable:
             field = gf.field_spec(p, k)
             for a, b in (((0,) * k, (p - 1,) * k), ((p - 1,) * k, (0,) * k)):
                 table = [a, b, b, a]
-                assert dict(interpolate_table(table, 2, field).items()) == {
+                assert dict(interpolate_table(pack_cells(field, table), 2, field).items()) == {
                     e: gf.FieldElem(field, v)
                     for e, v in zip([(0, 0), (1, 0), (0, 1), (1, 1)],
                                     moebius_by_vsub(table, 2, p)) if any(v)}
 
     def test_wrong_length(self, f3):
         with pytest.raises(ArityMismatch):
-            interpolate_table([(1,)] * 3, 2, f3)
+            interpolate_table(pack_cells(f3, [(1,)] * 3), 2, f3)
 
 
 @st.composite
@@ -347,13 +360,15 @@ class TestCubeValues:
     @given(cube_polys())
     def test_matches_pointwise_and_inverts_interpolation(self, f):
         table = cube_table(f)
-        assert table == [f.eval_cube_point(m).coeffs for m in range(1 << f.n)]
+        assert table == pack_cells(f.field, [eval_cube_point(f, m).coeffs
+                                             for m in range(1 << f.n)])
         assert interpolate_table(table, f.n, f.field) == ml(f)
 
     @pytest.mark.parametrize("p,k,nterms", [(2, 2, 300), (13, 1, 40), (13, 3, 40)])
     def test_multibyte_slots(self, p, k, nterms):
-        """len(terms)*(p-1) >= 256: each packed value needs two-byte slots,
-        and at the all-ones point every term's coefficient lands in them."""
+        """len(terms)*(p-1) >= 256: at the all-ones point every term's
+        coefficient is summed into one cell, past what a byte slot holds
+        unreduced."""
         field = gf.field_spec(p, k)
         rng = random.Random(nterms)
         top = gf.FieldElem(field, (p - 1,) * k)
@@ -361,7 +376,33 @@ class TestCubeValues:
         while f.sparsity() < nterms:
             e = tuple(rng.randrange(3) for _ in range(9))
             f = f + Poly.monomial(9, field, e, top)
-        assert cube_table(f) == [f.eval_cube_point(m).coeffs for m in range(1 << 9)]
+        assert cube_table(f) == pack_cells(field, [eval_cube_point(f, m).coeffs
+                                                  for m in range(1 << 9)])
+
+
+class TestCubeTableSlots:
+    def test_extreme_slots(self):
+        """(p-1) + (p-1) in every slot, where a carry between slots or a
+        missed reduction would show: f has the coefficient -1 on every
+        multilinear monomial in two variables."""
+        for p, k in BROADWORD_FIELDS:
+            field = gf.field_spec(p, k)
+            top = (p - 1,) * k
+            f = Poly(2, field, {e: gf.FieldElem(field, top)
+                                for e in [(0, 0), (1, 0), (0, 1), (1, 1)]})
+            assert cube_table(f) == pack_cells(field, zeta_by_vadd([top] * 4, 2, p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cube_tables())
+    def test_round_trip_over_broadword_fields(self, case):
+        """The zeta step is the inverse of the Moebius step on stored cells,
+        for one-byte and multi-byte slots."""
+        field, n, table = case
+        f = interpolate_table(pack_cells(field, table), n, field)
+        assert cube_table(f) == pack_cells(field, table)
+        assert cube_table(f) == pack_cells(field, zeta_by_vadd(moebius_by_vsub(table, n, field.p),
+                                                               n, field.p))
+        assert interpolate_table(cube_table(f), n, field) == ml(f) == f
 
 
 class TestLinearPoly:
@@ -503,7 +544,7 @@ class TestTextGrammar:
         got = parse_poly(text, 3, f3)
         assert got == expect == Poly.monomial(3, f3, (2, 1, 0), f3.one()) + Poly.var(3, f3, 1)
         ext = "[1,2]*x1 + [2,1]*x1 + [0,1]*x2 - [0,1]*x2 + [1,1]"
-        assert parse_poly(ext, 2, f9) == Poly.const(2, f9, f9.from_coeffs((1, 1)))
+        assert parse_poly(ext, 2, f9) == Poly.const(2, f9, from_coeffs(f9, (1, 1)))
         assert parse_poly("x1 - x1", 1, f3).is_zero()
 
     # (text, [(exponent, coefficient)]) over GF(3^2) in x1, x2; an int
@@ -527,12 +568,12 @@ class TestTextGrammar:
     def test_accepted(self, f9, text, terms):
         expect = Poly.zero(2, f9)
         for e, c in terms:
-            elem = f9.from_coeffs(c) if isinstance(c, tuple) else f9.from_int(c)
+            elem = from_coeffs(f9, c) if isinstance(c, tuple) else f9.from_int(c)
             expect = expect + Poly.monomial(2, f9, e, elem)
         assert parse_poly(text, 2, f9) == expect
 
     def test_repeated_bracket_coefficients_multiply(self, f9):
-        a, b = f9.from_coeffs((1, 2)), f9.from_coeffs((0, 1))
+        a, b = from_coeffs(f9, (1, 2)), from_coeffs(f9, (0, 1))
         assert parse_poly("[1,2]*x2*[0,1]", 2, f9) == \
             Poly.monomial(2, f9, (0, 1), a * b)
 

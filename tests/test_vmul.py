@@ -302,3 +302,56 @@ def test_no_table_outside_limits(p, k):
     for _ in range(fld.order + 1):
         kernel.vmul(a, a, p, fld.modulus)
     assert (p, fld.modulus) not in kernel._tables
+
+
+# vinv_cells on each of its paths: log tables, Montgomery's trick on stored
+# ints with the p = 2 Barrett product, and Montgomery's trick on tuples (odd
+# p without tables, k = 1 and k = 2)
+BATCH_TABLED = [(2, 12), (3, 4), (3, 8)]
+BATCH_UNTABLED = [(2, 24), (2, 127), (5, 6), (13, 4), ((1 << 61) - 1, 1), (1000003, 1),
+                  (2, 2), (3, 2), ((1 << 61) - 1, 2)]
+
+
+def stored(v, p):
+    return kernel.pack(v, kernel.cell_bytes(p))
+
+
+@pytest.mark.parametrize("p,k", BATCH_TABLED + BATCH_UNTABLED)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batch_inverse_matches_vinv(p, k, data):
+    fld = tabled(p, k, False) if (p, k) in BATCH_TABLED else spec(p, k, False)
+    key = (p, fld.modulus)
+    if (p, k) not in BATCH_TABLED:  # (5, 6) may hold tables from other tests
+        kernel._tables.pop(key, None)
+        kernel._products.pop(key, None)
+    vecs = data.draw(st.lists(vectors(fld).filter(any), min_size=1, max_size=20))
+    got = kernel.vinv_cells([stored(v, p) for v in vecs], p, fld.modulus)
+    assert got == [stored(kernel.vinv(v, p, fld.modulus), p) for v in vecs]
+    assert bool(kernel._tables.get(key)) == ((p, k) in BATCH_TABLED)
+
+
+@pytest.mark.parametrize("p,k", [(2, 12), (2, 24), (5, 6), (3, 2), (1000003, 1)])
+def test_batch_inverse_of_zero_raises(p, k):
+    fld = spec(p, k, False)
+    one = stored((1,) + (0,) * (k - 1), p)
+    with pytest.raises(ZeroDivisionError):
+        kernel.vinv_cells([one, 0, one], p, fld.modulus)
+
+
+def test_table_built_after_q_batch_products():
+    """The twin of test_table_built_after_q_generic_products: a batch of N
+    cells counts its 3(N-1) products, and the first batch after q of them
+    builds the tables."""
+    fld = spec(2, 5, True)
+    key, q = (2, fld.modulus), fld.order
+    kernel._tables.pop(key, None)
+    kernel._products.pop(key, None)
+    a = (1, 1, 0, 1, 0)
+    expect = stored(euclid_inverse(a, 2, fld.modulus), 2)
+    for n in (11, 2):  # 30 products, then 3 more
+        assert kernel.vinv_cells([stored(a, 2)] * n, 2, fld.modulus) == [expect] * n
+        assert key not in kernel._tables
+    assert kernel._products[key] >= q
+    assert kernel.vinv_cells([stored(a, 2)] * 3, 2, fld.modulus) == [expect] * 3
+    assert kernel._tables[key]
