@@ -316,7 +316,7 @@ def vinv_cells(cells, p, modulus):
     if 2 < k <= _TABLE_BITS and p ** k <= _TABLE_MAX:
         key = (p, modulus)
         tab = _tables.get(key)
-        if tab is None and key not in _tables and p == 2:  # odd p: vmul counts
+        if tab is None and key not in _tables and p == 2:  # odd p: vmul counts them
             tab = _count_product(key, p ** k, 3 * len(cells) - 3)
         if tab:
             log, exp = tab

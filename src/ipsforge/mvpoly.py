@@ -453,8 +453,8 @@ def fermat_exponent(d: int, p: int) -> int:
 # cube interpolation and leading monomials
 
 def pack_cells(field: FieldSpec, vectors: Iterable[Sequence[int]]) -> list[int]:
-    """The stored cells of coefficient vectors, the form of Poly.terms'
-    coefficients, of cube_table and interpolate_table and of kn.vinv_cells."""
+    """The stored cells of coefficient vectors: the form of Poly.terms'
+    coefficients, which cube_table, interpolate_table and kn.vinv_cells use."""
     return list(map(_codec(field).pack, vectors))
 
 
