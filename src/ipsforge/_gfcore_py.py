@@ -1,20 +1,30 @@
-"""The arithmetic kernel: F_p[t] coefficient-vector arithmetic in pure Python.
+"""The arithmetic kernel: arithmetic on stored elements of F_p[t]/(modulus),
+in pure Python.
 
-Other modules read it through ``_kernel``. Vectors are tuples of ints
-reduced mod p; ``modulus`` is the monic modulus as a tuple of length k+1.
-Everything here is exact integer arithmetic.
+Other modules read it through ``_kernel``. An element is stored as one int
+with a ``cell_bytes(p)``-byte slot per power of t, coefficient i in [0, p)
+in slot i, the form ``mvpoly`` keeps coefficients in; for k = 1 it is the
+residue itself, and 0 and 1 are the zero and the one of every field. The
+field is given as p and the monic modulus, a tuple of length k+1.
+``pack``/``unpack`` convert to and from coefficient vectors, for the text
+and JSON boundary; everything here is exact integer arithmetic.
+
+``vadd``, ``vsub`` and ``vneg`` are broadword (Knuth, TAOCP 4A 7.1.3): a
+slot has a spare top bit above 2p, so a + b, a + plus - b and plus - a
+(plus = p in every slot) keep every slot in [0, 2p), and ``StoredForm.fix``
+takes all of them to [0, p) at once.
 
 ``vmul`` multiplies by Kronecker substitution (Harvey, JSC 2009): each factor
-is packed into one int with a byte-aligned slot per power of t, so the whole
-convolution is one C-level big-int multiply whose 2k-1 slots are read back
-with one ``to_bytes``. A slot holds at most k*(p-1)^2, and is sized for that
-bound, so no slot carries into the next. For odd p the convolution is then
-reduced from the top slot down with the nonzero terms of -modulus only, which
-the sparse moduli of ``gf.field_spec`` keep to a handful. Degrees 1 and 2 are
-done in closed form, where packing costs more than it saves.
+is repacked with a byte-aligned slot per power of t wide enough for
+k*(p-1)^2, so the whole convolution is one C-level big-int multiply whose
+2k-1 slots are read back with one ``to_bytes``. For odd p the convolution is
+then reduced from the top slot down with the nonzero terms of -modulus only,
+which the sparse moduli of ``gf.field_spec`` keep to a handful. Degrees 1
+and 2 are done in closed form, where packing costs more than it saves.
 
 For p = 2 and 3 <= k < 256 the slot bound is k: a byte slot never carries,
-and its low bit is the GF(2) coefficient, kept by one AND with 0x0101...01.
+and its low bit is the GF(2) coefficient, kept by one AND with 0x0101...01;
+so the stored ints are multiplied as they are.
 ``gf.FIELD_BITS`` caps k at 127; a larger k would take the generic path.
 The reduction is Barrett's (CRYPTO 1986), which is exact for polynomials:
 with mu = t^(2k-2) div modulus, the quotient of a convolution x of degree at
@@ -25,30 +35,27 @@ two multiplies whatever the number of nonzero terms of the modulus. ``vinv``
 for p = 2 runs extended Euclid on bit-packed ints, one xor per quotient bit;
 for odd p it is a^(q-2) by ``vpow``, as a^(q-1) = 1 for every unit of F_q.
 
-An element's stored form, the one ``mvpoly`` keeps coefficients in, is an
-int with a ``cell_bytes(p)``-byte slot per power of t (``pack``/``unpack``).
-
 Fields with k >= 3 and q = p^k <= 2^14 are answered from log/antilog tables
 (Zech's logarithms; Huber, IEEE Trans. IT 1990) once they are busy, keyed on
-the stored int, one byte per power of t as p <= 25: LOG maps each nonzero
-element to its discrete logarithm, EXP lists the powers of the generator
-twice over, so that a product is EXP[LOG[a] + LOG[b]], an inverse
-EXP[q-1-LOG[a]] and a power EXP[LOG[a]*e mod (q-1)]; zero is the one element
-missing from LOG. ``vmul``, ``vinv`` and ``vpow`` convert their tuples at
-that boundary. A field's tables are built on its first product after q
-generic ones, which is what one build costs, so that a field that makes few
-products never pays for them; only untabled products are counted. The build
-takes the least-encoding element of order q-1 and walks its powers, and
-stores "no table" if the walk repeats before it has covered the q-1 units: a
-ring whose q-1 nonzero elements are all powers of one unit is a field, so the
-tables never rest on the modulus being irreducible. Degrees 1 and 2 keep
-their closed forms, which are as fast, and larger fields the packed paths,
-where a build would cost more than it saves.
+the stored int (one byte a slot, as p <= 25): LOG maps each nonzero element
+to its discrete logarithm, EXP lists the powers of the generator twice over,
+so that a product is EXP[LOG[a] + LOG[b]], an inverse EXP[q-1-LOG[a]] and a
+power EXP[LOG[a]*e mod (q-1)]; zero is the one element missing from LOG. A
+field's tables are built on its first product after q generic ones, which is
+what one build costs, so that a field that makes few products never pays for
+them; only untabled products are counted. The build takes the
+least-encoding element of order q-1 and walks its powers, and stores "no
+table" if the walk repeats before it has covered the q-1 units: a ring whose
+q-1 nonzero elements are all powers of one unit is a field, so the tables
+never rest on the modulus being irreducible. Degrees 1 and 2 keep their
+closed forms, which are as fast, and larger fields the packed paths, where a
+build would cost more than it saves.
 
-``vinv_cells`` inverts a list of stored elements: by table lookups where the
-field has tables, else by Montgomery's trick (3(N-1) products, counted
-toward the same threshold, and one inversion), on the stored ints with the
-p = 2 Barrett product and on tuples converted at its boundary otherwise.
+``vmul_cells`` multiplies a list of stored elements by one element, and
+``vinv_cells`` inverts a list: by table lookups where the field has tables,
+else by the generic product, with Montgomery's trick for the inversion
+(3(N-1) products and one inversion). Their products count toward the same
+threshold as those of ``vmul``.
 """
 
 from functools import lru_cache, partial
@@ -60,23 +67,6 @@ _TABLE_FIELDS = 32  # tables kept at once; one of GF(2^14) holds about 2 MB
 _COUNTED_FIELDS = 128  # product counters kept at once, one per field in use
 _tables = {}  # (p, modulus) -> (LOG, EXP), or None for "no table"
 _products = {}  # (p, modulus) -> generic products made, for untabled fields
-
-
-def vadd(a, b, p):
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
-def vsub(a, b, p):
-    return tuple((x - y) % p for x, y in zip(a, b))
-
-
-def vneg(a, p):
-    return tuple((-x) % p for x in a)
-
-
-def vsmul(a, s, p):
-    s %= p
-    return tuple((x * s) % p for x in a)
 
 
 def cell_bytes(p):
@@ -100,12 +90,49 @@ def unpack(v, count, nb):
     return tuple([int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)])
 
 
+class StoredForm:
+    """The slots of F_{p^k}'s stored form and its one reduction, ``fix``.
+
+    ``fix`` takes every slot from [0, 2p) to [0, p): adding 2^(8nb-1) - p
+    sets a slot's top bit where it is >= p, and that bit times p comes off.
+    """
+
+    __slots__ = ("p", "k", "nb", "plus", "bias", "high", "shift")
+
+    def __init__(self, p, k):
+        self.p, self.k, self.nb = p, k, cell_bytes(p)
+        self.shift, ones = 8 * self.nb - 1, pack([1] * k, self.nb)
+        self.plus, self.high = p * ones, ones << self.shift
+        self.bias = self.high - self.plus
+
+    def fix(self, d):
+        return d - (((d + self.bias) & self.high) >> self.shift) * self.p
+
+
 @lru_cache(maxsize=128)  # one entry per field in use
+def stored_form(p, k):
+    return StoredForm(p, k)
+
+
+def vadd(a, b, p, modulus):
+    return stored_form(p, len(modulus) - 1).fix(a + b)
+
+
+def vsub(a, b, p, modulus):
+    form = stored_form(p, len(modulus) - 1)
+    return form.fix(a + form.plus - b)
+
+
+def vneg(a, p, modulus):
+    form = stored_form(p, len(modulus) - 1)
+    return form.fix(form.plus - a)
+
+
 def _plan(p, modulus):
-    """(slot bytes, taps) of vmul modulo ``modulus``: slots wide enough for a
-    convolution coefficient, at most k*(p-1)^2, and the pairs (j, -m_j mod p)
-    over the nonzero low coefficients m_j, so that t^k = sum of m * t^j over
-    the taps (j, m)."""
+    """(slot bytes, taps) of the generic product modulo ``modulus``: slots
+    wide enough for a convolution coefficient, at most k*(p-1)^2, and the
+    pairs (j, -m_j mod p) over the nonzero low coefficients m_j, so that
+    t^k = sum of m * t^j over the taps (j, m)."""
     k = len(modulus) - 1
     nb = ((k * (p - 1) ** 2).bit_length() + 7) // 8
     taps = tuple((j, -c % p) for j, c in enumerate(modulus[:-1]) if c)
@@ -116,9 +143,10 @@ _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _bits(v):
-    """The GF(2) vector v as an int whose bit i is the coefficient of t^i."""
-    return int(bytes(v).translate(_TO_DIGITS)[::-1], 2)
+def _bits(raw):
+    """The GF(2) vector of bytes raw, one coefficient each, as an int whose
+    bit i is the coefficient of t^i."""
+    return int(raw.translate(_TO_DIGITS)[::-1], 2)
 
 
 def _unbits(x, n):
@@ -126,13 +154,12 @@ def _unbits(x, n):
     return format(x, "0%db" % n)[::-1].encode().translate(_FROM_DIGITS)
 
 
-@lru_cache(maxsize=128)  # one entry per binary field in use
-def _plan2(modulus):
+def _barrett(modulus):
     """The p = 2 product of stored elements, 3 <= k < 256: with mu = t^(2k-2)
     div modulus and taps = modulus - t^k packed a byte per coefficient, and
     masks of the low bits of the 2k-1 convolution slots and the k low ones."""
     k = len(modulus) - 1
-    f, rem, mu = _bits(modulus), 1 << (2 * k - 2), 0
+    f, rem, mu = _bits(bytes(modulus)), 1 << (2 * k - 2), 0
     while rem.bit_length() > k:
         s = rem.bit_length() - 1 - k
         mu |= 1 << s
@@ -144,6 +171,43 @@ def _plan2(modulus):
     def mul(x, y):
         x = (x * y) & ones
         return (x + ((x >> top) * mu >> qshift & ones) * taps) & low
+    return mul
+
+
+@lru_cache(maxsize=128)  # one entry per field in use
+def _product(p, modulus):
+    """The product of two stored elements of F_p[t]/(modulus) without the
+    tables: closed forms for k <= 2, Barrett's for p = 2, else the Kronecker
+    convolution reduced by the taps of _plan."""
+    k, nb = len(modulus) - 1, cell_bytes(p)
+    if k == 1:
+        return lambda a, b: a * b % p
+    w, mask = 8 * nb, (1 << 8 * nb) - 1
+    if k == 2:  # t^2 = -m1*t - m0
+        m0, m1 = modulus[0], modulus[1]
+
+        def mul2(a, b):
+            a0, a1, b0, b1 = a & mask, a >> w, b & mask, b >> w
+            top = a1 * b1
+            return (a0 * b0 - top * m0) % p | ((a0 * b1 + a1 * b0 - top * m1) % p) << w
+        return mul2
+    if p == 2 and k < 256:  # no byte slot carries
+        return _barrett(modulus)
+    wide, taps = _plan(p, modulus)
+
+    def mul(a, b):
+        if wide != nb:
+            a, b = pack(unpack(a, k, nb), wide), pack(unpack(b, k, nb), wide)
+        conv = list(unpack(a * b, 2 * k - 1, wide))
+        i = 2 * k - 2
+        while i >= k:  # t^i = t^(i-k) * t^k
+            c = conv[i] % p
+            if c:
+                base = i - k
+                for j, m in taps:
+                    conv[base + j] += c * m
+            i -= 1
+        return pack([c % p for c in conv[:k]], nb)
     return mul
 
 
@@ -167,7 +231,6 @@ def log_tables(p, modulus):
     _keep(_tables, key, None, _TABLE_FIELDS)  # the build's products go generic
     k = len(modulus) - 1
     q = p ** k
-    one = (1,) + (0,) * (k - 1)
     primes, n, r = [], q - 1, 2
     while r * r <= n:
         if n % r == 0:
@@ -178,18 +241,14 @@ def log_tables(p, modulus):
     if n > 1:
         primes.append(n)
     for m in range(2, q):
-        g = tuple(m // p ** i % p for i in range(k))
-        if vpow(g, q - 1, p, modulus) != one:
+        g = pack([m // p ** i % p for i in range(k)], 1)
+        if vpow(g, q - 1, p, modulus) != 1:
             return None
-        if all(vpow(g, (q - 1) // r, p, modulus) != one for r in primes):
+        if all(vpow(g, (q - 1) // r, p, modulus) != 1 for r in primes):
             break
     else:
         return None
-    if p == 2:  # walk the stored ints
-        exp = list(accumulate([pack(g, 1)] * (q - 2), _plan2(modulus), initial=1))
-    else:
-        exp = [pack(x, 1) for x in accumulate(
-            [g] * (q - 2), lambda x, y: vmul(x, y, p, modulus), initial=one)]
+    exp = list(accumulate([g] * (q - 2), _product(p, modulus), initial=1))
     log = {x: i for i, x in enumerate(exp)}
     if len(log) < q - 1:  # the walk repeated
         return None
@@ -197,70 +256,60 @@ def log_tables(p, modulus):
     return tab
 
 
-def _count_product(key, q, n=1):
-    """Count n generic products of an untabled field; the field's tables,
-    built now, once it has made q of them, else None."""
-    done = _products.get(key, 0)
-    if done < q:
-        if done:
-            _products[key] = done + n
-        else:
-            _keep(_products, key, n, _COUNTED_FIELDS)
+def _table(p, modulus, n):
+    """The (LOG, EXP) tables of F_p[t]/(modulus), or None while it has none,
+    counting the n products about to be made: a field that may have tables
+    gets them on its first product after q generic ones."""
+    k = len(modulus) - 1
+    if not 2 < k <= _TABLE_BITS or p ** k > _TABLE_MAX:
         return None
-    return log_tables(*key)
+    key = (p, modulus)
+    tab = _tables.get(key)
+    if tab is not None or key in _tables:
+        return tab
+    done = _products.get(key, 0)
+    if done >= p ** k:
+        return log_tables(p, modulus)
+    if done:
+        _products[key] = done + n
+    else:
+        _keep(_products, key, n, _COUNTED_FIELDS)
+    return None
 
 
 def vmul(a, b, p, modulus):
-    """Product of a and b in F_p[t]/(modulus): convolution then reduction."""
-    k = len(a)
-    if k == 1:
-        return ((a[0] * b[0]) % p,)
-    if k == 2:  # t^2 = -m1*t - m0
-        a0, a1 = a
-        b0, b1 = b
-        top = a1 * b1
-        return ((a0 * b0 - top * modulus[0]) % p,
-                (a0 * b1 + a1 * b0 - top * modulus[1]) % p)
-    if k <= _TABLE_BITS and p ** k <= _TABLE_MAX:
-        key = (p, modulus)
-        tab = _tables.get(key)
-        if tab is None and key not in _tables:
-            tab = _count_product(key, p ** k)
-        if tab is not None:
-            log, exp = tab
-            i = log.get(int.from_bytes(bytes(a), "little"))
-            j = log.get(int.from_bytes(bytes(b), "little"))
-            if i is not None and j is not None:
-                return tuple(exp[i + j].to_bytes(k, "little"))
-            if not (any(a) and any(b)):
-                return (0,) * k
-    if p == 2 and k < 256:  # no byte slot carries
-        x = _plan2(modulus)(int.from_bytes(bytes(a), "little"), int.from_bytes(bytes(b), "little"))
-        return tuple(x.to_bytes(k, "little"))
-    nb, taps = _plan(p, modulus)
-    conv = list(unpack(pack(a, nb) * pack(b, nb), 2 * k - 1, nb))
-    i = 2 * k - 2
-    while i >= k:  # t^i = t^(i-k) * t^k
-        c = conv[i] % p
-        if c:
-            base = i - k
-            for j, m in taps:
-                conv[base + j] += c * m
-        i -= 1
-    return tuple([c % p for c in conv[:k]])
+    """Product of a and b in F_p[t]/(modulus)."""
+    if len(modulus) == 2:
+        return a * b % p
+    if tab := _table(p, modulus, 1):
+        if not (a and b):
+            return 0
+        log, exp = tab
+        return exp[log[a] + log[b]]
+    return _product(p, modulus)(a, b)
+
+
+def vmul_cells(f, cells, p, modulus):
+    """The products f * x for the stored elements x of cells, in order."""
+    if len(modulus) == 2:
+        return [f * x % p for x in cells]
+    if (tab := _table(p, modulus, len(cells))) and f:
+        log, exp = tab
+        i = log[f]
+        return [exp[i + log[x]] if x else 0 for x in cells]
+    mul = _product(p, modulus)
+    return [mul(f, x) for x in cells]
 
 
 def vpow(a, e, p, modulus):
-    k = len(a)
-    if 2 < k <= _TABLE_BITS and (tab := _tables.get((p, modulus))):
+    """a^e in F_p[t]/(modulus), for e >= 0; 0^0 = 1."""
+    if a and 2 < len(modulus) - 1 <= _TABLE_BITS and (tab := _tables.get((p, modulus))):
         log, exp = tab
-        i = log.get(int.from_bytes(bytes(a), "little"))
-        if i is not None:
-            return tuple(exp[i * e % len(log)].to_bytes(k, "little"))
-    result = (1,) + (0,) * (k - 1)
+        return exp[log[a] * e % len(log)]
+    result = 1
     if e == 0:
         return result
-    acc = tuple(a)
+    acc = a
     while True:
         if e & 1:
             result = vmul(result, acc, p, modulus)
@@ -274,28 +323,26 @@ def vinv(a, p, modulus):
     """Inverse of a in F_p[t]/(modulus): a table lookup, else extended
     Euclid for p = 2 and a^(q-2) for odd p.
 
-    Raises ZeroDivisionError on the zero vector.
+    Raises ZeroDivisionError on zero.
     """
-    k = len(a)
-    if 2 < k <= _TABLE_BITS and (tab := _tables.get((p, modulus))):
+    k = len(modulus) - 1
+    if a and 2 < k <= _TABLE_BITS and (tab := _tables.get((p, modulus))):
         log, exp = tab
-        i = log.get(int.from_bytes(bytes(a), "little"))
-        if i is not None:
-            return tuple(exp[len(log) - i].to_bytes(k, "little"))
-    if not any(a):
+        return exp[len(log) - log[a]]
+    if not a:
         raise ZeroDivisionError("inverse of zero field element")
     if k == 1:
-        return (pow(a[0] % p, -1, p),)
+        return pow(a, -1, p)
     if p == 2:
         # invariants: u = g1 * a and v = g2 * a mod the modulus
-        u, v, g1, g2 = _bits(a), _bits(modulus), 1, 0
+        u, v, g1, g2 = _bits(a.to_bytes(k, "little")), _bits(bytes(modulus)), 1, 0
         while u != 1:
             j = u.bit_length() - v.bit_length()
             if j < 0:
                 u, v, g1, g2, j = v, u, g2, g1, -j
             u ^= v << j
             g1 ^= g2 << j
-        return tuple(_unbits(g1, k))
+        return int.from_bytes(_unbits(g1, k), "little")
     return vpow(a, p ** k - 2, p, modulus)
 
 
@@ -312,20 +359,8 @@ def vinv_cells(cells, p, modulus):
     order. Raises ZeroDivisionError if one of them is zero."""
     if 0 in cells:
         raise ZeroDivisionError("inverse of zero field element")
-    k = len(modulus) - 1
-    if 2 < k <= _TABLE_BITS and p ** k <= _TABLE_MAX:
-        key = (p, modulus)
-        tab = _tables.get(key)
-        if tab is None and key not in _tables and p == 2:  # odd p: vmul counts them
-            tab = _count_product(key, p ** k, 3 * len(cells) - 3)
-        if tab:
-            log, exp = tab
-            top = len(log)
-            return [exp[top - log[c]] for c in cells]
-    if p == 2 and 2 < k < 256:
-        return _montgomery(cells, _plan2(modulus),
-                           lambda x: pack(vinv(unpack(x, k, 1), 2, modulus), 1))
-    nb = cell_bytes(p)
-    inverses = _montgomery([unpack(c, k, nb) for c in cells], partial(vmul, p=p, modulus=modulus),
-                           partial(vinv, p=p, modulus=modulus))
-    return [pack(v, nb) for v in inverses]
+    if tab := _table(p, modulus, 3 * len(cells) - 3):
+        log, exp = tab
+        top = len(log)
+        return [exp[top - log[c]] for c in cells]
+    return _montgomery(cells, _product(p, modulus), partial(vinv, p=p, modulus=modulus))

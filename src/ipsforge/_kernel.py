@@ -1,12 +1,13 @@
-"""The arithmetic kernel that every module reads F_p[t] vector operations from.
+"""The arithmetic kernel that every module reads field operations from.
 
-A plain re-export of the pure-Python ``_gfcore_py``. Callers look the
-functions up on this module at call time, so a profiler or counter can wrap
-them here without seeing the kernel's own internal calls.
+A plain re-export of the pure-Python ``_gfcore_py``, whose functions take
+and return elements in the stored form. Callers look the functions up on
+this module at call time, so a profiler or counter can wrap them here
+without seeing the kernel's own internal calls.
 """
 
-from ipsforge._gfcore_py import (cell_bytes, pack, unpack, vadd, vsub, vneg, vsmul, vmul,
-                                 vpow, vinv, vinv_cells)
+from ipsforge._gfcore_py import (StoredForm, cell_bytes, pack, unpack, stored_form, vadd,
+                                 vsub, vneg, vmul, vmul_cells, vpow, vinv, vinv_cells)
 
 
 def kernel_backend() -> str:

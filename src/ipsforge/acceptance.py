@@ -49,8 +49,6 @@ from ipsforge.mvpoly import (
     cube_table,
     divide_by_axioms,
     ml,
-    pack_cells,
-    unpack_cells,
 )
 from ipsforge.symfun import (
     ben_or_coeffs,
@@ -209,9 +207,9 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         ok = ok and isinstance(result, Certificate) and verify(inst, result).ok
         compressed = [compress_char_p(f) for f in inst.axioms]
         ehat = [cube_table(elem_sym(n, p ** i, fld)) for i in range(compressed[0].r)]
-        points = [[gf.FieldElem(fld, v) for v in unpack_cells(fld, col)] for col in zip(*ehat)]
+        points = [[gf.FieldElem(fld, v) for v in col] for col in zip(*ehat)]
         for f, comp in zip(inst.axioms, compressed):
-            if pack_cells(fld, [comp.poly.eval(x).coeffs for x in points]) != cube_table(f):
+            if [comp.poly.eval(x).v for x in points] != cube_table(f):
                 ok = False
         # re-expand one ml_prod_elem certificate on this field/size
         degrees = [p ** i for i in range(comp.r) if p ** i <= n][:3]

@@ -309,7 +309,7 @@ def _substitute_monomials(poly_y: Poly, monomials: list[tuple[int, ...]],
                 mu = monomials[idx]
                 for v in range(n):
                     new[v] += d * mu[v]
-        pieces.append((tuple(new), c.coeffs))
+        pieces.append((tuple(new), c.v))
     return collect(n, fld, pieces)
 
 
@@ -421,28 +421,28 @@ def _solve_multipliers(axioms: list[Poly], basis: list[tuple[int, ...]],
     """
     n, fld = axioms[0].n, axioms[0].field
     reduce = reduce or (lambda d: d)
-    columns = [collect(n, fld, ((tuple([reduce(a + b) for a, b in zip(e, mono)]), c.coeffs)
+    columns = [collect(n, fld, ((tuple([reduce(a + b) for a, b in zip(e, mono)]), c)
                                 for e, c in terms))
-               for terms in [g.items() for g in axioms] for mono in basis]
+               for terms in [list(zip(g.exponents(), g.terms.values())) for g in axioms]
+               for mono in basis]
     rows = sorted({e for col in columns for e in col.exponents()}, key=lambda e: (sum(e), e))
     index = {e: i for i, e in enumerate(rows)}
     constant = index.get((0,) * n)
     if constant is None:
         return None
-    zero = (0,) * fld.k
-    matrix = [[zero] * len(columns) for _ in rows]
+    matrix = [[0] * len(columns) for _ in rows]
     for cidx, col in enumerate(columns):
-        for e, c in col.items():
-            matrix[index[e]][cidx] = c.coeffs
-    rhs = [zero] * len(rows)
-    rhs[constant] = fld.one().coeffs
+        for e, c in zip(col.exponents(), col.terms.values()):
+            matrix[index[e]][cidx] = c
+    rhs = [0] * len(rows)
+    rhs[constant] = 1
     solution = exactla.solve(matrix, rhs, fld)
     if solution is None:
         return None
     size = len(basis)
     return [Poly(n, fld, {mono: FieldElem(fld, c)
                           for mono, c in zip(basis, solution[i * size:(i + 1) * size])
-                          if any(c)})
+                          if c})
             for i in range(len(axioms))]
 
 
@@ -580,7 +580,7 @@ def tower_from_dict(data) -> FieldTower:
             for row in table)):
         raise ParseError(f"'embed_table' must be {base.k} rows of {ext.k} "
                          f"coefficients in 0..{ext.p - 1}")
-    rows = [FieldElem(ext, tuple(row)) for row in table]
+    rows = [ext.from_coeffs(row) for row in table]
     theta = rows[1] if base.k > 1 else ext.zero()
     if rows != [theta ** i for i in range(base.k)]:
         raise ParseError("'embed_table' rows are not the powers of the image of t")

@@ -1,9 +1,12 @@
 """Exact arithmetic in F_p, F_{p^k} and F_{p^{2k}}, arranged as a two-level tower.
 
-Elements are dense coefficient vectors over F_p reduced modulo a monic
-irreducible, so every operation is exact. Moduli are found by a deterministic
-search (ascending integer encoding sum(c_i p^i), first irreducible wins) and
-recorded in the FieldSpec, which makes every serialized artifact portable.
+Elements are residues modulo a monic irreducible, kept in the kernel's stored
+form: one int with a byte-aligned slot per power of t, so every operation is
+exact and runs on the int; coefficient vectors appear only at the text and
+JSON boundary (``FieldElem.coeffs``, ``FieldSpec.from_coeffs``). Moduli are
+found by a deterministic search (ascending integer encoding sum(c_i p^i),
+first irreducible wins) and recorded in the FieldSpec, which makes every
+serialized artifact portable.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterator
 
 from ipsforge import _kernel as kn
@@ -82,14 +86,13 @@ def _is_irreducible(modulus: tuple[int, ...], p: int, k: int) -> bool:
     """
     if k == 1:
         return True
-    one = (1,) + (0,) * (k - 1)
-    t = (0, 1) + (0,) * (k - 2)
+    t = 1 << 8 * kn.cell_bytes(p)  # stored t
     if kn.vpow(t, p ** k, p, modulus) != t:
         return False
     for q in range(2, k + 1):
         if k % q == 0 and is_prime(q):
-            u = kn.vsub(kn.vpow(t, p ** (k // q), p, modulus), t, p)
-            if kn.vpow(u, p ** k - 1, p, modulus) != one:
+            u = kn.vsub(kn.vpow(t, p ** (k // q), p, modulus), t, p, modulus)
+            if kn.vpow(u, p ** k - 1, p, modulus) != 1:
                 return False
     return True
 
@@ -136,20 +139,25 @@ class FieldSpec:
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> "FieldElem":
-        return FieldElem(self, (0,) * self.k)
+        return FieldElem(self, 0)
 
     def one(self) -> "FieldElem":
-        return FieldElem(self, (1,) + (0,) * (self.k - 1))
+        return FieldElem(self, 1)
 
     def gen(self) -> "FieldElem":
         """The residue class of t (equals 0 when k = 1)."""
         if self.k == 1:
             return self.zero()
-        return FieldElem(self, (0, 1) + (0,) * (self.k - 2))
+        return FieldElem(self, 1 << 8 * kn.cell_bytes(self.p))
 
     def from_int(self, n: int) -> "FieldElem":
         """Prime-subfield constant n mod p."""
-        return FieldElem(self, (n % self.p,) + (0,) * (self.k - 1))
+        return FieldElem(self, n % self.p)
+
+    def from_coeffs(self, coeffs) -> "FieldElem":
+        """The element with coefficient vector coeffs (c0 first), each of
+        the k entries in [0, p); inverse of FieldElem.coeffs."""
+        return FieldElem(self, kn.pack(coeffs, kn.cell_bytes(self.p)))
 
     def from_encoding(self, m: int) -> "FieldElem":
         """Element with coefficient vector = base-p digits of m (c0 first)."""
@@ -159,7 +167,7 @@ class FieldSpec:
         for _ in range(self.k):
             c.append(m % self.p)
             m //= self.p
-        return FieldElem(self, tuple(c))
+        return self.from_coeffs(c)
 
     def elements(self) -> Iterator["FieldElem"]:
         """All field elements in ascending encoding order."""
@@ -167,7 +175,7 @@ class FieldSpec:
             yield self.from_encoding(m)
 
     def sample(self, rng) -> "FieldElem":
-        return FieldElem(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
+        return self.from_coeffs([rng.randrange(self.p) for _ in range(self.k)])
 
     def text(self) -> str:
         return f"GF({self.p}^{self.k}){{modulus={','.join(map(str, self.modulus))}}}"
@@ -218,13 +226,18 @@ def parse_field_spec(text: str) -> FieldSpec:
 
 class FieldElem:
     """Immutable element of a FieldSpec field; a thin wrapper over the
-    coefficient tuple so arithmetic stays kernel-backed."""
+    kernel's stored int ``v`` so arithmetic stays kernel-backed."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "v")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+    def __init__(self, spec: FieldSpec, v: int):
         self.spec = spec
-        self.coeffs = coeffs
+        self.v = v
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficient vector c0, ..., c_{k-1} of the stored int."""
+        return kn.unpack(self.v, self.spec.k, kn.cell_bytes(self.spec.p))
 
     # -- helpers --------------------------------------------------------------
 
@@ -235,7 +248,7 @@ class FieldElem:
             )
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.v
 
     def encoding(self) -> int:
         m = 0
@@ -247,34 +260,30 @@ class FieldElem:
 
     def __add__(self, other):
         self._check(other)
-        return FieldElem(self.spec, kn.vadd(self.coeffs, other.coeffs, self.spec.p))
+        return FieldElem(self.spec, kn.vadd(self.v, other.v, self.spec.p, self.spec.modulus))
 
     def __sub__(self, other):
         self._check(other)
-        return FieldElem(self.spec, kn.vsub(self.coeffs, other.coeffs, self.spec.p))
+        return FieldElem(self.spec, kn.vsub(self.v, other.v, self.spec.p, self.spec.modulus))
 
     def __neg__(self):
-        return FieldElem(self.spec, kn.vneg(self.coeffs, self.spec.p))
+        return FieldElem(self.spec, kn.vneg(self.v, self.spec.p, self.spec.modulus))
 
     def __mul__(self, other):
         self._check(other)
-        return FieldElem(
-            self.spec, kn.vmul(self.coeffs, other.coeffs, self.spec.p, self.spec.modulus)
-        )
+        return FieldElem(self.spec, kn.vmul(self.v, other.v, self.spec.p, self.spec.modulus))
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        return FieldElem(self.spec, kn.vpow(self.coeffs, e, self.spec.p, self.spec.modulus))
+        return FieldElem(self.spec, kn.vpow(self.v, e, self.spec.p, self.spec.modulus))
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def inv(self) -> "FieldElem":
         try:
-            return FieldElem(
-                self.spec, kn.vinv(self.coeffs, self.spec.p, self.spec.modulus)
-            )
+            return FieldElem(self.spec, kn.vinv(self.v, self.spec.p, self.spec.modulus))
         except ZeroDivisionError:
             raise ZeroInverse("inverse of 0") from None
 
@@ -293,11 +302,11 @@ class FieldElem:
         return (
             isinstance(other, FieldElem)
             and self.spec == other.spec
-            and self.coeffs == other.coeffs
+            and self.v == other.v
         )
 
     def __hash__(self):
-        return hash((self.spec.p, self.spec.k, self.coeffs))
+        return hash((self.spec.p, self.spec.k, self.v))
 
     def __repr__(self):
         return f"FieldElem(GF({self.spec.p}^{self.spec.k}), {list(self.coeffs)})"
@@ -310,7 +319,7 @@ class FieldElem:
 # univariate polynomials over a FieldSpec (root finding for the embedding)
 
 def _u_trim(c):
-    while c and not any(c[-1]):
+    while c and not c[-1]:
         c.pop()
     return c
 
@@ -321,28 +330,25 @@ def _u_monic(c, spec):
 
 
 def _u_mul(a, b, spec):
-    zero = (0,) * spec.k
-    conv = [zero] * (len(a) + len(b) - 1)
+    p, mod = spec.p, spec.modulus
+    conv = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if any(ai):
+        if ai:
             for j, bj in enumerate(b):
-                conv[i + j] = kn.vadd(
-                    conv[i + j], kn.vmul(ai, bj, spec.p, spec.modulus), spec.p
-                )
+                conv[i + j] = kn.vadd(conv[i + j], kn.vmul(ai, bj, p, mod), p, mod)
     return _u_trim(conv)
 
 
 def _u_mod(a, f, spec):
+    p, mod = spec.p, spec.modulus
     r = list(a)
     df = len(f) - 1
     while len(r) - 1 >= df and r:
         c = r[-1]
-        if any(c):
+        if c:
             shift = len(r) - 1 - df
             for j in range(df + 1):
-                r[shift + j] = kn.vsub(
-                    r[shift + j], kn.vmul(c, f[j], spec.p, spec.modulus), spec.p
-                )
+                r[shift + j] = kn.vsub(r[shift + j], kn.vmul(c, f[j], p, mod), p, mod)
         r.pop()
         _u_trim(r)
     return r
@@ -371,14 +377,9 @@ def _u_gcd(a, b, spec):
 
 
 def _u_add(a, b, spec):
-    zero = (0,) * spec.k
     n = max(len(a), len(b))
-    return _u_trim(
-        [
-            kn.vadd(a[i] if i < len(a) else zero, b[i] if i < len(b) else zero, spec.p)
-            for i in range(n)
-        ]
-    )
+    return _u_trim([kn.vadd(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0,
+                            spec.p, spec.modulus) for i in range(n)])
 
 
 def _split(f, spec):
@@ -396,11 +397,9 @@ def _split(f, spec):
     separate two given traces.
     """
     p, k = spec.p, spec.k
-    zero = (0,) * k
-    minus_one = [(p - 1,) + zero[1:]]
     for b in range(k):
-        delta = tuple(1 if i == b else 0 for i in range(k))
-        term = trace = [zero, delta]  # delta X, reduced as deg f >= 2
+        delta = 1 << 8 * kn.cell_bytes(p) * b  # stored t^b
+        term = trace = [0, delta]  # delta X, reduced as deg f >= 2
         for _ in range(k - 1):
             term = _u_powmod(term, p, f, spec)
             trace = _u_add(trace, term, spec)
@@ -410,8 +409,8 @@ def _split(f, spec):
             if p == 2:
                 h = trace
             else:
-                shifted = _u_add(trace, [(a,) + zero[1:]], spec)
-                h = _u_add(_u_powmod(shifted, (p - 1) // 2, f, spec), minus_one, spec)
+                shifted = _u_add(trace, [a], spec)
+                h = _u_add(_u_powmod(shifted, (p - 1) // 2, f, spec), [p - 1], spec)
             g = _u_gcd(f, h, spec)
             if 0 < len(g) - 1 < len(f) - 1:
                 return _u_monic(g, spec)
@@ -428,11 +427,10 @@ def _least_root(modulus: tuple[int, ...], spec: FieldSpec) -> FieldElem:
     it is linear, then take the least of that root's conjugates.
     """
     p, mod, d = spec.p, spec.modulus, len(modulus) - 1
-    pad = (0,) * (spec.k - 1)
-    f = [(c,) + pad for c in modulus]
+    f = list(modulus)  # a constant c of F_p is stored as c
     while len(f) > 2:
         f = _split(f, spec)
-    conjugates = [kn.vneg(f[0], p)]
+    conjugates = [kn.vneg(f[0], p, mod)]
     for _ in range(d - 1):
         conjugates.append(kn.vpow(conjugates[-1], p, p, mod))
     return min((FieldElem(spec, r) for r in conjugates), key=FieldElem.encoding)
@@ -459,13 +457,12 @@ class FieldTower:
         return self.base.k
 
     def embed(self, a: FieldElem) -> FieldElem:
+        """sum_i c_i theta^i for a = sum_i c_i t^i, by the F_p-linear map
+        embed_table, so no product counts toward the ext field's tables."""
         if a.spec != self.base:
             raise LevelMismatch("embed expects a base-level element")
-        acc = (0,) * self.ext.k
-        for c, img in zip(a.coeffs, self.embed_table):
-            if c:
-                acc = kn.vadd(acc, kn.vsmul(img, c, self.p), self.p)
-        return FieldElem(self.ext, acc)
+        return self.ext.from_coeffs([sum(map(mul, a.coeffs, col)) % self.p
+                                     for col in zip(*self.embed_table)])
 
     def is_in_subfield(self, a: FieldElem) -> bool:
         if a.spec != self.ext:

@@ -25,7 +25,6 @@ from ipsforge.mvpoly import (
     default_names,
     interpolate_table,
     linear_poly,
-    unpack_cells,
 )
 
 
@@ -91,10 +90,9 @@ def ml_inverse(alphas: Sequence[FieldElem], beta: FieldElem,
 def alternating_cube_sum(f: Poly) -> FieldElem:
     """sum_a (-1)^{n-|a|} f(a): the x_[n] coefficient of the multilinear
     extension, signed so the identity is exact in every characteristic."""
-    p = f.field.p
-    acc = f.field.zero().coeffs
-    for mask, v in enumerate(unpack_cells(f.field, cube_table(f))):
-        acc = (kn.vsub if (f.n - mask.bit_count()) % 2 else kn.vadd)(acc, v, p)
+    p, mod, acc = f.field.p, f.field.modulus, 0
+    for mask, v in enumerate(cube_table(f)):
+        acc = (kn.vsub if (f.n - mask.bit_count()) % 2 else kn.vadd)(acc, v, p, mod)
     return FieldElem(f.field, acc)
 
 
@@ -127,10 +125,10 @@ def top_coeff(alphas: Sequence[FieldElem], beta: FieldElem,
     p, mod = fld.p, fld.modulus
     table = cube_table(linear_poly(fld, alphas, -beta))
     poly = _reciprocal_of_table(table, n, fld)
-    num, den = fld.zero().coeffs, fld.one().coeffs
-    for mask, d in enumerate(unpack_cells(fld, table)):
+    num, den = 0, 1
+    for mask, d in enumerate(table):
         step = kn.vsub if (n - mask.bit_count()) % 2 else kn.vadd
-        num = step(kn.vmul(num, d, p, mod), den, p)
+        num = step(kn.vmul(num, d, p, mod), den, p, mod)
         den = kn.vmul(den, d, p, mod)
     rational = FieldElem(fld, kn.vmul(num, kn.vinv(den, p, mod), p, mod))
     return TopCoeffReport(alternating_cube_sum(poly), rational, poly.coeff((1,) * n))
@@ -149,21 +147,19 @@ def numerator_monomial_check(n: int, fld: FieldSpec,
     _check_budget(n, cap, "symbolic numerator expansion")
     beta = beta if beta is not None else fld.one()
     target = tuple(1 << i for i in range(n))
-    p = fld.p
-    zero = (0,) * fld.k
-    one = (1,) + (0,) * (fld.k - 1)
-    neg_beta = kn.vneg(beta.coeffs, p)
-    states: dict[tuple[int, ...], tuple[int, ...]] = {(0,) * n: one}
+    p, mod = fld.p, fld.modulus
+    neg_beta = kn.vneg(beta.v, p, mod)
+    states: dict[tuple[int, ...], int] = {(0,) * n: 1}
     factors = [
         [i for i in range(n) if (tmask >> i) & 1] for tmask in range(1, 1 << n)
     ]
     for remaining, members in enumerate(factors):
         budget_left = len(factors) - remaining  # factors still to consume
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+        nxt: dict[tuple[int, ...], int] = {}
 
         def put(key, val):
             cur = nxt.get(key)
-            nxt[key] = val if cur is None else kn.vadd(cur, val, p)
+            nxt[key] = val if cur is None else kn.vadd(cur, val, p, mod)
 
         for state, coeff in states.items():
             deficit = sum(t - s for t, s in zip(target, state))
@@ -172,10 +168,10 @@ def numerator_monomial_check(n: int, fld: FieldSpec,
             for i in members:
                 if state[i] < target[i]:
                     put(state[:i] + (state[i] + 1,) + state[i + 1:], coeff)
-            if deficit < budget_left and any(neg_beta):
-                put(state, kn.vmul(coeff, neg_beta, p, fld.modulus))
+            if deficit < budget_left and neg_beta:
+                put(state, kn.vmul(coeff, neg_beta, p, mod))
         states = nxt
-    return FieldElem(fld, states.get(target, zero))
+    return FieldElem(fld, states.get(target, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +313,7 @@ class CoefficientMatrix:
     def rank(self) -> int:
         if not self.row_index or not self.col_index:
             return 0
-        return exactla.rank([[c.coeffs for c in row] for row in self.entries],
-                            self.field)
+        return exactla.rank([[c.v for c in row] for row in self.entries], self.field)
 
 
 def coefficient_matrix(f: Poly, partition: tuple[Sequence[int], Sequence[int]]
@@ -357,16 +352,15 @@ def eval_dimension(f: Poly, partition: tuple[Sequence[int], Sequence[int]],
     vectors = []
     for assignment in itertools.product(points, repeat=len(right)):
         g = f.restrict(dict(zip(right, assignment)))
-        vec: dict[int, tuple] = {}
-        for e, c in g.items():
+        vec: dict[int, int] = {}
+        for e, c in zip(g.exponents(), g.terms.values()):
             key = tuple(e[i] for i in left)
             idx = mono_index.setdefault(key, len(mono_index))
-            vec[idx] = c.coeffs
+            vec[idx] = c
         vectors.append(vec)
     if not mono_index:
         return 1 if any(vec for vec in vectors) else 0
-    zero = (0,) * fld.k
-    matrix = [[vec.get(i, zero) for i in range(len(mono_index))] for vec in vectors]
+    matrix = [[vec.get(i, 0) for i in range(len(mono_index))] for vec in vectors]
     return exactla.rank(matrix, fld)
 
 

@@ -3,9 +3,10 @@ division by Boolean/Fermat axioms, cube interpolation and the text grammar.
 
 ``Poly.terms`` maps packed monomial keys (an nb-byte exponent slot per
 variable, nb the least that holds the largest exponent, so equal polynomials
-have equal terms) to packed coefficients (_Coeffs). Exponent tuples and
-FieldElems appear only at the boundary: the constructor, ``collect``,
-``coeff``, ``items``, ``exponents`` and the text grammar.
+have equal terms) to coefficients in the kernel's stored form, the int that
+``FieldElem.v`` holds. Exponent tuples and FieldElems appear only at the
+boundary: the constructor, ``collect``, ``coeff``, ``items``, ``exponents``
+and the text grammar.
 """
 
 from __future__ import annotations
@@ -36,14 +37,9 @@ def _width(top: int) -> int:
     return (top.bit_length() + 7) // 8 or 1
 
 
-class _Coeffs:
-    """Codec of one field's packed coefficients: an nb-byte slot per power of
-    t (a lone residue for k = 1), nb the least with 2p < 2^(8nb-1).
-
-    ``fix`` takes every slot from [0, 2p) to [0, p) (broadword, Knuth, TAOCP
-    4A 7.1.3): adding 2^(8nb-1) - p sets a slot's top bit where it is >= p,
-    and that bit times p comes off; so a + b, a + plus - b and plus - a are
-    reduced at once.
+class _Coeffs(kn.StoredForm):
+    """Kronecker products of one field's stored coefficients, whose sums the
+    kernel's ``fix`` reduces.
 
     ``spread`` widens the slots to ``wide`` bytes. A sum of ``pairs`` products
     of spread elements has 2k-1 convolution slots v_i <= pairs*k*(p-1)^2.
@@ -53,34 +49,20 @@ class _Coeffs:
     no slot exceeds (2k-1)*(p-1) max v_i, the bound ``_wide`` sizes for.
     """
 
-    __slots__ = ("field", "p", "k", "nb", "plus", "bias", "high", "shift",
-                 "moves", "fold", "take", "mask")
+    __slots__ = ("moves", "fold", "take", "mask")
 
     def __init__(self, field: FieldSpec, wide: int):
         p, k = field.p, field.k
-        self.field, self.p, self.k = field, p, k
-        self.nb = kn.cell_bytes(p)
-        self.shift, ones = 8 * self.nb - 1, _pack([1] * k, self.nb)
-        self.plus, self.high = p * ones, ones << self.shift
-        self.bias = self.high - self.plus
+        super().__init__(p, k)
         self.moves = [8 * (wide * i + j) for i in range(k) for j in range(self.nb)]
         bits, self.fold = 8 * wide, 0
         self.take = [bits * (2 * k - 2 + j * (2 * k - 1)) for j in range(k)]
         self.mask = (1 << bits) - 1
-        t, r = field.gen().coeffs, field.one().coeffs  # r = t^i mod the modulus
+        t, r = field.gen().v, 1  # r = t^i mod the modulus
         for i in range(2 * k - 1):
-            for j, c in enumerate(r):
+            for j, c in enumerate(_unpack(r, k, self.nb)):
                 self.fold += c << (bits * (2 * k - 2 - i + j * (2 * k - 1)))
             r = kn.vmul(r, t, p, field.modulus)
-
-    def fix(self, d: int) -> int:
-        return d - (((d + self.bias) & self.high) >> self.shift) * self.p
-
-    def pack(self, coeffs: Sequence[int]) -> int:
-        return _pack(coeffs, self.nb)
-
-    def elem(self, v: int) -> FieldElem:
-        return FieldElem(self.field, _unpack(v, self.k, self.nb))
 
     def spread(self, v: int) -> int:
         return sum(map(lshift, v.to_bytes(self.k * self.nb, "little"), self.moves))
@@ -164,10 +146,23 @@ def sum_of_products(n: int, field: FieldSpec,
     return _products(n, field, pairs)
 
 
-def _same_field(field: FieldSpec, c: FieldElem) -> None:
-    """LevelMismatch unless c lies in field, as FieldElem arithmetic raises."""
+def _same_field(field: FieldSpec, c: FieldElem) -> int:
+    """c's stored int; LevelMismatch unless c lies in field, as FieldElem
+    arithmetic raises."""
     if c.spec is not field and c.spec != field:
         raise LevelMismatch(f"cannot combine {c.spec.text()} with {field.text()}")
+    return c.v
+
+
+def _exponents(n: int, exp: Sequence[int]) -> tuple[int, ...]:
+    """exp as a tuple: ArityMismatch unless it has n entries, ValueError if
+    one is negative."""
+    exp = tuple(exp)
+    if len(exp) != n:
+        raise ArityMismatch(f"exponent vector {exp} has {len(exp)} entries, expected {n}")
+    if min(exp, default=0) < 0:
+        raise ValueError(f"exponent vector {exp} has a negative entry")
+    return exp
 
 
 class Poly:
@@ -176,8 +171,8 @@ class Poly:
     __slots__ = ("n", "field", "nb", "terms")
 
     def __init__(self, n: int, field: FieldSpec, terms: Mapping[tuple[int, ...], FieldElem]):
-        pack = _codec(field).pack
-        packed = [(e, v) for e, c in terms.items() if (v := pack(c.coeffs))]
+        checked = [(_exponents(n, e), _same_field(field, c)) for e, c in terms.items()]
+        packed = [(e, v) for e, v in checked if v]
         top = max((max(e, default=0) for e, _ in packed), default=0)
         self.n, self.field, self.nb = n, field, _width(top)
         self.terms = {_pack(e, self.nb): v for e, v in packed}
@@ -190,7 +185,7 @@ class Poly:
 
     @classmethod
     def const(cls, n: int, field: FieldSpec, c: FieldElem) -> "Poly":
-        v = _codec(field).pack(c.coeffs)
+        v = _same_field(field, c)
         return cls._of(n, field, 1, {0: v} if v else {})
 
     @classmethod
@@ -229,14 +224,14 @@ class Poly:
         return max(map(sum, self.exponents()), default=-1)
 
     def coeff(self, exp: tuple[int, ...]) -> FieldElem:
-        exp = tuple(exp)
-        fits = len(exp) == self.n and all(0 <= d < 1 << 8 * self.nb for d in exp)
-        v = self.terms.get(_pack(exp, self.nb)) if fits else None
-        return self.field.zero() if v is None else _codec(self.field).elem(v)
+        exp = _exponents(self.n, exp)
+        fits = all(d < 1 << 8 * self.nb for d in exp)
+        return FieldElem(self.field, self.terms.get(_pack(exp, self.nb), 0) if fits else 0)
 
     def items(self) -> list[tuple[tuple[int, ...], FieldElem]]:
         """(exponent vector, coefficient) of every term."""
-        return list(zip(self.exponents(), map(_codec(self.field).elem, self.terms.values())))
+        field = self.field
+        return [(e, FieldElem(field, v)) for e, v in zip(self.exponents(), self.terms.values())]
 
     def exponents(self) -> list[tuple[int, ...]]:
         n, nb = self.n, self.nb
@@ -298,7 +293,7 @@ class Poly:
         if c.is_zero():
             return Poly.zero(self.n, self.field)
         codec = _codec(self.field)
-        s = codec.spread(codec.pack(c.coeffs))
+        s = codec.spread(c.v)
         # each distinct coefficient is multiplied once, to a nonzero product
         images = {x: codec.reduce(codec.spread(x) * s) for x in set(self.terms.values())}
         return Poly._of(self.n, self.field, self.nb,
@@ -333,21 +328,21 @@ class Poly:
         for e, c in self.terms.items():
             h = (e.bit_length() + w - 1) // w
             first[h] = codec.fix(first[h] + c)
-        return [codec.elem(v) for v in accumulate(first, lambda a, c: codec.fix(a + c))]
+        return [FieldElem(self.field, v) for v in accumulate(first, lambda a, c: codec.fix(a + c))]
 
     def restrict(self, values: Mapping[int, FieldElem]) -> "Poly":
         """Substitute constants for some variables (0-based indices). Each
         constant's powers are made once, as terms first need them, and a term
         that meets a zero constant is dropped at once."""
         n, field, nb, w = self.n, self.field, self.nb, 8 * self.nb
-        p, k, mod, codec = field.p, field.k, field.modulus, _codec(field)
+        p, mod = field.p, field.modulus
         slot, keep = (1 << w) - 1, (1 << (w * n)) - 1  # keep: the slots left
         subs = []  # (index, [v, v^2, ...]), the row None for a zero constant v
         for i, v in values.items():
             if not 0 <= i < n:
                 raise ArityMismatch(f"variable index {i} out of range for n={n}")
             _same_field(field, v)
-            subs.append((i, None if v.is_zero() else [v.coeffs]))
+            subs.append((i, None if v.is_zero() else [v.v]))
             keep &= ~(slot << (w * i))
         pieces = []
         for (e, c), ex in zip(self.terms.items(), self.exponents()):
@@ -358,30 +353,29 @@ class Poly:
                         break
                     while len(row) < d:
                         row.append(kn.vmul(row[-1], row[0], p, mod))
-                    val = kn.vmul(_unpack(c, k, codec.nb) if val is None else val, row[d - 1], p, mod)
+                    val = kn.vmul(c if val is None else val, row[d - 1], p, mod)
             else:
-                pieces.append((e & keep, c if val is None else codec.pack(val)))
+                pieces.append((e & keep, c if val is None else val))
         return _merge(n, field, nb, pieces)
 
 
 def linear_poly(field: FieldSpec, coeffs: Sequence[FieldElem], const: FieldElem) -> Poly:
     """sum_i coeffs[i] * x_{i+1} + const in len(coeffs) variables; zero
     coefficients leave no term."""
-    pack = _codec(field).pack
-    terms = {1 << (8 * i): pack(c.coeffs) for i, c in enumerate(coeffs) if not c.is_zero()}
-    if not const.is_zero():
-        terms[0] = pack(const.coeffs)
+    terms = {1 << (8 * i): v for i, c in enumerate(coeffs) if (v := _same_field(field, c))}
+    if v := _same_field(field, const):
+        terms[0] = v
     return Poly._of(len(coeffs), field, 1, terms)
 
 
 def collect(n: int, field: FieldSpec,
-            terms: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]) -> Poly:
-    """The sum of the terms c * x^e over the (e, c) pairs, c a coefficient
-    vector: equal exponents add, and sums that are zero leave no term."""
+            terms: Iterable[tuple[tuple[int, ...], int]]) -> Poly:
+    """The sum of the terms c * x^e over the (e, c) pairs, c a stored
+    element (FieldElem.v): equal exponents add, and sums that are zero leave
+    no term."""
     pieces = [(tuple(e), c) for e, c in terms]
     nb = _width(max((max(e) for e, _ in pieces if e), default=0))
-    pack = _codec(field).pack
-    return _merge(n, field, nb, [(_pack(e, nb), pack(c)) for e, c in pieces])
+    return _merge(n, field, nb, [(_pack(e, nb), c) for e, c in pieces])
 
 
 # ---------------------------------------------------------------------------
@@ -452,26 +446,14 @@ def fermat_exponent(d: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 # cube interpolation and leading monomials
 
-def pack_cells(field: FieldSpec, vectors: Iterable[Sequence[int]]) -> list[int]:
-    """The stored cells of coefficient vectors: the form of Poly.terms'
-    coefficients, which cube_table, interpolate_table and kn.vinv_cells use."""
-    return list(map(_codec(field).pack, vectors))
-
-
-def unpack_cells(field: FieldSpec, cells: Iterable[int]) -> list[tuple[int, ...]]:
-    """The coefficient vectors of stored cells; inverse of pack_cells."""
-    k, nb = field.k, _codec(field).nb
-    return [_unpack(v, k, nb) for v in cells]
-
-
 def interpolate_table(table: Sequence[int], n: int, field: FieldSpec) -> Poly:
     """The unique multilinear polynomial matching a full 2^n table of stored
-    cells (see pack_cells): table[mask] is its value at the 0/1 point with
+    elements (FieldElem.v): table[mask] is its value at the 0/1 point with
     bit i of mask = x_{i+1}.
 
     Broadword Moebius inversion, once per bit: a perfect shuffle brings the
     next bit to the top, where the pairs (mask, mask ^ bit) are the two halves
-    of the table. A cell is _Coeffs.fix(a + plus - b), written out because a
+    of the table. A cell is StoredForm.fix(a + plus - b), written out because a
     call per cell costs an oracle pass several percent.
     """
     size = 1 << n
@@ -491,14 +473,14 @@ def interpolate_table(table: Sequence[int], n: int, field: FieldSpec) -> Poly:
 
 
 def cube_table(f: Poly) -> list[int]:
-    """f at every 0/1 point as stored cells (see pack_cells): entry mask is f
+    """f at every 0/1 point as stored elements (FieldElem.v): entry mask is f
     at the point with bit i of mask giving x_{i+1}, the table
     interpolate_table reads.
 
     The zeta transform over the subset lattice, the mirror of
     interpolate_table's Moebius step: each term's coefficient goes to the
     cell of its support mask, then for each bit c[mask] += c[mask ^ bit],
-    as one broadword _Coeffs.fix(a + b) per cell after a perfect shuffle.
+    as one broadword StoredForm.fix(a + b) per cell after a perfect shuffle.
     """
     n, co = f.n, _codec(f.field)
     p, bias, high, shift = co.p, co.bias, co.high, co.shift
@@ -543,21 +525,27 @@ def default_names(n: int, letter: str = "x") -> tuple[str, ...]:
 
 
 def format_elem(c: FieldElem) -> str:
-    if c.spec.k == 1:
-        return str(c.coeffs[0])
-    return "[" + ",".join(map(str, c.coeffs)) + "]"
+    return _coeff_text(c.spec, c.v)
+
+
+def _coeff_text(field: FieldSpec, v: int) -> str:
+    """The text of the stored element v: its residue for k = 1, else its
+    coefficient vector in brackets."""
+    if field.k == 1:
+        return str(v)
+    return "[" + ",".join(map(str, _unpack(v, field.k, kn.cell_bytes(field.p)))) + "]"
 
 
 def format_poly(f: Poly, names: Sequence[str] | None = None) -> str:
     if f.is_zero():
         return "0"
     heads = [f"*{name}^" for name in names or default_names(f.n)]
-    elem, texts = _codec(f.field).elem, {}  # texts: coefficient -> its text
+    field, texts = f.field, {}  # texts: coefficient -> its text
     parts = []
     exps = f.exponents()  # sorted grlex-descending; no two terms share exponents
     for _, e, c in sorted(zip(map(sum, exps), exps, f.terms.values()), reverse=True):
         if (text := texts.get(c)) is None:
-            text = texts[c] = format_elem(elem(c))
+            text = texts[c] = _coeff_text(field, c)
         parts.append(text + "".join([heads[i] + str(d) for i, d in enumerate(e) if d]))
     return " + ".join(parts)
 
@@ -581,8 +569,7 @@ def parse_poly(text: str, n: int, field: FieldSpec,
     if len(names) != n:
         raise ArityMismatch(f"{len(names)} names declared for {n} variables")
     index = {nm: i for i, nm in enumerate(names)}
-    p, k, mod = field.p, field.k, field.modulus
-    one, pad = field.one().coeffs, (0,) * (k - 1)
+    p, k, mod, nb = field.p, field.k, field.modulus, kn.cell_bytes(field.p)
     pieces = []
     pos = 0
     while pos < len(text):
@@ -603,9 +590,9 @@ def parse_poly(text: str, n: int, field: FieldSpec,
                         raise ParseError(
                             f"coefficient has {len(vals)} components, field degree is {k}",
                             column=_factor_column(m.start(2), factors, j))
-                    c = tuple([int(v) % p for v in vals])
+                    c = _pack([int(v) % p for v in vals], nb)
                 elif f[0].isdigit():
-                    c = (int(f) % p,) + pad
+                    c = int(f) % p
                 else:
                     name, _, d = f.partition("^")
                     i = index.get(name.rstrip())
@@ -620,8 +607,8 @@ def parse_poly(text: str, n: int, field: FieldSpec,
             raise ParseError(f"numeric literal of {lit.end() - lit.start()} digits is too long",
                              column=lit.start()) from None
         if coeff is None:
-            coeff = one
-        pieces.append((exp, kn.vneg(coeff, p) if sign == "-" else coeff))
+            coeff = 1
+        pieces.append((exp, kn.vneg(coeff, p, mod) if sign == "-" else coeff))
         pos = m.end()
     if not pieces:
         raise ParseError("empty polynomial", column=0)

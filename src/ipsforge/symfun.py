@@ -180,7 +180,7 @@ def ben_or_coeffs(n: int, field: FieldSpec) -> BenOrForm:
     vm = []
     row = [field.one() for _ in nodes]
     for _ in range(n + 1):
-        vm.append([x.coeffs for x in row])
+        vm.append([x.v for x in row])
         row = [x * g for x, g in zip(row, nodes)]
     inv = exactla.invert(vm, field)
     assert inv is not None  # Vandermonde at distinct nodes

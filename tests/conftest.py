@@ -52,4 +52,9 @@ def individual_degree(f):
 
 def from_coeffs(fld, coeffs):
     """The element of fld with coefficient vector coeffs, each reduced mod p."""
-    return gf.FieldElem(fld, tuple(int(c) % fld.p for c in coeffs))
+    return fld.from_coeffs([int(c) % fld.p for c in coeffs])
+
+
+def stored_cells(fld, vectors):
+    """The stored elements (FieldElem.v) of coefficient vectors."""
+    return [fld.from_coeffs(v).v for v in vectors]

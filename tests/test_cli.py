@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ipsforge
 from ipsforge import gf
@@ -230,6 +233,47 @@ def test_parse_error_without_a_position_names_none(tmp_path, capsys, content, me
     assert code == 1, err
     assert err.endswith(message)
     assert "column" not in err
+
+
+_LITERAL = re.compile(r"\[[^\]]*\]")
+
+
+@pytest.fixture(scope="module")
+def small_refutation(tmp_path_factory):
+    """(directory, certificate) of a refute run over GF(2^3) in GF(2^6), n = 3."""
+    work = tmp_path_factory.mktemp("mutations")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["refute", "--family", "linear-shifted", "--p", "2", "--k", "3",
+                     "--n", "3", "--seed", "7", "--out", str(work / "cert.json")]) == 0
+        assert main(["verify", str(work / "cert.json")]) == 0
+    return work, json.loads((work / "cert.json").read_text())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_verify_rejects_a_changed_coefficient(small_refutation, data):
+    """One component of one coefficient literal of A, B or the instance moved
+    to another residue mod p, with a multiple of p added or not: the parsed
+    literal reaches verify as a different element, and verify exits 2, never
+    3 (an internal error)."""
+    work, cert = small_refutation
+    p = gf.parse_field_spec(cert["field"]).p
+    sites = [(key, i, m) for key in ("A", "B", "instance")
+             for i, text in enumerate(cert[key]) for m in _LITERAL.finditer(text)]
+    key, i, m = data.draw(st.sampled_from(sites))
+    parts = m.group()[1:-1].split(",")
+    j = data.draw(st.integers(0, len(parts) - 1))
+    parts[j] = str(int(parts[j]) + data.draw(st.integers(1, p - 1))
+                   + p * data.draw(st.one_of(st.just(0), st.integers(1, 10 ** 6))))
+    mutated = json.loads(json.dumps(cert))
+    text = cert[key][i]
+    mutated[key][i] = text[:m.start()] + "[" + ",".join(parts) + "]" + text[m.end():]
+    path = work / "mutated.json"
+    path.write_text(json.dumps(mutated))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["verify", str(path)])
+    assert code == 2, out.getvalue()
+    assert "not_a_certificate" in out.getvalue()
 
 
 @pytest.mark.parametrize("text, p, k, combo", [

@@ -10,15 +10,15 @@ from ipsforge import _kernel as kn
 from ipsforge import exactla, gf
 from ipsforge.gf import FieldElem
 
-# prime fields (small and large p) take the plain-int path, the rest the
-# kernel path, (2,4) and (2,12) through its p = 2 branch
+# prime fields (small and large p) and extensions, (2,4) and (2,12) through
+# the kernel's p = 2 branch
 FIELDS = [gf.field_spec(p, k) for p, k in
           [(2, 1), (5, 1), (7, 1), (1000003, 1), (3, 2), (2, 4), (2, 12)]]
 
 
 def elems(fld):
     digits = st.tuples(*[st.integers(0, fld.p - 1) for _ in range(fld.k)])
-    return digits.map(lambda c: FieldElem(fld, c))
+    return digits.map(fld.from_coeffs)
 
 
 def matmul(a, b, fld, inner):
@@ -80,7 +80,7 @@ def sparse_rows(draw, fld, m, n):
 
 
 def raw(a):
-    return [[c.coeffs for c in row] for row in a]
+    return [[c.v for c in row] for row in a]
 
 
 def transpose(a, ncols):
@@ -109,7 +109,7 @@ def test_solve_exactly_when_consistent(case, data):
             lambda x: [row[0] for row in matmul(a, [[v] for v in x], fld, ncols)]
             if ncols else [fld.zero()] * len(a)),
     ))
-    b = [c.coeffs for c in rhs]
+    b = [c.v for c in rhs]
     consistent = exactla.rank(raw(a), fld) == exactla.rank(
         [r + [c] for r, c in zip(raw(a), b)], fld)
     x = exactla.solve(raw(a), b, fld)
@@ -142,24 +142,24 @@ def test_invert_exactly_when_full_rank(case):
 
 def dense_eliminate(work, ncols, field):
     """Dense Gauss-Jordan reference for exactla._eliminate, with the same
-    pivot order: every row is a list of kernel tuples, reduced in place over
-    all its columns."""
+    pivot order: every row is a list of stored elements, reduced in place
+    over all its columns."""
     p, mod = field.p, field.modulus
     pivots = []
     for c in range(ncols):
         r = len(pivots)
         if r == len(work):
             break
-        pivot = next((i for i in range(r, len(work)) if any(work[i][c])), None)
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         inv = kn.vinv(work[r][c], p, mod)
-        work[r] = [kn.vmul(inv, x, p, mod) if any(x) else x for x in work[r]]
+        work[r] = [kn.vmul(inv, x, p, mod) if x else x for x in work[r]]
         for i in range(len(work)):
-            if i != r and any(work[i][c]):
+            if i != r and work[i][c]:
                 f = work[i][c]
-                work[i] = [kn.vsub(x, kn.vmul(f, s, p, mod), p) if any(s) else x
+                work[i] = [kn.vsub(x, kn.vmul(f, s, p, mod), p, mod) if s else x
                            for x, s in zip(work[i], work[r])]
         pivots.append(c)
     return pivots
@@ -173,7 +173,7 @@ def test_same_outputs_as_dense_reference(case, data):
     particular solution, not just on its existence."""
     fld, a = case
     m, n = len(a), len(a[0]) if a else 0
-    rhs = [c.coeffs for c in data.draw(st.lists(elems(fld), min_size=m, max_size=m))]
+    rhs = [c.v for c in data.draw(st.lists(elems(fld), min_size=m, max_size=m))]
     rows = raw(a)
     got = (exactla.rank(rows, fld), exactla.solve(rows, rhs, fld),
            exactla.invert(rows, fld) if m == n else None)

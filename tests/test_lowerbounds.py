@@ -21,7 +21,7 @@ from ipsforge.lowerbounds import (
     sparsity_probe,
     top_coeff,
 )
-from ipsforge.mvpoly import Poly, format_elem, interpolate_table, ml, pack_cells
+from ipsforge.mvpoly import Poly, format_elem, interpolate_table, ml
 
 from conftest import eval_cube_point, rand_poly
 
@@ -87,7 +87,7 @@ def nonlinear_polys(draw):
     exps = st.tuples(*[st.integers(0, 3) for _ in range(n)])
     coeffs = st.tuples(*[st.integers(0, p - 1) for _ in range(k)])
     terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=10))
-    return Poly(n, field, {e: gf.FieldElem(field, c) for e, c in terms.items()})
+    return Poly(n, field, {e: field.from_coeffs(c) for e, c in terms.items()})
 
 
 class TestMlReciprocal:
@@ -108,7 +108,7 @@ class TestMlReciprocal:
         and interpolate_table give."""
         values = [eval_cube_point(f, m) for m in range(1 << f.n)]
         assume(all(not v.is_zero() for v in values))
-        expected = interpolate_table(pack_cells(f.field, [v.inv().coeffs for v in values]),
+        expected = interpolate_table([v.inv().v for v in values],
                                      f.n, f.field)
         assert ml_reciprocal(f) == expected
 

@@ -4,8 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipsforge import _kernel as kn, gf
-from ipsforge.gf import FieldElem
+from ipsforge import gf
 from ipsforge.errors import ArityMismatch, LevelMismatch, ParseError, ZeroPolynomial
 from ipsforge.mvpoly import (
     Poly,
@@ -20,11 +19,10 @@ from ipsforge.mvpoly import (
     linear_poly,
     ml,
     ml_partial,
-    pack_cells,
     parse_poly,
 )
 
-from conftest import eval_cube_point, from_coeffs, individual_degree, rand_poly
+from conftest import eval_cube_point, from_coeffs, individual_degree, rand_poly, stored_cells
 
 
 class TestRingOps:
@@ -84,7 +82,7 @@ class TestSubstitute:
             [gf.field_spec(2, 3), gf.field_spec(3, 2), gf.field_spec(5, 1), gf.field_spec(7, 3)]))
         n = data.draw(st.integers(1, 4))
         elems = st.one_of(st.just(fld.zero()), st.tuples(
-            *[st.integers(0, fld.p - 1)] * fld.k).map(lambda c: FieldElem(fld, c)))
+            *[st.integers(0, fld.p - 1)] * fld.k).map(fld.from_coeffs))
         terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), elems,
                                           max_size=8))
         f = Poly(n, fld, terms)
@@ -127,6 +125,47 @@ class TestConstantChecks:
         f = Poly.var(2, f9, 0) + Poly.var(2, f9, 1)
         with pytest.raises(ArityMismatch):
             f.restrict({i: f9.one()})
+
+    @pytest.mark.parametrize("p,k,coeffs", [(5, 2, [4, 0]), (3, 4, [2, 1, 0, 1]), (3, 1, [2])],
+                             ids=["GF(5^2)", "GF(3^4)", "GF(3)"])
+    def test_constructors_refuse_other_fields(self, f9, p, k, coeffs):
+        """The stored int of another field would be copied verbatim: GF(5^2)'s
+        [4,0] is no element of GF(3^2), and GF(3^4)'s has slots past k."""
+        c = from_coeffs(gf.field_spec(p, k), coeffs)
+        with pytest.raises(LevelMismatch):
+            Poly(2, f9, {(1, 0): c})
+        with pytest.raises(LevelMismatch):
+            Poly(2, f9, {(1, 0): f9.one(), (0, 1): c})
+        with pytest.raises(LevelMismatch):
+            Poly.const(2, f9, c)
+        with pytest.raises(LevelMismatch):
+            Poly.monomial(2, f9, (0, 1), c)
+        with pytest.raises(LevelMismatch):
+            linear_poly(f9, [f9.one(), c], f9.one())
+        with pytest.raises(LevelMismatch):
+            linear_poly(f9, [f9.one()], c)
+
+
+class TestExponentVectors:
+    """An exponent vector must have n entries, none of them negative."""
+
+    @pytest.mark.parametrize("exp", [(1, 1, 1), (1,), ()])
+    def test_wrong_length(self, f9, exp):
+        with pytest.raises(ArityMismatch):
+            Poly(2, f9, {exp: f9.one()})
+        with pytest.raises(ArityMismatch):
+            Poly(2, f9, {(0, 1): f9.one(), exp: f9.zero()})
+        with pytest.raises(ArityMismatch):
+            Poly.monomial(2, f9, exp, f9.one())
+        with pytest.raises(ArityMismatch):
+            (Poly.var(2, f9, 0) + Poly.one(2, f9)).coeff(exp)
+
+    def test_negative_entry(self, f9):
+        for build in (lambda: Poly(2, f9, {(1, -1): f9.one()}),
+                      lambda: Poly.monomial(2, f9, (-2, 0), f9.one()),
+                      lambda: Poly.var(2, f9, 0).coeff((-1, 0))):
+            with pytest.raises(ValueError, match="negative"):
+                build()
 
 
 class TestMultilinearization:
@@ -252,52 +291,54 @@ class TestDivideByAxioms:
 class TestCubeInterpolate:
     def test_constant(self, f3):
         c = f3.from_int(2)
-        assert interpolate_table(pack_cells(f3, [c.coeffs] * 8), 3, f3) == Poly.const(3, f3, c)
+        assert interpolate_table(stored_cells(f3, [c.coeffs] * 8), 3, f3) == Poly.const(3, f3, c)
 
     def test_and_truth_table(self, f2):
         vals = [(1,) if mask == 0b1111 else (0,) for mask in range(16)]
-        assert interpolate_table(pack_cells(f2, vals), 4, f2) == \
+        assert interpolate_table(stored_cells(f2, vals), 4, f2) == \
             Poly.monomial(4, f2, (1,) * 4, f2.one())
 
     def test_roundtrip_on_multilinear(self, f9, rng):
         for _ in range(20):
             f = ml(rand_poly(3, f9, rng, 6, 1))
             vals = [eval_cube_point(f, m).coeffs for m in range(8)]
-            assert interpolate_table(pack_cells(f9, vals), 3, f9) == f
+            assert interpolate_table(stored_cells(f9, vals), 3, f9) == f
 
     def test_roundtrip_n8(self, f4, rng):
         f = ml(rand_poly(8, f4, rng, 12, 1))
         vals = [eval_cube_point(f, m).coeffs for m in range(1 << 8)]
-        assert interpolate_table(pack_cells(f4, vals), 8, f4) == f
+        assert interpolate_table(stored_cells(f4, vals), 8, f4) == f
 
     def test_top_coefficient_alternating_sum(self, f9, rng):
         from ipsforge.lowerbounds import alternating_cube_sum
 
         for _ in range(10):
             vals = [f9.sample(rng).coeffs for _ in range(8)]
-            poly = interpolate_table(pack_cells(f9, vals), 3, f9)
+            poly = interpolate_table(stored_cells(f9, vals), 3, f9)
             assert poly.coeff((1, 1, 1)) == alternating_cube_sum(poly)
 
 
 def moebius_by_vsub(table, n, p):
-    """Reference Moebius inversion: one kernel subtraction per pair."""
+    """Reference Moebius inversion on coefficient vectors: one componentwise
+    subtraction mod p per pair."""
     c = list(table)
     for i in range(n):
         bit = 1 << i
         for mask in range(1 << n):
             if mask & bit:
-                c[mask] = kn.vsub(c[mask], c[mask ^ bit], p)
+                c[mask] = tuple((x - y) % p for x, y in zip(c[mask], c[mask ^ bit]))
     return c
 
 
 def zeta_by_vadd(table, n, p):
-    """Reference zeta transform: one kernel addition per pair."""
+    """Reference zeta transform on coefficient vectors: one componentwise
+    addition mod p per pair."""
     c = list(table)
     for i in range(n):
         bit = 1 << i
         for mask in range(1 << n):
             if mask & bit:
-                c[mask] = kn.vadd(c[mask], c[mask ^ bit], p)
+                c[mask] = tuple((x + y) % p for x, y in zip(c[mask], c[mask ^ bit]))
     return c
 
 
@@ -322,9 +363,9 @@ class TestInterpolateTable:
     def test_broadword_moebius_matches_vsub(self, case):
         field, n, table = case
         c = moebius_by_vsub(table, n, field.p)
-        expected = {tuple((mask >> i) & 1 for i in range(n)): gf.FieldElem(field, v)
+        expected = {tuple((mask >> i) & 1 for i in range(n)): field.from_coeffs(v)
                     for mask, v in enumerate(c) if any(v)}
-        assert dict(interpolate_table(pack_cells(field, table), n, field).items()) == expected
+        assert dict(interpolate_table(stored_cells(field, table), n, field).items()) == expected
 
     def test_extreme_slots(self):
         """0 - (p-1) and (p-1) - 0 in every slot, where a borrow or a carry
@@ -333,14 +374,14 @@ class TestInterpolateTable:
             field = gf.field_spec(p, k)
             for a, b in (((0,) * k, (p - 1,) * k), ((p - 1,) * k, (0,) * k)):
                 table = [a, b, b, a]
-                assert dict(interpolate_table(pack_cells(field, table), 2, field).items()) == {
-                    e: gf.FieldElem(field, v)
+                assert dict(interpolate_table(stored_cells(field, table), 2, field).items()) == {
+                    e: field.from_coeffs(v)
                     for e, v in zip([(0, 0), (1, 0), (0, 1), (1, 1)],
                                     moebius_by_vsub(table, 2, p)) if any(v)}
 
     def test_wrong_length(self, f3):
         with pytest.raises(ArityMismatch):
-            interpolate_table(pack_cells(f3, [(1,)] * 3), 2, f3)
+            interpolate_table(stored_cells(f3, [(1,)] * 3), 2, f3)
 
 
 @st.composite
@@ -352,7 +393,7 @@ def cube_polys(draw):
     exps = st.tuples(*[st.integers(0, 3) for _ in range(n)])
     coeffs = st.tuples(*[st.integers(0, p - 1) for _ in range(k)])
     terms = draw(st.dictionaries(exps, coeffs, max_size=12))
-    return Poly(n, field, {e: gf.FieldElem(field, c) for e, c in terms.items()})
+    return Poly(n, field, {e: field.from_coeffs(c) for e, c in terms.items()})
 
 
 class TestCubeValues:
@@ -360,7 +401,7 @@ class TestCubeValues:
     @given(cube_polys())
     def test_matches_pointwise_and_inverts_interpolation(self, f):
         table = cube_table(f)
-        assert table == pack_cells(f.field, [eval_cube_point(f, m).coeffs
+        assert table == stored_cells(f.field, [eval_cube_point(f, m).coeffs
                                              for m in range(1 << f.n)])
         assert interpolate_table(table, f.n, f.field) == ml(f)
 
@@ -371,12 +412,12 @@ class TestCubeValues:
         unreduced."""
         field = gf.field_spec(p, k)
         rng = random.Random(nterms)
-        top = gf.FieldElem(field, (p - 1,) * k)
+        top = field.from_coeffs((p - 1,) * k)
         f = Poly.zero(9, field)
         while f.sparsity() < nterms:
             e = tuple(rng.randrange(3) for _ in range(9))
             f = f + Poly.monomial(9, field, e, top)
-        assert cube_table(f) == pack_cells(field, [eval_cube_point(f, m).coeffs
+        assert cube_table(f) == stored_cells(field, [eval_cube_point(f, m).coeffs
                                                   for m in range(1 << 9)])
 
 
@@ -388,9 +429,9 @@ class TestCubeTableSlots:
         for p, k in BROADWORD_FIELDS:
             field = gf.field_spec(p, k)
             top = (p - 1,) * k
-            f = Poly(2, field, {e: gf.FieldElem(field, top)
+            f = Poly(2, field, {e: field.from_coeffs(top)
                                 for e in [(0, 0), (1, 0), (0, 1), (1, 1)]})
-            assert cube_table(f) == pack_cells(field, zeta_by_vadd([top] * 4, 2, p))
+            assert cube_table(f) == stored_cells(field, zeta_by_vadd([top] * 4, 2, p))
 
     @settings(max_examples=100, deadline=None)
     @given(cube_tables())
@@ -398,9 +439,9 @@ class TestCubeTableSlots:
         """The zeta step is the inverse of the Moebius step on stored cells,
         for one-byte and multi-byte slots."""
         field, n, table = case
-        f = interpolate_table(pack_cells(field, table), n, field)
-        assert cube_table(f) == pack_cells(field, table)
-        assert cube_table(f) == pack_cells(field, zeta_by_vadd(moebius_by_vsub(table, n, field.p),
+        f = interpolate_table(stored_cells(field, table), n, field)
+        assert cube_table(f) == stored_cells(field, table)
+        assert cube_table(f) == stored_cells(field, zeta_by_vadd(moebius_by_vsub(table, n, field.p),
                                                                n, field.p))
         assert interpolate_table(cube_table(f), n, field) == ml(f) == f
 
@@ -424,7 +465,7 @@ class TestCollect:
         coeffs = [f9.sample(rng) for _ in exps]
         coeffs[4] = -coeffs[2]  # x2 cancels
         coeffs[1] = f9.zero()
-        pieces = [(e, c.coeffs) for e, c in zip(exps, coeffs)]
+        pieces = [(e, c.v) for e, c in zip(exps, coeffs)]
         expected = Poly.zero(3, f9)
         for e, c in zip(exps, coeffs):
             expected = expected + Poly.monomial(3, f9, e, c)
@@ -465,11 +506,10 @@ class TestLeadingMonomial:
                     polys.append(f)
             monos = sorted({e for f in polys for e in f.exponents()})
             idx = {e: i for i, e in enumerate(monos)}
-            zero = (0,) * f9.k
-            matrix = [[zero] * len(monos) for _ in polys]
+            matrix = [[0] * len(monos) for _ in polys]
             for r, f in enumerate(polys):
                 for e, c in f.items():
-                    matrix[r][idx[e]] = c.coeffs
+                    matrix[r][idx[e]] = c.v
             assert exactla.rank(matrix, f9) == len(polys)
 
 
@@ -618,7 +658,7 @@ class TestTextGrammar:
         terms = data.draw(st.lists(st.tuples(
             st.tuples(*[st.integers(0, 3)] * 3), st.integers(0, field.order - 1)),
             max_size=6))
-        f = collect(3, field, [(e, field.from_encoding(c).coeffs) for e, c in terms])
+        f = collect(3, field, [(e, field.from_encoding(c).v) for e, c in terms])
         tokens = re.findall(r"\d+|[A-Za-z]\w*|\S", format_poly(f))
         gaps = data.draw(st.lists(st.sampled_from(["", " ", "  ", "\t", "\n"]),
                                   min_size=len(tokens), max_size=len(tokens)))

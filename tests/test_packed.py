@@ -1,7 +1,8 @@
 """Poly's packed terms against references on exponent and coefficient tuples.
 
 The product reference multiplies term by term with the pure-Python kernel's
-vmul and adds with its vadd, reducing every single product; Poly keeps
+vmul and adds coefficient vectors componentwise mod p, reducing every single
+product; Poly keeps
 exponents and coefficients packed into ints and reduces once per output
 term. Sums, negation, scaling, restriction, multilinearization, collect,
 division by the axioms and the text round trip have references on tuple
@@ -30,16 +31,31 @@ from ipsforge.mvpoly import (
 FIELDS = [(p, k) for p in (2, 3, 5, 13) for k in (1, 2, 3, 6, 12)]
 
 
+def vadd(a, b, p):
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def vneg(a, p):
+    return tuple(-x % p for x in a)
+
+
+def vmul(a, b, field):
+    """The kernel's product of coefficient vectors, converted at its boundary."""
+    nb = ref.cell_bytes(field.p)
+    return ref.unpack(ref.vmul(ref.pack(a, nb), ref.pack(b, nb), field.p, field.modulus),
+                      field.k, nb)
+
+
 def schoolbook(pairs, field):
     """sum f*g over the pairs, one vmul and one vadd per term pair."""
-    p, mod = field.p, field.modulus
+    p = field.p
     out = {}
     for f, g in pairs:
         for e1, c1 in f.items():
             for e2, c2 in g.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                prod = ref.vmul(c1.coeffs, c2.coeffs, p, mod)
-                out[key] = ref.vadd(out[key], prod, p) if key in out else prod
+                prod = vmul(c1.coeffs, c2.coeffs, field)
+                out[key] = vadd(out[key], prod, p) if key in out else prod
     return {e: c for e, c in out.items() if any(c)}
 
 
@@ -59,7 +75,7 @@ def operands(draw, count):
     polys = []
     for _ in range(count):
         terms = draw(st.dictionaries(exps, coeffs, max_size=12))
-        polys.append(Poly(n, field, {e: gf.FieldElem(field, c) for e, c in terms.items()}))
+        polys.append(Poly(n, field, {e: field.from_coeffs(c) for e, c in terms.items()}))
     return field, polys
 
 
@@ -84,14 +100,14 @@ def test_sum_of_products_matches_schoolbook(case):
 @given(operands(1), st.data())
 def test_scale_matches_schoolbook(case, data):
     field, (f,) = case
-    c = gf.FieldElem(field, data.draw(st.tuples(*[st.integers(0, field.p - 1)
+    c = field.from_coeffs(data.draw(st.tuples(*[st.integers(0, field.p - 1)
                                                   for _ in range(field.k)])))
     assert coeff_map(f.scale(c)) == schoolbook([(f, Poly.const(f.n, field, c))], field)
 
 
 def all_top(field):
     """The coefficient whose every component is p-1."""
-    return gf.FieldElem(field, (field.p - 1,) * field.k)
+    return field.from_coeffs((field.p - 1,) * field.k)
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -129,7 +145,8 @@ def test_sum_of_products_checks_every_factor():
 
 # ---------------------------------------------------------------------------
 # every term-level operation against a reference on {exponent tuple:
-# coefficient tuple} dicts, built with the pure kernel's vadd, vneg and vmul
+# coefficient tuple} dicts, built with componentwise sums mod p and the
+# kernel's vmul
 
 REF_FIELDS = [(p, k) for p in (2, 3, 13) for k in (1, 2, 3, 6, 12)]
 
@@ -142,19 +159,18 @@ def ref_collect(pieces, p):
     out = {}
     for e, c in pieces:
         e = tuple(e)
-        out[e] = ref.vadd(out[e], c, p) if e in out else c
+        out[e] = vadd(out[e], c, p) if e in out else c
     return {e: c for e, c in out.items() if any(c)}
 
 
 def ref_restrict(terms, values, field):
-    p, mod = field.p, field.modulus
     pieces = []
     for e, c in terms.items():
         for i, v in values.items():
             if e[i]:
-                c = ref.vmul(c, ref.vpow(v.coeffs, e[i], p, mod), p, mod)
+                c = vmul(c, (v ** e[i]).coeffs, field)
         pieces.append((tuple(0 if i in values else d for i, d in enumerate(e)), c))
-    return ref_collect(pieces, p)
+    return ref_collect(pieces, field.p)
 
 
 def ref_divide(terms, n, e, p):
@@ -186,7 +202,7 @@ def ref_operands(draw, count):
 
 
 def poly_of(field, n, terms):
-    return Poly(n, field, {e: gf.FieldElem(field, c) for e, c in terms.items()})
+    return Poly(n, field, {e: field.from_coeffs(c) for e, c in terms.items()})
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,7 +212,7 @@ def test_sums_and_negation_match_reference(case):
     p = field.p
     f, g = poly_of(field, n, a), poly_of(field, n, b)
     a, b = tuple_map(f), tuple_map(g)  # zero coefficients dropped
-    neg_b = {e: ref.vneg(c, p) for e, c in b.items()}
+    neg_b = {e: vneg(c, p) for e, c in b.items()}
     assert tuple_map(f + g) == ref_collect(list(a.items()) + list(b.items()), p)
     assert tuple_map(f - g) == ref_collect(list(a.items()) + list(neg_b.items()), p)
     assert tuple_map(-g) == neg_b
@@ -210,10 +226,10 @@ def test_scale_restrict_and_ml_partial_match_reference(case, data):
     f = poly_of(field, n, a)
     a = tuple_map(f)
     elem = st.tuples(*[st.integers(0, p - 1) for _ in range(k)]).map(
-        lambda c: gf.FieldElem(field, c))
+        field.from_coeffs)
     c = data.draw(elem)
     assert tuple_map(f.scale(c)) == ref_collect(
-        [(e, ref.vmul(x, c.coeffs, p, field.modulus)) for e, x in a.items()], p)
+        [(e, vmul(x, c.coeffs, field)) for e, x in a.items()], p)
     values = data.draw(st.dictionaries(st.integers(0, n - 1), elem) if n else st.just({}))
     assert tuple_map(f.restrict(values)) == ref_restrict(a, values, field)
     vs = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
@@ -231,7 +247,8 @@ def test_collect_matches_reference(case, data):
     # repeated exponents, so that equal ones add and some sums cancel
     pieces = data.draw(st.lists(st.tuples(st.sampled_from(list(a)),
                                           st.sampled_from(list(a.values()))), max_size=12))
-    assert tuple_map(collect(n, field, pieces)) == ref_collect(pieces, field.p)
+    stored = [(e, field.from_coeffs(c).v) for e, c in pieces]
+    assert tuple_map(collect(n, field, stored)) == ref_collect(pieces, field.p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,7 +286,7 @@ def test_routes_to_one_poly_compare_and_hash_equal(case):
         f,
         (f + g) - g,
         (f + far) - far,
-        collect(n, field, [(e, c.coeffs) for e, c in f.items()]),
+        collect(n, field, [(e, c.v) for e, c in f.items()]),
         parse_poly(format_poly(f), n, field),
         sum_of_products(n, field, [(f, Poly.one(n, field)), (g, far), (-g, far)]),
         divide_by_axioms(f * far, "boolean").recompose() - f * far + f,

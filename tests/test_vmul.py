@@ -1,14 +1,16 @@
-"""The pure-Python kernel's Kronecker vmul against a schoolbook reference.
+"""The pure-Python kernel on stored ints against references on coefficient
+vectors, converted at the kernel's boundary by pack and unpack.
 
-vmul packs both factors into ints, multiplies once and reduces the unpacked
-convolution with the nonzero terms of the modulus, or for p = 2 reads slot
-parities and reduces by Barrett's quotient; the reference below convolves
-term by term and reduces with every coefficient of the modulus, and vinv is
-checked against a list-based extended Euclid. Hypothesis drives random
-vectors over the first irreducible modulus of each field and over a dense
-one with many nonzero terms, from p = 2 up to p = 2^61 - 1; the worst case
-for the slots (every component p-1, up to k = 127 for p = 2) and two small
-fields in full are fixed below.
+vmul repacks both factors with wider slots, multiplies once and reduces the
+unpacked convolution with the nonzero terms of the modulus, or for p = 2
+reads slot parities and reduces by Barrett's quotient; the reference below
+convolves term by term and reduces with every coefficient of the modulus,
+and vinv is checked against a list-based extended Euclid. The broadword
+vadd, vsub and vneg are checked against componentwise arithmetic mod p.
+Hypothesis drives random vectors over the first irreducible modulus of each
+field and over a dense one with many nonzero terms, from p = 2 up to
+p = 2^61 - 1; the worst case for the slots (every component p-1, up to
+k = 127 for p = 2) and two small fields in full are fixed below.
 The log/antilog tables of fields with at most 2^14 elements are built
 explicitly and checked against the same references.
 """
@@ -48,6 +50,39 @@ TERMS = {
     ((1 << 61) - 1, 1): (1,), ((1 << 61) - 1, 2): (2, 3),
     (1000003, 3): (2, 4), (1000003, 4): (3, 4),
 }
+
+
+def stored(v, p):
+    return kernel.pack(v, kernel.cell_bytes(p))
+
+
+def vector(x, p, k):
+    return kernel.unpack(x, k, kernel.cell_bytes(p))
+
+
+def vmul(a, b, p, modulus):
+    """kernel.vmul on coefficient vectors."""
+    return vector(kernel.vmul(stored(a, p), stored(b, p), p, modulus), p, len(a))
+
+
+def vpow(a, e, p, modulus):
+    return vector(kernel.vpow(stored(a, p), e, p, modulus), p, len(a))
+
+
+def vinv(a, p, modulus):
+    return vector(kernel.vinv(stored(a, p), p, modulus), p, len(a))
+
+
+def vadd(a, b, p, modulus):
+    return vector(kernel.vadd(stored(a, p), stored(b, p), p, modulus), p, len(a))
+
+
+def vsub(a, b, p, modulus):
+    return vector(kernel.vsub(stored(a, p), stored(b, p), p, modulus), p, len(a))
+
+
+def vneg(a, p, modulus):
+    return vector(kernel.vneg(stored(a, p), p, modulus), p, len(a))
 
 
 def schoolbook(a, b, p, modulus):
@@ -134,7 +169,7 @@ def test_vmul_matches_schoolbook(p, k, dense, data):
     fld = spec(p, k, dense)
     a, b = data.draw(vectors(fld)), data.draw(vectors(fld))
     mod = fld.modulus
-    assert kernel.vmul(a, b, p, mod) == schoolbook(a, b, p, mod)
+    assert vmul(a, b, p, mod) == schoolbook(a, b, p, mod)
 
 
 @pytest.mark.parametrize("p,k,dense", SPECS)
@@ -146,13 +181,13 @@ def test_inverse_and_power(p, k, dense, data):
     mod = fld.modulus
     one = (1,) + (0,) * (k - 1)
     if any(a):
-        assert kernel.vmul(a, kernel.vinv(a, p, mod), p, mod) == one
-        assert kernel.vpow(a, fld.order - 1, p, mod) == one
+        assert vmul(a, vinv(a, p, mod), p, mod) == one
+        assert vpow(a, fld.order - 1, p, mod) == one
     e = data.draw(st.integers(0, 40))
     expect = one
     for _ in range(e):
         expect = schoolbook(expect, a, p, mod)
-    assert kernel.vpow(a, e, p, mod) == expect
+    assert vpow(a, e, p, mod) == expect
 
 
 @pytest.mark.parametrize("p,k,dense", SPECS)
@@ -161,10 +196,34 @@ def test_all_top_worst_case(p, k, dense):
     k*(p-1)^2 exactly, and every tap of the reduction fires."""
     mod = spec(p, k, dense).modulus
     top = (p - 1,) * k
-    assert kernel.vmul(top, top, p, mod) == schoolbook(top, top, p, mod)
+    assert vmul(top, top, p, mod) == schoolbook(top, top, p, mod)
     lone = (0,) * (k - 1) + (p - 1,)  # (p-1)^2 t^(2k-2), the highest slot
-    assert kernel.vmul(lone, top, p, mod) == schoolbook(lone, top, p, mod)
-    assert kernel.vmul(lone, lone, p, mod) == schoolbook(lone, lone, p, mod)
+    assert vmul(lone, top, p, mod) == schoolbook(lone, top, p, mod)
+    assert vmul(lone, lone, p, mod) == schoolbook(lone, lone, p, mod)
+
+
+def check_add_sub_neg(a, b, p, modulus):
+    assert vadd(a, b, p, modulus) == tuple((x + y) % p for x, y in zip(a, b))
+    assert vsub(a, b, p, modulus) == tuple((x - y) % p for x, y in zip(a, b))
+    assert vneg(a, p, modulus) == tuple(-x % p for x in a)
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_add_sub_neg_match_componentwise(p, k, data):
+    fld = spec(p, k, False)
+    check_add_sub_neg(data.draw(vectors(fld)), data.draw(vectors(fld)), p, fld.modulus)
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_add_sub_neg_extreme_slots(p, k):
+    """Every slot at p-1 or 0: (p-1) + (p-1) is the largest sum a slot
+    holds, and 0 - (p-1) and -0 the cases where a borrow or a missed
+    reduction would show."""
+    mod, top, zero = spec(p, k, False).modulus, (p - 1,) * k, (0,) * k
+    for a, b in ((top, top), (zero, top), (top, zero), (zero, zero)):
+        check_add_sub_neg(a, b, p, mod)
 
 
 @pytest.mark.parametrize("p,k,dense", SPECS)
@@ -175,14 +234,14 @@ def test_binary_inverse_matches_euclid(p, k, dense, data):
     fld = spec(p, k, dense)
     a = data.draw(vectors(fld))
     if any(a):
-        assert kernel.vinv(a, p, fld.modulus) == euclid_inverse(a, p, fld.modulus)
+        assert vinv(a, p, fld.modulus) == euclid_inverse(a, p, fld.modulus)
 
 
 @pytest.mark.parametrize("p,k,dense", SPECS)
 def test_binary_inverse_of_zero_raises(p, k, dense):
     """For every p, also where a^(q-2) would return zero."""
     with pytest.raises(ZeroDivisionError):
-        kernel.vinv((0,) * k, p, spec(p, k, dense).modulus)
+        vinv((0,) * k, p, spec(p, k, dense).modulus)
 
 
 def test_multibyte_slots_are_exercised():
@@ -191,6 +250,8 @@ def test_multibyte_slots_are_exercised():
     for p, k, nb in ((13, 4, 2), (5, 16, 2), (13, 24, 2), (1000003, 3, 6), (1000003, 4, 6)):
         spec = gf.field_spec(p, k)
         assert kernel._plan(p, spec.modulus)[0] == nb
+    # stored cells of three and eight bytes, read by the add, sub and neg tests
+    assert (kernel.cell_bytes(1000003), kernel.cell_bytes((1 << 61) - 1)) == (3, 8)
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3)])
@@ -199,7 +260,7 @@ def test_all_pairs(p, k):
     for x in spec.elements():
         for y in spec.elements():
             a, b = x.coeffs, y.coeffs
-            assert kernel.vmul(a, b, p, spec.modulus) == schoolbook(a, b, p, spec.modulus)
+            assert vmul(a, b, p, spec.modulus) == schoolbook(a, b, p, spec.modulus)
 
 
 def power(a, e, p, modulus):
@@ -228,9 +289,9 @@ def test_table_all_pairs(p, k):
     mod, elements = fld.modulus, [x.coeffs for x in fld.elements()]
     for a in elements:
         for b in elements:
-            assert kernel.vmul(a, b, p, mod) == schoolbook(a, b, p, mod)
+            assert vmul(a, b, p, mod) == schoolbook(a, b, p, mod)
         if any(a):
-            assert kernel.vinv(a, p, mod) == euclid_inverse(a, p, mod)
+            assert vinv(a, p, mod) == euclid_inverse(a, p, mod)
 
 
 @pytest.mark.parametrize("p,k", [(2, 12), (3, 8), (5, 6)])
@@ -242,10 +303,10 @@ def test_table_matches_references(p, k, dense, data):
     mod = fld.modulus
     a, b = data.draw(vectors(fld)), data.draw(vectors(fld))
     e = data.draw(st.integers(0, 3 * fld.order))
-    assert kernel.vmul(a, b, p, mod) == schoolbook(a, b, p, mod)
-    assert kernel.vpow(a, e, p, mod) == power(a, e, p, mod)
+    assert vmul(a, b, p, mod) == schoolbook(a, b, p, mod)
+    assert vpow(a, e, p, mod) == power(a, e, p, mod)
     if any(a):
-        assert kernel.vinv(a, p, mod) == euclid_inverse(a, p, mod)
+        assert vinv(a, p, mod) == euclid_inverse(a, p, mod)
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 6)])
@@ -255,18 +316,18 @@ def test_table_power_edge_cases(p, k):
     zero, one = (0,) * k, (1,) + (0,) * (k - 1)
     a = (0, 1) + (0,) * (k - 2)
     for e in (0, q - 1, 2 * (q - 1), 5 * (q - 1)):
-        assert kernel.vpow(a, e, p, mod) == one
-    assert kernel.vpow(a, q, p, mod) == a
-    assert kernel.vpow(zero, 0, p, mod) == one
-    assert kernel.vpow(zero, 1, p, mod) == zero
-    assert kernel.vpow(zero, q - 1, p, mod) == zero
+        assert vpow(a, e, p, mod) == one
+    assert vpow(a, q, p, mod) == a
+    assert vpow(zero, 0, p, mod) == one
+    assert vpow(zero, 1, p, mod) == zero
+    assert vpow(zero, q - 1, p, mod) == zero
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 6)])
 def test_table_inverse_of_zero_raises(p, k):
     fld = tabled(p, k, False)
     with pytest.raises(ZeroDivisionError):
-        kernel.vinv((0,) * k, p, fld.modulus)
+        vinv((0,) * k, p, fld.modulus)
 
 
 @pytest.mark.parametrize("modulus", [(0, 0, 1, 1), (1, 0, 0, 1)],
@@ -278,7 +339,7 @@ def test_no_table_for_reducible_modulus(modulus):
     elements = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     for a in elements:
         for b in elements:
-            assert kernel.vmul(a, b, 2, modulus) == schoolbook(a, b, 2, modulus)
+            assert vmul(a, b, 2, modulus) == schoolbook(a, b, 2, modulus)
 
 
 def test_table_built_after_q_generic_products():
@@ -288,9 +349,9 @@ def test_table_built_after_q_generic_products():
     kernel._products.pop(key, None)
     a = b = (1, 1, 0, 1, 0)
     for _ in range(q):
-        kernel.vmul(a, b, 2, fld.modulus)
+        vmul(a, b, 2, fld.modulus)
     assert key not in kernel._tables
-    assert kernel.vmul(a, b, 2, fld.modulus) == schoolbook(a, b, 2, fld.modulus)
+    assert vmul(a, b, 2, fld.modulus) == schoolbook(a, b, 2, fld.modulus)
     assert kernel._tables[key]
 
 
@@ -300,20 +361,16 @@ def test_no_table_outside_limits(p, k):
     fld = gf.field_spec(p, k)
     a = (1,) * k
     for _ in range(fld.order + 1):
-        kernel.vmul(a, a, p, fld.modulus)
+        vmul(a, a, p, fld.modulus)
     assert (p, fld.modulus) not in kernel._tables
 
 
-# vinv_cells on each of its paths: log tables, Montgomery's trick on stored
-# ints with the p = 2 Barrett product, and Montgomery's trick on tuples (odd
-# p without tables, k = 1 and k = 2)
+# vinv_cells on each of its paths: log tables, and Montgomery's trick over
+# the untabled product (Barrett's for p = 2, the Kronecker convolution for
+# odd p without tables, the closed forms for k = 1 and k = 2)
 BATCH_TABLED = [(2, 12), (3, 4), (3, 8)]
 BATCH_UNTABLED = [(2, 24), (2, 127), (5, 6), (13, 4), ((1 << 61) - 1, 1), (1000003, 1),
                   (2, 2), (3, 2), ((1 << 61) - 1, 2)]
-
-
-def stored(v, p):
-    return kernel.pack(v, kernel.cell_bytes(p))
 
 
 @pytest.mark.parametrize("p,k", BATCH_TABLED + BATCH_UNTABLED)
@@ -327,8 +384,21 @@ def test_batch_inverse_matches_vinv(p, k, data):
         kernel._products.pop(key, None)
     vecs = data.draw(st.lists(vectors(fld).filter(any), min_size=1, max_size=20))
     got = kernel.vinv_cells([stored(v, p) for v in vecs], p, fld.modulus)
-    assert got == [stored(kernel.vinv(v, p, fld.modulus), p) for v in vecs]
+    assert got == [stored(vinv(v, p, fld.modulus), p) for v in vecs]
     assert bool(kernel._tables.get(key)) == ((p, k) in BATCH_TABLED)
+
+
+@pytest.mark.parametrize("p,k", BATCH_TABLED + BATCH_UNTABLED)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batch_product_matches_vmul(p, k, data):
+    """vmul_cells on each path: k = 1, log tables, the generic product; zero
+    factors and zero cells included."""
+    fld = tabled(p, k, False) if (p, k) in BATCH_TABLED else spec(p, k, False)
+    f = data.draw(vectors(fld))
+    vecs = data.draw(st.lists(vectors(fld), max_size=20))
+    got = kernel.vmul_cells(stored(f, p), [stored(v, p) for v in vecs], p, fld.modulus)
+    assert got == [stored(vmul(f, v, p, fld.modulus), p) for v in vecs]
 
 
 @pytest.mark.parametrize("p,k", [(2, 12), (2, 24), (5, 6), (3, 2), (1000003, 1)])
