@@ -590,9 +590,10 @@ def tower_from_dict(data) -> FieldTower:
     return FieldTower(base, ext, tuple(tuple(row) for row in table))
 
 
-def certificate_to_dict(instance: Instance, cert: Certificate) -> dict:
+def certificate_to_dict(instance: Instance, cert: Certificate,
+                        stats: CertStats | None = None) -> dict:  # cert_stats(cert), if known
     names = instance.var_names
-    stats = cert_stats(cert)
+    stats = cert_stats(cert) if stats is None else stats
     out = {
         "field": instance.field.text(),
         "n": instance.n,

@@ -191,7 +191,7 @@ def refute(family, p, k, n, m, seed, polys, out, fmt, canonical):
     report = verify(inst, result)
     if not report.ok:
         raise AssertionError("freshly constructed certificate failed verification")
-    payload = certificate_to_dict(inst, result)
+    payload = certificate_to_dict(inst, result, stats=report.stats)
     payload["run_config"] = _run_config(
         "refute", family=family, p=p, k=k, n=n, m=m, seed=seed,
         poly=list(polys) or None, format=fmt, out=out,

@@ -25,6 +25,7 @@ from ipsforge.mvpoly import (
     default_names,
     interpolate_table,
     linear_poly,
+    stored_sum,
 )
 
 
@@ -90,10 +91,11 @@ def ml_inverse(alphas: Sequence[FieldElem], beta: FieldElem,
 def alternating_cube_sum(f: Poly) -> FieldElem:
     """sum_a (-1)^{n-|a|} f(a): the x_[n] coefficient of the multilinear
     extension, signed so the identity is exact in every characteristic."""
-    p, mod, acc = f.field.p, f.field.modulus, 0
-    for mask, v in enumerate(cube_table(f)):
-        acc = (kn.vsub if (f.n - mask.bit_count()) % 2 else kn.vadd)(acc, v, p, mod)
-    return FieldElem(f.field, acc)
+    cells, fld = ([], []), f.field  # f(a) by n - |a| even, odd
+    for a, v in enumerate(cube_table(f)):
+        cells[(f.n - a.bit_count()) & 1].append(v)
+    plus, minus = (stored_sum(fld, c) for c in cells)
+    return FieldElem(fld, kn.vsub(plus, minus, fld.p, fld.modulus))
 
 
 @dataclass

@@ -15,8 +15,8 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate
-from operator import lshift, or_
+from itertools import accumulate, chain
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from ipsforge import _kernel as kn
@@ -39,44 +39,55 @@ def _width(top: int) -> int:
 
 class _Coeffs(kn.StoredForm):
     """Kronecker products of one field's stored coefficients, whose sums the
-    kernel's ``fix`` reduces.
+    kernel's ``fix`` reduces. ``spread`` puts a batch of elements into one
+    buffer at stride ``wide`` bytes (W bits), one ``from_bytes`` each; a sum
+    of ``pairs`` products of them has 2k-1 slots v_i <= pairs*k*(p-1)^2.
+    ``reduce`` multiplies by ``fold`` (slot (2k-2-i) + j*(2k-1): coefficient
+    j of t^i mod the modulus), masks the slots (2k-2) + j*(2k-1), S = (2k-1)W
+    bits apart and below 2^W (``_wide``), and takes them mod p by one Barrett
+    step (Moller & Granlund, IEEE TC 2011; s = W + bitlen(p), m = ceil(2^s/p)),
+    whose quotients stay in their slots as S >= 2W + bitlen(p) + 1 for k >= 2,
+    or for p = 2 by the mask alone. The bytes at stride S/8 are the stored form."""
 
-    ``spread`` widens the slots to ``wide`` bytes. A sum of ``pairs`` products
-    of spread elements has 2k-1 convolution slots v_i <= pairs*k*(p-1)^2.
-    ``reduce`` maps them to sum_i v_i * (t^i mod modulus) with one multiply by
-    ``fold``, whose slot (2k-2-i) + j*(2k-1) holds coefficient j of t^i mod
-    the modulus, so slot (2k-2) + j*(2k-1) of the product is coefficient j;
-    no slot exceeds (2k-1)*(p-1) max v_i, the bound ``_wide`` sizes for.
-    """
-
-    __slots__ = ("moves", "fold", "take", "mask")
+    __slots__ = ("wide", "fold", "low", "mask", "magic", "qshift", "step")
 
     def __init__(self, field: FieldSpec, wide: int):
         p, k = field.p, field.k
         super().__init__(p, k)
-        self.moves = [8 * (wide * i + j) for i in range(k) for j in range(self.nb)]
-        bits, self.fold = 8 * wide, 0
-        self.take = [bits * (2 * k - 2 + j * (2 * k - 1)) for j in range(k)]
-        self.mask = (1 << bits) - 1
+        bits, self.wide, self.fold, self.step = 8 * wide, wide, 0, (2 * k - 1) * wide
+        assert k == 1 or 8 * self.step >= 2 * bits + p.bit_length() + 1
+        self.low, self.qshift = bits * (2 * k - 2), bits + p.bit_length()
+        self.mask = sum((1 if p == 2 else (1 << bits) - 1) << 8 * self.step * j for j in range(k))
+        self.magic = 0 if p == 2 else -(-(1 << self.qshift) // p)
         t, r = field.gen().v, 1  # r = t^i mod the modulus
         for i in range(2 * k - 1):
             for j, c in enumerate(_unpack(r, k, self.nb)):
                 self.fold += c << (bits * (2 * k - 2 - i + j * (2 * k - 1)))
             r = kn.vmul(r, t, p, field.modulus)
 
-    def spread(self, v: int) -> int:
-        return sum(map(lshift, v.to_bytes(self.k * self.nb, "little"), self.moves))
+    def spread(self, values: Sequence[int]) -> list[int]:
+        k, nb, wide = self.k, self.nb, self.wide
+        raw = b"".join([v.to_bytes(k * nb, "little") for v in values])
+        buf = bytearray(len(raw) // nb * wide)
+        for b in range(nb):
+            buf[b::wide] = raw[b::nb]
+        buf, size, load = bytes(buf), k * wide, int.from_bytes
+        return [load(buf[i:i + size], "little") for i in range(0, len(buf), size)]
 
     def reduce(self, v: int) -> int:
-        if self.k == 1:
-            return v % self.p
-        w, mask, p = v * self.fold, self.mask, self.p
-        return _pack([((w >> s) & mask) % p for s in self.take], self.nb)
+        y = (v * self.fold >> self.low) & self.mask
+        if self.magic:
+            y -= ((y * self.magic >> self.qshift) & self.mask) * self.p
+        raw, step = y.to_bytes(self.k * self.step, "little"), self.step
+        if self.nb == 1:
+            return int.from_bytes(raw[::step], "little")
+        lanes = zip(*[raw[b::step] for b in range(self.nb)])  # multi-byte cells
+        return int.from_bytes(bytes(chain.from_iterable(lanes)), "little")
 
 
 def _wide(field: FieldSpec, pairs: int) -> int:
-    """The bytes of a wide slot that holds sums of up to ``pairs`` products."""
-    return _width(pairs * field.k * (2 * field.k - 1) * (field.p - 1) ** 3)
+    """The bytes of a wide slot that holds sums of up to ``pairs`` (>= 1) products."""
+    return _width(max(pairs, 1) * field.k * (2 * field.k - 1) * (field.p - 1) ** 3)
 
 
 @lru_cache(maxsize=128)  # a few fields, each with a few slot widths
@@ -118,18 +129,20 @@ def _products(n: int, field: FieldSpec, pairs: Iterable[tuple["Poly", "Poly"]]) 
         if f.terms and g.terms:
             most = max(most, top(f) + top(g))
             factors.append((f, g) if len(f.terms) <= len(g.terms) else (g, f))
-    nb = _width(most)
+    nb, p = _width(most), field.p
     codec = _codec(field, _wide(field, sum(len(f.terms) for f, _ in factors)))
-    sp, red = codec.spread, codec.reduce
+    def terms(h):  # a lone residue is its own Kronecker form
+        at = h._at(nb)
+        return at.items() if field.k == 1 else list(zip(at, codec.spread(at.values())))
     out: dict[int, int] = defaultdict(int)
     for f, g in factors:
-        a, b = f._at(nb).items(), g._at(nb).items()
-        if field.k > 1:  # a lone residue is its own Kronecker form
-            a, b = [(e, sp(c)) for e, c in a], [(e, sp(c)) for e, c in b]
+        a, b = terms(f), terms(g)
         for e1, c1 in a:
             for e2, c2 in b:
                 out[e1 + e2] += c1 * c2
-    return _canon(n, field, nb, {e: c for e, v in out.items() if (c := red(v))})
+    if field.k == 1:
+        return _canon(n, field, nb, {e: c for e, v in out.items() if (c := v % p)})
+    return _canon(n, field, nb, {e: c for e, v in out.items() if (c := codec.reduce(v))})
 
 
 def sum_of_products(n: int, field: FieldSpec,
@@ -144,6 +157,12 @@ def sum_of_products(n: int, field: FieldSpec,
                     f"cannot combine a poly over n={h.n},{h.field.text()} "
                     f"into a sum over n={n},{field.text()}")
     return _products(n, field, pairs)
+
+
+def stored_sum(field: FieldSpec, values: Sequence[int]) -> int:
+    """The sum of stored elements: one batch spread, one int sum, one reduce."""
+    codec = _codec(field, _wide(field, len(values)))
+    return codec.reduce(sum(codec.spread(values)))
 
 
 def _same_field(field: FieldSpec, c: FieldElem) -> int:
@@ -221,6 +240,8 @@ class Poly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
+        if self.nb == 1:  # the key's bytes are the exponents
+            return max((sum(e.to_bytes(self.n, "little")) for e in self.terms), default=-1)
         return max(map(sum, self.exponents()), default=-1)
 
     def coeff(self, exp: tuple[int, ...]) -> FieldElem:
@@ -289,15 +310,10 @@ class Poly:
         return _products(self.n, self.field, [(self, other)])
 
     def scale(self, c: FieldElem) -> "Poly":
-        _same_field(self.field, c)
-        if c.is_zero():
-            return Poly.zero(self.n, self.field)
-        codec = _codec(self.field)
-        s = codec.spread(c.v)
-        # each distinct coefficient is multiplied once, to a nonzero product
-        images = {x: codec.reduce(codec.spread(x) * s) for x in set(self.terms.values())}
-        return Poly._of(self.n, self.field, self.nb,
-                        {e: images[x] for e, x in self.terms.items()})
+        codec, xs = _codec(self.field), list(set(self.terms.values()))  # each distinct once
+        s, *spread = codec.spread([_same_field(self.field, c)] + xs)  # s = 0 iff c = 0
+        im = {x: codec.reduce(y * s) for x, y in zip(xs, spread)}
+        return _canon(self.n, self.field, self.nb, {e: im[x] for e, x in self.terms.items() if s})
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -537,17 +553,18 @@ def _coeff_text(field: FieldSpec, v: int) -> str:
 
 
 def format_poly(f: Poly, names: Sequence[str] | None = None) -> str:
+    """f's canonical text; each distinct coefficient's and key half's text made once."""
     if f.is_zero():
         return "0"
-    heads = [f"*{name}^" for name in names or default_names(f.n)]
-    field, texts = f.field, {}  # texts: coefficient -> its text
-    parts = []
-    exps = f.exponents()  # sorted grlex-descending; no two terms share exponents
-    for _, e, c in sorted(zip(map(sum, exps), exps, f.terms.values()), reverse=True):
-        if (text := texts.get(c)) is None:
-            text = texts[c] = _coeff_text(field, c)
-        parts.append(text + "".join([heads[i] + str(d) for i, d in enumerate(e) if d]))
-    return " + ".join(parts)
+    n, nb, terms = f.n, f.nb, f.terms
+    heads, low = [f"*{name}^" for name in names or default_names(n)], (1 << 8 * nb * (n // 2)) - 1
+    high, texts = ~low, {c: _coeff_text(f.field, c) for c in set(terms.values())}
+    halves = {h: "".join([heads[i] + str(d) for i, d in enumerate(_unpack(h, n, nb)) if d])
+              for h in set(map(low.__and__, terms)) | set(map(high.__and__, terms))}
+    ranks = [(sum(t), t) for t in f.exponents()] if nb > 1 else [  # nb = 1: reversed key bytes
+        (sum(b := e.to_bytes(n, "little")) << 8 * n) + int.from_bytes(b, "big") for e in terms]
+    return " + ".join([texts[c] + halves[e & low] + halves[e & high]  # no two ranks tie
+                       for _, e, c in sorted(zip(ranks, terms, terms.values()), reverse=True)])
 
 
 _FACTOR = r"(?:\[\s*-?\d+(?:\s*,\s*-?\d+)*\s*\]|\d+|[A-Za-z]\w*(?:\s*\^\s*\d+)?)"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipsforge import _gfcore_py as ref
-from ipsforge import gf
+from ipsforge import gf, mvpoly
 from ipsforge.errors import ArityMismatch
 from ipsforge.mvpoly import (
     Poly,
@@ -29,6 +29,7 @@ from ipsforge.mvpoly import (
 )
 
 FIELDS = [(p, k) for p in (2, 3, 5, 13) for k in (1, 2, 3, 6, 12)]
+MULTIBYTE = [(1000003, 2), ((1 << 61) - 1, 2)]  # 3- and 8-byte cells
 
 
 def vadd(a, b, p):
@@ -294,3 +295,102 @@ def test_routes_to_one_poly_compare_and_hash_equal(case):
     ]
     for h in routes:
         assert h == f and hash(h) == hash(f) and h.terms == f.terms
+
+
+# ---------------------------------------------------------------------------
+# the product codec and format_poly against per-slot and tuple references
+
+def spread_ref(v, field, wide):
+    """The stored element v with coefficient i moved to the wide-byte slot i."""
+    cells = ref.unpack(v, field.k, ref.cell_bytes(field.p))
+    return sum(c << (8 * wide * i) for i, c in enumerate(cells))
+
+
+def product_sum_ref(terms, field):
+    """sum count * a * b over the (a, b, count) triples of stored elements, as
+    a coefficient tuple: the kernel's vmul, then componentwise mod p."""
+    p, nb, total = field.p, ref.cell_bytes(field.p), (0,) * field.k
+    for a, b, count in terms:
+        prod = ref.unpack(ref.vmul(a, b, p, field.modulus), field.k, nb)
+        total = vadd(total, tuple(count * c % p for c in prod), p)
+    return total
+
+
+def admitted_pairs(field, wide):
+    """The largest pair count whose sums _wide fits in wide bytes."""
+    k, p = field.k, field.p
+    return ((1 << 8 * wide) - 1) // (k * (2 * k - 1) * (p - 1) ** 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELDS + MULTIBYTE), st.data())
+def test_codec_matches_per_slot_reference(pk, data):
+    """The batch spread equals the per-slot spread, and reduce maps a sum of
+    spread products to the kernel's sum of the products, up to the largest
+    pair count the codec's wide slots admit."""
+    field = gf.field_spec(*pk)
+    p, k, nb = field.p, field.k, ref.cell_bytes(field.p)
+    codec = mvpoly._codec(field, mvpoly._wide(field, data.draw(st.integers(1, 1 << 20))))
+    top = admitted_pairs(field, codec.wide)
+    cell = st.one_of(st.just(p - 1), st.integers(0, p - 1))  # often the largest
+    elem = st.lists(cell, min_size=k, max_size=k).map(lambda c: ref.pack(c, nb))
+    values = data.draw(st.lists(elem, max_size=12))
+    assert codec.spread(values) == [spread_ref(v, field, codec.wide) for v in values]
+    counts = st.one_of(st.just(top), st.integers(1, top))
+    terms, room, v = [], top, 0  # at most top pairs in all
+    for x, y, c in data.draw(st.lists(st.tuples(elem, elem, counts), max_size=6)):
+        if c <= room:
+            sx, sy = codec.spread([x, y])
+            terms.append((x, y, c))
+            room, v = room - c, v + c * sx * sy
+    assert ref.unpack(codec.reduce(v), k, nb) == product_sum_ref(terms, field)
+    # any convolution slots up to the bound: sum_i v_i t^i through the kernel
+    bound = top * k * (p - 1) ** 2
+    slots = data.draw(st.lists(st.one_of(st.just(bound), st.integers(0, bound)),
+                               min_size=2 * k - 1, max_size=2 * k - 1))
+    t = field.gen().v
+    want = product_sum_ref([(c % p, ref.vpow(t, i, p, field.modulus), 1)
+                            for i, c in enumerate(slots)], field)
+    v = sum(c << (8 * codec.wide * i) for i, c in enumerate(slots))
+    assert ref.unpack(codec.reduce(v), k, nb) == want
+
+
+@pytest.mark.parametrize("p,k", FIELDS + MULTIBYTE)
+def test_codec_extreme_sum(p, k):
+    """Every component p-1 in both factors, summed the largest number of
+    times that each codec's wide slots admit."""
+    field = gf.field_spec(p, k)
+    nb = ref.cell_bytes(p)
+    x = ref.pack([p - 1] * k, nb)
+    for pairs in (1, 2, 40, 1 << 12, 1 << 20):
+        codec = mvpoly._codec(field, mvpoly._wide(field, pairs))
+        top = admitted_pairs(field, codec.wide)
+        assert top >= pairs
+        (s,) = codec.spread([x])
+        assert codec.reduce(top * s * s) == ref.pack(product_sum_ref([(x, x, top)], field), nb)
+
+
+def format_ref(f, names):
+    """grlex-descending terms from exponent tuples, explicit exponents."""
+    field, parts = f.field, []
+    for e, c in sorted(f.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        text = str(c.v) if field.k == 1 else "[" + ",".join(map(str, c.coeffs)) + "]"
+        parts.append(text + "".join(f"*{names[i]}^{d}" for i, d in enumerate(e) if d))
+    return " + ".join(parts) or "0"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(REF_FIELDS + MULTIBYTE), st.integers(0, 9), st.data())
+def test_format_poly_matches_tuple_reference(pk, n, data):
+    field = gf.field_spec(*pk)
+    p, k = field.p, field.k
+    # small exponents, so that halves repeat and degrees tie; in half the
+    # cases some of 256 and more, which need two-byte key slots
+    wide = data.draw(st.booleans())
+    exp = st.sampled_from([0, 1, 2, 3, 256, 300]) if wide else st.integers(0, 3)
+    exps = st.tuples(*[exp] * n)
+    coeffs = st.tuples(*[st.integers(0, p - 1) for _ in range(k)])
+    f = poly_of(field, n, data.draw(st.dictionaries(exps, coeffs, max_size=15)))
+    names = [f"y{i}" for i in range(n)]
+    assert format_poly(f, names) == format_ref(f, names)
+    assert format_poly(f) == format_ref(f, [f"x{i + 1}" for i in range(n)])
