@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from ipsforge import exactla
+from ipsforge import _kernel as kn, exactla
 from ipsforge.errors import (
     ArityMismatch,
     BetaInSubfield,
@@ -402,11 +402,9 @@ def refute_linear_lowdegree(L: Poly) -> Certificate:
 # generic bounded-degree Nullstellensatz solver
 
 def _monomial_basis(n: int, max_deg: int, individual_cap: int | None):
-    ranges = [range(min(max_deg, individual_cap) + 1 if individual_cap is not None
-                    else max_deg + 1) for _ in range(n)]
-    out = [e for e in itertools.product(*ranges) if sum(e) <= max_deg]
-    out.sort(key=lambda e: (sum(e), e))
-    return out
+    top = max_deg if individual_cap is None else min(max_deg, individual_cap)
+    return sorted([e for e in itertools.product(range(top + 1), repeat=n) if sum(e) <= max_deg],
+                  key=lambda e: (sum(e), e))
 
 
 def _solve_multipliers(axioms: list[Poly], basis: list[tuple[int, ...]],
@@ -417,32 +415,37 @@ def _solve_multipliers(axioms: list[Poly], basis: list[tuple[int, ...]],
     Column (i, mono) is x^mono * g_i with every exponent passed through
     reduce when given (so the identity holds modulo the ideal whose
     remainders reduce computes); rows are the monomials of the columns in
-    grlex order.
+    grlex order. Columns are built on packed keys, with slots that hold twice
+    the largest exponent, reduce (which never raises one) once per distinct key.
     """
     n, fld = axioms[0].n, axioms[0].field
     reduce = reduce or (lambda d: d)
-    columns = [collect(n, fld, ((tuple([reduce(a + b) for a, b in zip(e, mono)]), c)
-                                for e, c in terms))
-               for terms in [list(zip(g.exponents(), g.terms.values())) for g in axioms]
-               for mono in basis]
-    rows = sorted({e for col in columns for e in col.exponents()}, key=lambda e: (sum(e), e))
-    index = {e: i for i, e in enumerate(rows)}
-    constant = index.get((0,) * n)
-    if constant is None:
+    top = max(itertools.chain(*basis, *[e for g in axioms for e in g.exponents()]), default=0)
+    nb, fix = ((2 * top).bit_length() + 7) // 8 or 1, kn.stored_form(fld.p, fld.k).fix
+    monos, terms = [kn.pack(mono, nb) for mono in basis], [g._at(nb).items() for g in axioms]
+    image = {e: kn.pack([reduce(d) for d in kn.unpack(e, n, nb)], nb)
+             for e in {e + mono for items in terms for mono in monos for e, _ in items}}
+    columns = []
+    for items, mono in itertools.product(terms, monos):
+        col: dict[int, int] = {}
+        for e, c in items:
+            t = image[e + mono]
+            col[t] = fix(col[t] + c) if t in col else c
+        columns.append({e: c for e, c in col.items() if c})
+    rows = sorted(set().union(*columns), key=lambda e: (sum(t := kn.unpack(e, n, nb)), t))
+    if not rows or rows[0]:  # the constant monomial, if any, sorts first
         return None
+    index = {e: i for i, e in enumerate(rows)}
     matrix = [[0] * len(columns) for _ in rows]
     for cidx, col in enumerate(columns):
-        for e, c in zip(col.exponents(), col.terms.values()):
+        for e, c in col.items():
             matrix[index[e]][cidx] = c
-    rhs = [0] * len(rows)
-    rhs[constant] = 1
-    solution = exactla.solve(matrix, rhs, fld)
+    solution = exactla.solve(matrix, [1] + [0] * (len(rows) - 1), fld)
     if solution is None:
         return None
     size = len(basis)
-    return [Poly(n, fld, {mono: FieldElem(fld, c)
-                          for mono, c in zip(basis, solution[i * size:(i + 1) * size])
-                          if c})
+    return [Poly(n, fld, {mono: FieldElem(fld, c) for mono, c in
+                          zip(basis, solution[i * size:(i + 1) * size]) if c})
             for i in range(len(axioms))]
 
 

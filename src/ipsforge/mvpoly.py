@@ -15,7 +15,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
@@ -131,14 +131,14 @@ def _products(n: int, field: FieldSpec, pairs: Iterable[tuple["Poly", "Poly"]]) 
             factors.append((f, g) if len(f.terms) <= len(g.terms) else (g, f))
     nb, p = _width(most), field.p
     codec = _codec(field, _wide(field, sum(len(f.terms) for f, _ in factors)))
-    def terms(h):  # a lone residue is its own Kronecker form
-        at = h._at(nb)
-        return at.items() if field.k == 1 else list(zip(at, codec.spread(at.values())))
+    sides = [h._at(nb) for pair in factors for h in pair]
+    if field.k > 1:  # one batch spread; a lone residue is its own Kronecker form
+        spread = iter(codec.spread([c for at in sides for c in at.values()]))
+        sides = [dict(zip(at, islice(spread, len(at)))) for at in sides]
     out: dict[int, int] = defaultdict(int)
-    for f, g in factors:
-        a, b = terms(f), terms(g)
-        for e1, c1 in a:
-            for e2, c2 in b:
+    for a, b in zip(sides[::2], sides[1::2]):
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 out[e1 + e2] += c1 * c2
     if field.k == 1:
         return _canon(n, field, nb, {e: c for e, v in out.items() if (c := v % p)})
@@ -549,7 +549,8 @@ def _coeff_text(field: FieldSpec, v: int) -> str:
     coefficient vector in brackets."""
     if field.k == 1:
         return str(v)
-    return "[" + ",".join(map(str, _unpack(v, field.k, kn.cell_bytes(field.p)))) + "]"
+    k, nb = field.k, kn.cell_bytes(field.p)  # one-byte cells are the bytes of v
+    return "[" + ",".join(map(str, v.to_bytes(k, "little") if nb == 1 else _unpack(v, k, nb))) + "]"
 
 
 def format_poly(f: Poly, names: Sequence[str] | None = None) -> str:

@@ -1,10 +1,13 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
-from ipsforge import gf, generators
+from ipsforge import exactla, gf, generators
 from ipsforge.certificates import (
+    _monomial_basis,
+    _solve_multipliers,
     Certificate,
     Instance,
     NoCertificateAtDegree,
@@ -35,10 +38,11 @@ from ipsforge.errors import (
     SatisfiableInstance,
     SatisfiableSystem,
 )
-from ipsforge.mvpoly import Poly, ml
+from ipsforge.gf import FieldElem
+from ipsforge.mvpoly import Poly, collect, fermat_exponent, ml
 from ipsforge.symfun import elem_sym
 
-from conftest import eval_cube_point, from_coeffs
+from conftest import eval_cube_point, from_coeffs, rand_poly
 
 
 def linear_poly(n, fld, alphas, beta):
@@ -299,6 +303,91 @@ class TestNullstellensatzSolver:
             found = minimum_certificate_degree(inst.axioms, 5)
             assert found is not None
             assert found[0] == max(direct.A[0].degree(), 0)
+
+
+def reference_solve_multipliers(axioms, basis, reduce=None):
+    """(rows, matrix, multipliers) of the Nullstellensatz solve with every
+    column built through exponent tuples and collect: column (i, mono) is
+    x^mono * g_i with each exponent sum passed through reduce, and the rows
+    are the distinct monomials in grlex order."""
+    n, fld = axioms[0].n, axioms[0].field
+    reduce = reduce or (lambda d: d)
+    columns = [collect(n, fld, [(tuple(reduce(a + b) for a, b in zip(e, mono)), c.v)
+                                for e, c in g.items()])
+               for g in axioms for mono in basis]
+    rows = sorted({e for col in columns for e in col.exponents()}, key=lambda e: (sum(e), e))
+    matrix = [[col.coeff(e).v for col in columns] for e in rows]
+    if not rows or any(rows[0]):
+        return rows, matrix, None
+    solution = exactla.solve(matrix, [1] + [0] * (len(rows) - 1), fld)
+    if solution is None:
+        return rows, matrix, None
+    size = len(basis)
+    return rows, matrix, [Poly(n, fld, {mono: FieldElem(fld, c) for mono, c in
+                                        zip(basis, solution[i * size:(i + 1) * size]) if c})
+                          for i in range(len(axioms))]
+
+
+def fermat(p):
+    return lambda d: fermat_exponent(d, p)
+
+
+def multiplier_cases():
+    """(name, axioms, basis, reduce): random low-variate systems under the
+    Fermat map and under the identity; exponent sums past one-byte key
+    slots; and columns where terms meet after the Fermat map and cancel."""
+    f3, f5, f9 = gf.field_spec(3, 1), gf.field_spec(5, 1), gf.field_spec(3, 2)
+    rng = random.Random(19)
+    cases = []
+    for fld, r in [(f3, 2), (f5, 2), (f3, 3), (f9, 2)]:
+        p = fld.p
+        for i in range(3):
+            axioms = [rand_poly(r, fld, rng, nterms=5, maxdeg=2 * p) for _ in range(3)]
+            axioms.append(Poly.one(r, fld) + rand_poly(r, fld, rng, nterms=3, maxdeg=p - 1))
+            cases.append((f"fermat-p{p}k{fld.k}r{r}-{i}", axioms,
+                          _monomial_basis(r, r * (p - 1), p - 1), fermat(p)))
+            cases.append((f"identity-p{p}k{fld.k}r{r}-{i}", axioms[-2:],
+                          _monomial_basis(r, 2, None), None))
+    for fld, n in [(f3, 2), (f3, 3), (f9, 3), (f5, 2)]:  # solve_nullstellensatz's columns
+        inst = generators.linear_base(fld, n, rng)
+        axioms = inst.axioms + [boolean_axiom(n, fld, j) for j in range(n)]
+        cases.append((f"boolean-p{fld.p}k{fld.k}n{n}", axioms, _monomial_basis(n, n, None), None))
+    x1, x2, one = Poly.var(2, f3, 0), Poly.var(2, f3, 1), Poly.one(2, f3)
+    wide = [Poly.var(2, f3, 0, 130) + x2 * x2, x1 + one, Poly.var(2, f3, 1, 140) - x1 + one]
+    cases.append(("two-byte-identity", wide, _monomial_basis(2, 2, None) + [(127, 0)], None))
+    cases.append(("two-byte-fermat", wide, _monomial_basis(2, 4, 2) + [(128, 1)], fermat(3)))
+    # under y^3 = y, y1^3 - y1 vanishes and y1^3 + 2 y1 + y2 keeps only y2
+    cancel = [x1 ** 3 - x1, x1 ** 3 + x1 + x1 + x2, x1 * x1 + one]
+    cases.append(("fermat-cancel", cancel, _monomial_basis(2, 4, 2), fermat(3)))
+    return cases
+
+
+class TestMultiplierColumns:
+    """_solve_multipliers builds its columns on packed keys; the matrix it
+    hands to exactla.solve and the multipliers it returns equal those of the
+    tuple-and-collect build."""
+
+    @pytest.mark.parametrize("case", multiplier_cases(), ids=lambda c: c[0])
+    def test_same_matrix_and_multipliers_as_tuple_build(self, case):
+        _, axioms, basis, reduce = case
+        rows, matrix, want = reference_solve_multipliers(axioms, basis, reduce)
+        with mock.patch.object(exactla, "solve", wraps=exactla.solve) as solve:
+            got = _solve_multipliers(axioms, basis, reduce)
+        assert got == want
+        assert solve.called == (bool(rows) and not any(rows[0]))  # a constant row to solve for
+        if solve.called:
+            assert solve.call_args.args[0] == matrix
+
+    def test_cases_meet_wide_keys_and_cancellation(self):
+        cases = {name: (axioms, basis, reduce) for name, axioms, basis, reduce
+                 in multiplier_cases()}
+        axioms, basis, _ = cases["two-byte-identity"]
+        assert max(map(max, basis + [e for g in axioms for e in g.exponents()])) >= 128
+        _, matrix, found = reference_solve_multipliers(*cases["fermat-cancel"])
+        size = len(cases["fermat-cancel"][1])
+        assert not any(row[c] for row in matrix for c in range(size))  # y1^3 - y1
+        assert [sum(1 for row in matrix if row[c]) for c in range(size, 2 * size)] == [1] * size
+        assert found is not None
 
 
 class TestSymmetric:

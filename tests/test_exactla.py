@@ -1,6 +1,7 @@
 """rank, solve and invert against field-level matrix arithmetic, over random,
 zero, rank-deficient, sparse, tall, wide and empty matrices; and against a
-dense Gauss-Jordan reference, output for output."""
+dense Gauss-Jordan reference, output for output, also on wide matrices that
+reach full row rank long before their last column."""
 
 from unittest import mock
 
@@ -10,10 +11,12 @@ from ipsforge import _kernel as kn
 from ipsforge import exactla, gf
 from ipsforge.gf import FieldElem
 
-# prime fields (small and large p) and extensions, (2,4) and (2,12) through
-# the kernel's p = 2 branch
+# prime fields, reduced on packed rows: small p with one- and two-byte slots,
+# 257 with 5-byte slots and residues past one byte, 1000003 and 2^61 - 1; and
+# extensions, on sparse rows, (2,4) and (2,12) through the kernel's p = 2 branch
 FIELDS = [gf.field_spec(p, k) for p, k in
-          [(2, 1), (5, 1), (7, 1), (1000003, 1), (3, 2), (2, 4), (2, 12)]]
+          [(2, 1), (3, 1), (5, 1), (7, 1), (257, 1), (1000003, 1), (2**61 - 1, 1),
+           (3, 2), (2, 4), (2, 12)]]
 
 
 def elems(fld):
@@ -182,3 +185,37 @@ def test_same_outputs_as_dense_reference(case, data):
         want = (exactla.rank(raw(a), fld), exactla.solve(raw(a), rhs, fld),
                 exactla.invert(raw(a), fld) if m == n else None)
     assert got == want
+
+
+@st.composite
+def early_full_rank(draw):
+    """(field, m x n matrix of FieldElem, right-hand side): m <= 6 rows, up to
+    60 columns, of full row rank within the first few columns (a shuffled
+    upper-triangular block with a nonzero diagonal, then random columns), so
+    that elimination stops long before the last column."""
+    fld = draw(st.sampled_from(FIELDS))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(m, 60))
+    units = elems(fld).filter(lambda c: not c.is_zero())
+    rows = [[fld.zero()] * i + [draw(units)] + draw(st.lists(elems(fld), min_size=n - i - 1,
+                                                                max_size=n - i - 1))
+            for i in range(m)]
+    rows = draw(st.permutations(rows))
+    return fld, rows, draw(st.lists(elems(fld), min_size=m, max_size=m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(early_full_rank())
+def test_early_full_rank_against_dense_reference(case):
+    """rank is m, solve writes the right-hand side back after the early stop
+    and solves the system, and both equal the dense routine's outputs."""
+    fld, a, rhs = case
+    m, n = len(a), len(a[0])
+    b = [c.v for c in rhs]
+    got = (exactla.rank(raw(a), fld), exactla.solve(raw(a), b, fld))
+    with mock.patch.object(exactla, "_eliminate", dense_eliminate):
+        want = (exactla.rank(raw(a), fld), exactla.solve(raw(a), b, fld))
+    assert got == want
+    assert got[0] == m
+    ax = matmul(a, [[FieldElem(fld, v)] for v in got[1]], fld, n)
+    assert [row[0] for row in ax] == rhs
