@@ -14,18 +14,21 @@ slot has a spare top bit above 2p, so a + b, a + plus - b and plus - a
 (plus = p in every slot) keep every slot in [0, 2p), and ``StoredForm.fix``
 takes all of them to [0, p) at once.
 
-``vmul`` multiplies by Kronecker substitution (Harvey, JSC 2009): each factor
-is repacked with a byte-aligned slot per power of t wide enough for
-k*(p-1)^2, so the whole convolution is one C-level big-int multiply whose
-2k-1 slots are read back with one ``to_bytes``. For odd p the convolution is
-then reduced from the top slot down with the nonzero terms of -modulus only,
-which the sparse moduli of ``gf.field_spec`` keep to a handful. Degrees 1
-and 2 are done in closed form, where packing costs more than it saves.
+Products go through one Kronecker-substitution codec (Harvey, JSC 2009),
+``codec``, which ``vmul`` and ``mvpoly`` share: a factor is spread to one
+byte-aligned wide slot per power of t, so a product, or a sum of products,
+is one C-level big-int multiply with 2k-1 convolution slots; one multiply by
+a fold constant made from the modulus takes it mod the modulus, and one
+``barrett_slots`` step takes every slot mod p. That step also reduces
+``exactla``'s packed rows, and ``slot_bytes`` is the one rule for a slot's
+width. For odd p and k >= 3 ``vmul`` is the codec's product of one pair;
+degrees 1 and 2 are done in closed form, where packing costs more than it
+saves.
 
 For p = 2 and 3 <= k < 256 the slot bound is k: a byte slot never carries,
 and its low bit is the GF(2) coefficient, kept by one AND with 0x0101...01;
 so the stored ints are multiplied as they are.
-``gf.FIELD_BITS`` caps k at 127; a larger k would take the generic path.
+``gf.FIELD_BITS`` caps k at 127; a larger k would take the codec.
 The reduction is Barrett's (CRYPTO 1986), which is exact for polynomials:
 with mu = t^(2k-2) div modulus, the quotient of a convolution x of degree at
 most 2k-2 is q = ((x div t^k) * mu) div t^(k-2), and x mod modulus is the
@@ -59,7 +62,8 @@ threshold as those of ``vmul``.
 """
 
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, chain
+from math import prod
 
 _TABLE_BITS = 14  # tables for fields of at most 2^14 elements, hence k <= 14
 _TABLE_MAX = 1 << _TABLE_BITS
@@ -128,15 +132,81 @@ def vneg(a, p, modulus):
     return form.fix(form.plus - a)
 
 
-def _plan(p, modulus):
-    """(slot bytes, taps) of the generic product modulo ``modulus``: slots
-    wide enough for a convolution coefficient, at most k*(p-1)^2, and the
-    pairs (j, -m_j mod p) over the nonzero low coefficients m_j, so that
-    t^k = sum of m * t^j over the taps (j, m)."""
+def slot_bytes(top):
+    """The least number of bytes, at least one, in a slot that holds top."""
+    return (top.bit_length() + 7) // 8 or 1
+
+
+def barrett_slots(p, bits, stride=0):
+    """Barrett's step taking every slot x < 2^bits mod p at once (Moller &
+    Granlund, IEEE TC 2011): with s = bits + bitlen(p) and m = ceil(2^s/p),
+    slot j of (x*m) >> s, masked to at most bits bits, is x_j div p, when the
+    slots are 8*stride >= s + bits bits apart. Returns (stride, s, m), stride
+    the least such unless given."""
+    s = bits + p.bit_length()
+    stride = stride or (s + bits + 7) // 8
+    assert 8 * stride >= s + bits, "a Barrett quotient would cross into the next slot"
+    return stride, s, -(-(1 << s) // p)
+
+
+class Codec(StoredForm):
+    """Kronecker products of stored elements, whose sums ``fix`` reduces.
+
+    ``spread`` puts a batch of elements into one buffer at stride ``wide``
+    bytes (W bits), one ``from_bytes`` each; a sum of products of them has
+    2k-1 slots v_i. ``reduce``, a closure over the codec's constants,
+    multiplies by the fold constant (slot (2k-2-i) + j*(2k-1): coefficient j
+    of t^i mod the modulus), masks the slots (2k-2) + j*(2k-1), S = (2k-1)W
+    bits apart and below 2^W (``codec`` sizes W), and takes them mod p by one
+    ``barrett_slots`` step, or for p = 2 by the mask alone. The bytes at
+    stride S/8 are the stored form.
+    """
+
+    __slots__ = ("wide", "reduce")
+
+    def __init__(self, p, modulus, wide):
+        k = len(modulus) - 1
+        super().__init__(p, k)
+        bits, nb, self.wide, low = 8 * wide, self.nb, wide, 8 * wide * (2 * k - 2)
+        # k = 1 has one slot, whose stride is the least that barrett_slots allows
+        step, s, m = barrett_slots(p, bits, (2 * k - 1) * wide if k > 1 else 0)
+        mask = sum((1 if p == 2 else (1 << bits) - 1) << 8 * step * j for j in range(k))
+        slots, r = [0] * (k * (2 * k - 1)), [1] + [0] * (k - 1)  # r = t^i mod the modulus
+        for i in range(2 * k - 1):
+            slots[2 * k - 2 - i::2 * k - 1] = r
+            r = [(a - r[-1] * c) % p for a, c in zip([0] + r[:-1], modulus)]  # t * r
+        fold, size, load = pack(slots, wide), k * step, int.from_bytes
+
+        def reduce(v):
+            y = (v * fold >> low) & mask
+            if p > 2:  # for p = 2 the mask keeps each slot's parity
+                y -= ((y * m >> s) & mask) * p
+            raw = y.to_bytes(size, "little")
+            if nb == 1:
+                return load(raw[::step], "little")
+            lanes = zip(*[raw[b::step] for b in range(nb)])  # multi-byte cells
+            return load(bytes(chain.from_iterable(lanes)), "little")
+        self.reduce = reduce
+
+    def spread(self, values):
+        k, nb, wide = self.k, self.nb, self.wide
+        raw = b"".join([v.to_bytes(k * nb, "little") for v in values])
+        buf = bytearray(len(raw) // nb * wide)
+        for b in range(nb):
+            buf[b::wide] = raw[b::nb]
+        buf, size, load = bytes(buf), k * wide, int.from_bytes
+        return [load(buf[i:i + size], "little") for i in range(0, len(buf), size)]
+
+
+_codec = lru_cache(maxsize=128)(Codec)  # a few fields, each with a few slot widths
+
+
+def codec(p, modulus, pairs=1):
+    """The codec of F_p[t]/(modulus) whose wide slots hold the fold of a sum
+    of up to ``pairs`` products, each fold slot at most
+    pairs*k*(2k-1)*(p-1)^3."""
     k = len(modulus) - 1
-    nb = ((k * (p - 1) ** 2).bit_length() + 7) // 8
-    taps = tuple((j, -c % p) for j, c in enumerate(modulus[:-1]) if c)
-    return nb, taps
+    return _codec(p, modulus, slot_bytes(max(pairs, 1) * k * (2 * k - 1) * (p - 1) ** 3))
 
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -177,8 +247,8 @@ def _barrett(modulus):
 @lru_cache(maxsize=128)  # one entry per field in use
 def _product(p, modulus):
     """The product of two stored elements of F_p[t]/(modulus) without the
-    tables: closed forms for k <= 2, Barrett's for p = 2, else the Kronecker
-    convolution reduced by the taps of _plan."""
+    tables: closed forms for k <= 2, Barrett's for p = 2, else the codec's
+    Kronecker product."""
     k, nb = len(modulus) - 1, cell_bytes(p)
     if k == 1:
         return lambda a, b: a * b % p
@@ -193,22 +263,18 @@ def _product(p, modulus):
         return mul2
     if p == 2 and k < 256:  # no byte slot carries
         return _barrett(modulus)
-    wide, taps = _plan(p, modulus)
+    co = codec(p, modulus)
+    if nb > 1:  # multi-byte cells: spread the two factors as a batch
+        return lambda a, b: co.reduce(prod(co.spread((a, b))))
+    wide, size, reduce, load = co.wide, k * co.wide, co.reduce, int.from_bytes
 
-    def mul(a, b):
-        if wide != nb:
-            a, b = pack(unpack(a, k, nb), wide), pack(unpack(b, k, nb), wide)
-        conv = list(unpack(a * b, 2 * k - 1, wide))
-        i = 2 * k - 2
-        while i >= k:  # t^i = t^(i-k) * t^k
-            c = conv[i] % p
-            if c:
-                base = i - k
-                for j, m in taps:
-                    conv[base + j] += c * m
-            i -= 1
-        return pack([c % p for c in conv[:k]], nb)
-    return mul
+    def spread_mul(a, b):  # one buffer takes each factor's bytes to the wide stride
+        buf = bytearray(size)
+        buf[::wide] = a.to_bytes(k, "little")
+        x = load(buf, "little")
+        buf[::wide] = b.to_bytes(k, "little")
+        return reduce(x * load(buf, "little"))
+    return spread_mul
 
 
 def _keep(cache, key, value, size):

@@ -6,8 +6,9 @@ this module at call time, so a profiler or counter can wrap them here
 without seeing the kernel's own internal calls.
 """
 
-from ipsforge._gfcore_py import (StoredForm, cell_bytes, pack, unpack, stored_form, vadd,
-                                 vsub, vneg, vmul, vmul_cells, vpow, vinv, vinv_cells)
+from ipsforge._gfcore_py import (barrett_slots, cell_bytes, codec, pack, slot_bytes,
+                                 unpack, stored_form, vadd, vsub, vneg, vmul, vmul_cells,
+                                 vpow, vinv, vinv_cells)
 
 
 def kernel_backend() -> str:

@@ -421,7 +421,7 @@ def _solve_multipliers(axioms: list[Poly], basis: list[tuple[int, ...]],
     n, fld = axioms[0].n, axioms[0].field
     reduce = reduce or (lambda d: d)
     top = max(itertools.chain(*basis, *[e for g in axioms for e in g.exponents()]), default=0)
-    nb, fix = ((2 * top).bit_length() + 7) // 8 or 1, kn.stored_form(fld.p, fld.k).fix
+    nb, fix = kn.slot_bytes(2 * top), kn.stored_form(fld.p, fld.k).fix
     monos, terms = [kn.pack(mono, nb) for mono in basis], [g._at(nb).items() for g in axioms]
     image = {e: kn.pack([reduce(d) for d in kn.unpack(e, n, nb)], nb)
              for e in {e + mono for items in terms for mono in monos for e, _ in items}}

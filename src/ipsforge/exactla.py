@@ -59,9 +59,7 @@ def _eliminate_packed(work: list[list[int]], ncols: int, p: int, mod: tuple) -> 
     """_eliminate on packed rows over F_p. Rows from r on are zero left of the next
     pivot column, so it is their lowest nonzero slot, taken on the first row with it."""
     bits, width = p.bit_length(), len(work[0]) if work else 0
-    s = (p * p).bit_length() + bits
-    m, size = -(-(1 << s) // p), (s + bits + 8) // 8  # x*m < 2^(s+bits+1) for slots x < p^2
-    assert 8 * size >= s + bits + 1, "a Barrett quotient would cross into the next slot"
+    size, s, m = kn.barrett_slots(p, (p * (p - 1)).bit_length())  # slots <= p-1 + (p-1)^2
     w, buf, mask = 8 * size, bytearray(width * size), kn.pack([(1 << bits) - 1] * width, size)
     def load(row):  # residues below 256 spread to the slot stride at C speed
         buf[::size] = bytes(row)

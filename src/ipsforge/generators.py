@@ -9,7 +9,8 @@ from __future__ import annotations
 from ipsforge.certificates import Instance, reachable_sums
 from ipsforge.errors import OutOfRange, SatisfiableInstance
 from ipsforge.gf import FieldSpec, FieldTower
-from ipsforge.mvpoly import Poly, default_names, linear_poly
+from ipsforge.lowerbounds import lifted_poly
+from ipsforge.mvpoly import default_names, linear_poly
 from ipsforge.symfun import ElemSymExpansion
 
 
@@ -51,23 +52,13 @@ def linear_base(fld: FieldSpec, n: int, rng, max_tries: int = 20) -> Instance:
 def sparse_quadratic(tower: FieldTower, nx: int, rng) -> Instance:
     """The lifted hard instance sum_{i<j} alpha_ij z_ij x_i x_j - beta, laid
     out as x_1..x_nx then z_1..z_{C(nx,2)} (pairs in lexicographic order)."""
-    ext = tower.ext
     pairs = [(i, j) for i in range(nx) for j in range(i + 1, nx)]
     n = nx + len(pairs)
-    terms = {}
-    for idx, (i, j) in enumerate(pairs):
-        a = tower.embed(tower.base.sample(rng))
-        if a.is_zero():
-            continue
-        e = [0] * n
-        e[i] = 1
-        e[j] = 1
-        e[nx + idx] = 1
-        terms[tuple(e)] = a
-    beta = tower.sample_beta(rng)
-    poly = Poly(n, ext, terms) + Poly.const(n, ext, -beta)
+    alphas = [tower.embed(tower.base.sample(rng)) for _ in pairs]
+    poly = lifted_poly(n, [(i, j, nx + idx) for idx, (i, j) in enumerate(pairs)], alphas,
+                       tower.sample_beta(rng))
     names = default_names(nx) + default_names(len(pairs), "z")
-    return Instance(n, ext, [poly], "lifted-subset-sum", tower, names)
+    return Instance(n, tower.ext, [poly], "lifted-subset-sum", tower, names)
 
 
 def symmetric_system(fld: FieldSpec, n: int, m: int, rng) -> Instance:

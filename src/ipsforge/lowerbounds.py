@@ -384,7 +384,7 @@ def roabp_width(f: Poly, order: Sequence[int]) -> int:
 
 @dataclass
 class LiftedInstance:
-    """A lifted subset-sum instance plus its restriction helpers."""
+    """A lifted subset-sum instance and its variable layout."""
 
     kind: str                      # "fixed-order" | "any-order"
     nx: int                        # the lemma's n
@@ -405,69 +405,31 @@ class LiftedInstance:
             raise ValueError("y_vars applies to fixed-order instances")
         return list(range(self.nx, 2 * self.nx))
 
-    # any-order helpers ------------------------------------------------------
 
-    def z_pairs(self) -> list[tuple[int, int]]:
-        if self.kind != "any-order":
-            raise ValueError("z_pairs applies to any-order instances")
-        m = 2 * self.nx
-        return [(i, j) for i in range(m) for j in range(i + 1, m)]
-
-    def restriction_assignment(self, u: Sequence[int], v: Sequence[int]) -> dict[int, FieldElem]:
-        """The 0/1 z-assignment b_{u,v} pairing u_k with v_k (both ascending);
-        exactly nx ones."""
-        fld = self.poly.field
-        pairs = {tuple(sorted((a, b))) for a, b in zip(u, v)}
-        out = {}
-        m = 2 * self.nx
-        for idx, (i, j) in enumerate(self.z_pairs()):
-            out[m + idx] = fld.one() if (i, j) in pairs else fld.zero()
-        return out
-
-    def restricted(self, u: Sequence[int], v: Sequence[int]) -> Poly:
-        """Substitute b_{u,v}: the instance collapses to
-        sum_k alpha_{u_k v_k} x_{u_k} x_{v_k} - beta."""
-        return self.poly.restrict(self.restriction_assignment(u, v))
+def lifted_poly(n: int, supports: Sequence[Sequence[int]], alphas: Sequence[FieldElem],
+                beta: FieldElem) -> Poly:
+    """sum_S alpha_S x^S - beta in n variables, x^S the product of the
+    variables of support S (0-based); a zero alpha leaves no term."""
+    terms = {tuple(int(i in S) for i in range(n)): a
+             for S, a in zip(supports, alphas) if not a.is_zero()}
+    return Poly(n, beta.spec, terms) + Poly.const(n, beta.spec, -beta)
 
 
 def lifted_instance(kind: str, n: int, tower: FieldTower, rng) -> LiftedInstance:
     """Seeded hard instance: fixed-order sum alpha_i x_i y_i - beta, or the
     any-order variant sum alpha_ij z_ij x_i x_j - beta over 2n x-variables."""
-    ext = tower.ext
     beta = tower.sample_beta(rng)
     if kind == "fixed-order":
-        n_vars = 2 * n
-        alphas = {}
-        terms = {}
-        for i in range(n):
-            a = tower.embed(tower.base.sample(rng))
-            alphas[i] = a
-            if a.is_zero():
-                continue
-            e = [0] * n_vars
-            e[i] = 1
-            e[n + i] = 1
-            terms[tuple(e)] = a
-        poly = Poly(n_vars, ext, terms) + Poly.const(n_vars, ext, -beta)
+        n_vars, keys = 2 * n, list(range(n))
+        supports = [(i, n + i) for i in keys]
         names = default_names(n) + default_names(n, "y")
-        return LiftedInstance(kind, n, n_vars, poly, alphas, beta, names, tower)
-    if kind == "any-order":
+    elif kind == "any-order":
         m = 2 * n
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        n_vars = m + len(pairs)
-        alphas = {}
-        terms = {}
-        for idx, (i, j) in enumerate(pairs):
-            a = tower.embed(tower.base.sample(rng))
-            alphas[(i, j)] = a
-            if a.is_zero():
-                continue
-            e = [0] * n_vars
-            e[i] = 1
-            e[j] = 1
-            e[m + idx] = 1
-            terms[tuple(e)] = a
-        poly = Poly(n_vars, ext, terms) + Poly.const(n_vars, ext, -beta)
-        names = default_names(m) + default_names(len(pairs), "z")
-        return LiftedInstance(kind, n, n_vars, poly, alphas, beta, names, tower)
-    raise ValueError(f"unknown lifted instance kind {kind!r}")
+        keys = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        n_vars, supports = m + len(keys), [(i, j, m + idx) for idx, (i, j) in enumerate(keys)]
+        names = default_names(m) + default_names(len(keys), "z")
+    else:
+        raise ValueError(f"unknown lifted instance kind {kind!r}")
+    alphas = {key: tower.embed(tower.base.sample(rng)) for key in keys}
+    poly = lifted_poly(n_vars, supports, list(alphas.values()), beta)
+    return LiftedInstance(kind, n, n_vars, poly, alphas, beta, names, tower)

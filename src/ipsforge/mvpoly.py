@@ -6,7 +6,9 @@ variable, nb the least that holds the largest exponent, so equal polynomials
 have equal terms) to coefficients in the kernel's stored form, the int that
 ``FieldElem.v`` holds. Exponent tuples and FieldElems appear only at the
 boundary: the constructor, ``collect``, ``coeff``, ``items``, ``exponents``
-and the text grammar.
+and the text grammar. Coefficient arithmetic is the kernel's: sums of
+products go through its codec, once per output term, and sums through
+``stored_form(p, k).fix``.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import accumulate, chain, islice
+from functools import reduce
+from itertools import accumulate, islice
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from ipsforge import _kernel as kn
-from ipsforge._kernel import pack as _pack, unpack as _unpack
+from ipsforge._kernel import pack as _pack, slot_bytes, unpack as _unpack
 from ipsforge.errors import ArityMismatch, LevelMismatch, ParseError, ZeroPolynomial
 from ipsforge.gf import FieldElem, FieldSpec
 
@@ -29,77 +31,13 @@ from ipsforge.gf import FieldElem, FieldSpec
 # packed arithmetic
 #
 # A monomial product is one add of keys (Monagan & Pearce, CASC 2007), a
-# coefficient product one multiply of Kronecker-spread ints, reduced once per
-# output term (Harvey, JSC 2009). No slot ever carries into the next.
-
-def _width(top: int) -> int:
-    """The least number of bytes in a slot that holds top."""
-    return (top.bit_length() + 7) // 8 or 1
-
-
-class _Coeffs(kn.StoredForm):
-    """Kronecker products of one field's stored coefficients, whose sums the
-    kernel's ``fix`` reduces. ``spread`` puts a batch of elements into one
-    buffer at stride ``wide`` bytes (W bits), one ``from_bytes`` each; a sum
-    of ``pairs`` products of them has 2k-1 slots v_i <= pairs*k*(p-1)^2.
-    ``reduce`` multiplies by ``fold`` (slot (2k-2-i) + j*(2k-1): coefficient
-    j of t^i mod the modulus), masks the slots (2k-2) + j*(2k-1), S = (2k-1)W
-    bits apart and below 2^W (``_wide``), and takes them mod p by one Barrett
-    step (Moller & Granlund, IEEE TC 2011; s = W + bitlen(p), m = ceil(2^s/p)),
-    whose quotients stay in their slots as S >= 2W + bitlen(p) + 1 for k >= 2,
-    or for p = 2 by the mask alone. The bytes at stride S/8 are the stored form."""
-
-    __slots__ = ("wide", "fold", "low", "mask", "magic", "qshift", "step")
-
-    def __init__(self, field: FieldSpec, wide: int):
-        p, k = field.p, field.k
-        super().__init__(p, k)
-        bits, self.wide, self.fold, self.step = 8 * wide, wide, 0, (2 * k - 1) * wide
-        assert k == 1 or 8 * self.step >= 2 * bits + p.bit_length() + 1
-        self.low, self.qshift = bits * (2 * k - 2), bits + p.bit_length()
-        self.mask = sum((1 if p == 2 else (1 << bits) - 1) << 8 * self.step * j for j in range(k))
-        self.magic = 0 if p == 2 else -(-(1 << self.qshift) // p)
-        t, r = field.gen().v, 1  # r = t^i mod the modulus
-        for i in range(2 * k - 1):
-            for j, c in enumerate(_unpack(r, k, self.nb)):
-                self.fold += c << (bits * (2 * k - 2 - i + j * (2 * k - 1)))
-            r = kn.vmul(r, t, p, field.modulus)
-
-    def spread(self, values: Sequence[int]) -> list[int]:
-        k, nb, wide = self.k, self.nb, self.wide
-        raw = b"".join([v.to_bytes(k * nb, "little") for v in values])
-        buf = bytearray(len(raw) // nb * wide)
-        for b in range(nb):
-            buf[b::wide] = raw[b::nb]
-        buf, size, load = bytes(buf), k * wide, int.from_bytes
-        return [load(buf[i:i + size], "little") for i in range(0, len(buf), size)]
-
-    def reduce(self, v: int) -> int:
-        y = (v * self.fold >> self.low) & self.mask
-        if self.magic:
-            y -= ((y * self.magic >> self.qshift) & self.mask) * self.p
-        raw, step = y.to_bytes(self.k * self.step, "little"), self.step
-        if self.nb == 1:
-            return int.from_bytes(raw[::step], "little")
-        lanes = zip(*[raw[b::step] for b in range(self.nb)])  # multi-byte cells
-        return int.from_bytes(bytes(chain.from_iterable(lanes)), "little")
-
-
-def _wide(field: FieldSpec, pairs: int) -> int:
-    """The bytes of a wide slot that holds sums of up to ``pairs`` (>= 1) products."""
-    return _width(max(pairs, 1) * field.k * (2 * field.k - 1) * (field.p - 1) ** 3)
-
-
-@lru_cache(maxsize=128)  # a few fields, each with a few slot widths
-def _codec(field: FieldSpec, wide: int = 0) -> _Coeffs:
-    """The codec with ``wide``-byte wide slots, by default those of one product."""
-    return _Coeffs(field, wide or _wide(field, 1))
-
+# coefficient product one multiply of ints spread by the kernel's codec,
+# reduced once per output term. No slot ever carries into the next.
 
 def _canon(n: int, field: FieldSpec, nb: int, terms: dict) -> "Poly":
     """The Poly of terms with nb-byte key slots, repacked to the least width."""
     if nb > 1:
-        need = _width(max((max(_unpack(e, n, nb), default=0) for e in terms), default=0))
+        need = slot_bytes(max((max(_unpack(e, n, nb), default=0) for e in terms), default=0))
         if need < nb:
             terms = {_pack(_unpack(e, n, nb), need): c for e, c in terms.items()}
             nb = need
@@ -109,7 +47,7 @@ def _canon(n: int, field: FieldSpec, nb: int, terms: dict) -> "Poly":
 def _merge(n: int, field: FieldSpec, nb: int, pieces: Iterable[tuple[int, int]]) -> "Poly":
     """The sum of the packed terms (key, coefficient), keys with nb-byte
     slots: equal keys add, and sums that are zero leave no term."""
-    fix = _codec(field).fix
+    fix = kn.stored_form(field.p, field.k).fix
     out: dict[int, int] = {}
     for e, c in pieces:
         cur = out.get(e)
@@ -129,8 +67,8 @@ def _products(n: int, field: FieldSpec, pairs: Iterable[tuple["Poly", "Poly"]]) 
         if f.terms and g.terms:
             most = max(most, top(f) + top(g))
             factors.append((f, g) if len(f.terms) <= len(g.terms) else (g, f))
-    nb, p = _width(most), field.p
-    codec = _codec(field, _wide(field, sum(len(f.terms) for f, _ in factors)))
+    nb, p = slot_bytes(most), field.p
+    codec = kn.codec(p, field.modulus, sum(len(f.terms) for f, _ in factors))
     sides = [h._at(nb) for pair in factors for h in pair]
     if field.k > 1:  # one batch spread; a lone residue is its own Kronecker form
         spread = iter(codec.spread([c for at in sides for c in at.values()]))
@@ -161,7 +99,7 @@ def sum_of_products(n: int, field: FieldSpec,
 
 def stored_sum(field: FieldSpec, values: Sequence[int]) -> int:
     """The sum of stored elements: one batch spread, one int sum, one reduce."""
-    codec = _codec(field, _wide(field, len(values)))
+    codec = kn.codec(field.p, field.modulus, len(values))
     return codec.reduce(sum(codec.spread(values)))
 
 
@@ -193,7 +131,7 @@ class Poly:
         checked = [(_exponents(n, e), _same_field(field, c)) for e, c in terms.items()]
         packed = [(e, v) for e, v in checked if v]
         top = max((max(e, default=0) for e, _ in packed), default=0)
-        self.n, self.field, self.nb = n, field, _width(top)
+        self.n, self.field, self.nb = n, field, slot_bytes(top)
         self.terms = {_pack(e, self.nb): v for e, v in packed}
 
     # -- constructors ----------------------------------------------------------
@@ -216,7 +154,7 @@ class Poly:
         """The monomial x_{i+1}^exp (i is 0-based)."""
         if not 0 <= i < n:
             raise ArityMismatch(f"variable index {i} out of range for n={n}")
-        nb = _width(exp)
+        nb = slot_bytes(exp)
         return cls._of(n, field, nb, {exp << (8 * nb * i): 1})
 
     @classmethod
@@ -291,7 +229,7 @@ class Poly:
         self._check(other)
         nb = max(self.nb, other.nb)
         a, b = sorted((self._at(nb), other._at(nb)), key=len)
-        fix, out = _codec(self.field).fix, dict(b)
+        fix, out = kn.stored_form(self.field.p, self.field.k).fix, dict(b)
         for e, c in a.items():
             out[e] = fix(out[e] + c) if e in out else c
         return _canon(self.n, self.field, nb, {e: c for e, c in out.items() if c})
@@ -300,8 +238,8 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        codec = _codec(self.field)
-        fix, plus = codec.fix, codec.plus
+        form = kn.stored_form(self.field.p, self.field.k)
+        fix, plus = form.fix, form.plus
         return Poly._of(self.n, self.field, self.nb,
                         {e: fix(plus - c) for e, c in self.terms.items()})
 
@@ -310,7 +248,8 @@ class Poly:
         return _products(self.n, self.field, [(self, other)])
 
     def scale(self, c: FieldElem) -> "Poly":
-        codec, xs = _codec(self.field), list(set(self.terms.values()))  # each distinct once
+        codec = kn.codec(self.field.p, self.field.modulus)
+        xs = list(set(self.terms.values()))  # each distinct once
         s, *spread = codec.spread([_same_field(self.field, c)] + xs)  # s = 0 iff c = 0
         im = {x: codec.reduce(y * s) for x, y in zip(xs, spread)}
         return _canon(self.n, self.field, self.nb, {e: im[x] for e, x in self.terms.items() if s})
@@ -339,12 +278,12 @@ class Poly:
     def eval_cube_prefixes(self) -> list[FieldElem]:
         """The values at the 0/1 points 1^w 0^{n-w}, w = 0..n, in one pass:
         a term counts toward every w past its highest-index variable."""
-        w, codec = 8 * self.nb, _codec(self.field)
+        w, fix = 8 * self.nb, kn.stored_form(self.field.p, self.field.k).fix
         first = [0] * (self.n + 1)  # first[h]: the terms whose last variable is x_h
         for e, c in self.terms.items():
             h = (e.bit_length() + w - 1) // w
-            first[h] = codec.fix(first[h] + c)
-        return [FieldElem(self.field, v) for v in accumulate(first, lambda a, c: codec.fix(a + c))]
+            first[h] = fix(first[h] + c)
+        return [FieldElem(self.field, v) for v in accumulate(first, lambda a, c: fix(a + c))]
 
     def restrict(self, values: Mapping[int, FieldElem]) -> "Poly":
         """Substitute constants for some variables (0-based indices). Each
@@ -390,7 +329,7 @@ def collect(n: int, field: FieldSpec,
     element (FieldElem.v): equal exponents add, and sums that are zero leave
     no term."""
     pieces = [(tuple(e), c) for e, c in terms]
-    nb = _width(max((max(e) for e, _ in pieces if e), default=0))
+    nb = slot_bytes(max((max(e) for e, _ in pieces if e), default=0))
     return _merge(n, field, nb, [(_pack(e, nb), c) for e, c in pieces])
 
 
@@ -475,7 +414,7 @@ def interpolate_table(table: Sequence[int], n: int, field: FieldSpec) -> Poly:
     size = 1 << n
     if len(table) != size:
         raise ArityMismatch(f"table has {len(table)} entries, expected {size}")
-    co = _codec(field)
+    co = kn.stored_form(field.p, field.k)
     p, plus, bias, high, shift = co.p, co.plus, co.bias, co.high, co.shift
     c, half = list(table), size >> 1
     for _ in range(n):
@@ -498,7 +437,7 @@ def cube_table(f: Poly) -> list[int]:
     cell of its support mask, then for each bit c[mask] += c[mask ^ bit],
     as one broadword StoredForm.fix(a + b) per cell after a perfect shuffle.
     """
-    n, co = f.n, _codec(f.field)
+    n, co = f.n, kn.stored_form(f.field.p, f.field.k)
     p, bias, high, shift = co.p, co.bias, co.high, co.shift
     c, half = [0] * (1 << n), (1 << n) >> 1
     for e, v in zip(f.exponents(), f.terms.values()):

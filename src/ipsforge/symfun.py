@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -80,9 +81,6 @@ class ElemSymExpansion:
             if not lam.is_zero():
                 acc = acc + lam * binom_elem(w, d, self.field)
         return acc
-
-    def serialize(self) -> list[list[int]]:
-        return [list(lam.coeffs) for lam in self.lambdas]
 
     @classmethod
     def from_weight_values(cls, values: Sequence[FieldElem],
@@ -226,12 +224,6 @@ class CompressedSymmetric:
     field: FieldSpec
     poly: Poly  # in r variables
 
-    def eval_at_weight(self, w: int) -> FieldElem:
-        point = [
-            binom_elem(w, self.field.p ** i, self.field) for i in range(self.r)
-        ]
-        return self.poly.eval(point)
-
 
 def num_compressed_vars(n: int, p: int) -> int:
     r = 1
@@ -253,6 +245,7 @@ def compress_char_p(f: Poly) -> CompressedSymmetric:
     return CompressedSymmetric(n, r, field, poly)
 
 
+@lru_cache(maxsize=256)  # every axiom set asks for its Q_t again; a Poly is immutable
 def qt_poly(t: int, r: int, p: int, field: FieldSpec) -> Poly:
     """Q_t(y) = prod_i S_{t_i}(y_i); vanishes at digit vectors b unless b
     dominates the digits of t, where it is prod_i C(b_i, t_i)."""

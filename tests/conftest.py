@@ -50,6 +50,21 @@ def individual_degree(f):
     return max(map(max, f.exponents()), default=0) if f.n else 0
 
 
+def restriction_assignment(inst, u, v):
+    """The 0/1 z-assignment b_{u,v} of an any-order lifted instance, pairing
+    u_k with v_k (both ascending): exactly nx ones, z_ij one for each pair."""
+    m, fld = 2 * inst.nx, inst.poly.field
+    pairs = {tuple(sorted(pair)) for pair in zip(u, v)}
+    z_pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    return {m + idx: fld.one() if pair in pairs else fld.zero()
+            for idx, pair in enumerate(z_pairs)}
+
+
+def restricted(inst, u, v):
+    """The instance under b_{u,v}: sum_k alpha_{u_k v_k} x_{u_k} x_{v_k} - beta."""
+    return inst.poly.restrict(restriction_assignment(inst, u, v))
+
+
 def from_coeffs(fld, coeffs):
     """The element of fld with coefficient vector coeffs, each reduced mod p."""
     return fld.from_coeffs([int(c) % fld.p for c in coeffs])
@@ -58,3 +73,19 @@ def from_coeffs(fld, coeffs):
 def stored_cells(fld, vectors):
     """The stored elements (FieldElem.v) of coefficient vectors."""
     return [fld.from_coeffs(v).v for v in vectors]
+
+
+def schoolbook(a, b, p, modulus):
+    """a*b mod (modulus, p) on coefficient vectors: full convolution, then
+    long division by the monic modulus from the top coefficient down. The
+    tests' product reference, which runs none of the kernel's code."""
+    k = len(a)
+    conv = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for i in range(2 * k - 2, k - 1, -1):
+        c = conv[i] % p
+        for j in range(k + 1):
+            conv[i - k + j] -= c * modulus[j]
+    return tuple(c % p for c in conv[:k])

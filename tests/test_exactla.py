@@ -12,7 +12,7 @@ from ipsforge import exactla, gf
 from ipsforge.gf import FieldElem
 
 # prime fields, reduced on packed rows: small p with one- and two-byte slots,
-# 257 with 5-byte slots and residues past one byte, 1000003 and 2^61 - 1; and
+# 257 with 6-byte slots and residues past one byte, 1000003 and 2^61 - 1; and
 # extensions, on sparse rows, (2,4) and (2,12) through the kernel's p = 2 branch
 FIELDS = [gf.field_spec(p, k) for p, k in
           [(2, 1), (3, 1), (5, 1), (7, 1), (257, 1), (1000003, 1), (2**61 - 1, 1),

@@ -23,7 +23,7 @@ from ipsforge.lowerbounds import (
 )
 from ipsforge.mvpoly import Poly, format_elem, interpolate_table, ml
 
-from conftest import eval_cube_point, rand_poly
+from conftest import eval_cube_point, rand_poly, restricted, restriction_assignment
 
 
 class TestMlInverse:
@@ -414,7 +414,7 @@ class TestLiftedInstances:
         tower = gf.field_tower(2, 4)
         inst = lifted_instance("any-order", 3, tower, random.Random(11))
         for u, v in balanced_partitions(inst):
-            assignment = inst.restriction_assignment(u, v)
+            assignment = restriction_assignment(inst, u, v)
             ones = sum(1 for val in assignment.values() if not val.is_zero())
             assert ones == 3
             assert all(val.coeffs[0] in (0, 1) and not any(val.coeffs[1:])
@@ -433,9 +433,9 @@ class TestLiftedInstances:
         full = 0
         total = 0
         for u, v in balanced_partitions(inst):
-            restricted = inst.restricted(u, v)
+            restricted_poly = restricted(inst, u, v)
             # z variables are gone after substitution
-            x_only = Poly(4, tower.ext, {e[:4]: c for e, c in restricted.items()})
+            x_only = Poly(4, tower.ext, {e[:4]: c for e, c in restricted_poly.items()})
             values = [eval_cube_point(x_only, m) for m in range(1 << 4)]
             if any(val.is_zero() for val in values):
                 continue

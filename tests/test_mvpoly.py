@@ -22,7 +22,8 @@ from ipsforge.mvpoly import (
     parse_poly,
 )
 
-from conftest import eval_cube_point, from_coeffs, individual_degree, rand_poly, stored_cells
+from conftest import (eval_cube_point, from_coeffs, individual_degree, rand_poly, restricted,
+                      stored_cells)
 
 
 class TestRingOps:
@@ -61,18 +62,18 @@ class TestSubstitute:
         inst = lifted_instance("any-order", 2, tower, rng)
         fld = tower.ext
         u, v = (0, 1), (2, 3)
-        restricted = inst.restricted(u, v)
+        restricted_poly = restricted(inst, u, v)
         expect = Poly.const(inst.n_vars, fld, -inst.beta)
         for a, b in zip(u, v):
             e = [0] * inst.n_vars
             e[a] = e[b] = 1
             expect = expect + Poly.monomial(inst.n_vars, fld, tuple(e),
                                             inst.alphas[tuple(sorted((a, b)))])
-        assert restricted == expect
+        assert restricted_poly == expect
         # equality as cube functions as well
         for mask in range(1 << 4):
             full = mask  # x-variables only; z's already substituted
-            assert eval_cube_point(restricted, full) == eval_cube_point(expect, full)
+            assert eval_cube_point(restricted_poly, full) == eval_cube_point(expect, full)
 
 
     @settings(max_examples=60, deadline=None)

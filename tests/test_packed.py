@@ -1,10 +1,9 @@
 """Poly's packed terms against references on exponent and coefficient tuples.
 
-The product reference multiplies term by term with the pure-Python kernel's
-vmul and adds coefficient vectors componentwise mod p, reducing every single
-product; Poly keeps
-exponents and coefficients packed into ints and reduces once per output
-term. Sums, negation, scaling, restriction, multilinearization, collect,
+The product reference multiplies term by term with conftest's schoolbook
+product, which runs none of the kernel's code, and adds coefficient vectors
+componentwise mod p, reducing every single product; Poly keeps exponents and
+coefficients packed into ints and reduces once per output term. Sums, negation, scaling, restriction, multilinearization, collect,
 division by the axioms and the text round trip have references on tuple
 dicts too. Hypothesis drives random operands; the worst cases for the
 coefficient slots are fixed below.
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipsforge import _gfcore_py as ref
-from ipsforge import gf, mvpoly
+from ipsforge import gf
 from ipsforge.errors import ArityMismatch
 from ipsforge.mvpoly import (
     Poly,
@@ -27,6 +26,8 @@ from ipsforge.mvpoly import (
     parse_poly,
     sum_of_products,
 )
+
+from conftest import schoolbook as schoolbook_vectors
 
 FIELDS = [(p, k) for p in (2, 3, 5, 13) for k in (1, 2, 3, 6, 12)]
 MULTIBYTE = [(1000003, 2), ((1 << 61) - 1, 2)]  # 3- and 8-byte cells
@@ -41,10 +42,8 @@ def vneg(a, p):
 
 
 def vmul(a, b, field):
-    """The kernel's product of coefficient vectors, converted at its boundary."""
-    nb = ref.cell_bytes(field.p)
-    return ref.unpack(ref.vmul(ref.pack(a, nb), ref.pack(b, nb), field.p, field.modulus),
-                      field.k, nb)
+    """The product of coefficient vectors by the schoolbook reference."""
+    return schoolbook_vectors(tuple(a), tuple(b), field.p, field.modulus)
 
 
 def schoolbook(pairs, field):
@@ -147,7 +146,7 @@ def test_sum_of_products_checks_every_factor():
 # ---------------------------------------------------------------------------
 # every term-level operation against a reference on {exponent tuple:
 # coefficient tuple} dicts, built with componentwise sums mod p and the
-# kernel's vmul
+# schoolbook product
 
 REF_FIELDS = [(p, k) for p in (2, 3, 13) for k in (1, 2, 3, 6, 12)]
 
@@ -168,8 +167,8 @@ def ref_restrict(terms, values, field):
     pieces = []
     for e, c in terms.items():
         for i, v in values.items():
-            if e[i]:
-                c = vmul(c, (v ** e[i]).coeffs, field)
+            for _ in range(e[i]):  # v^e[i] by schoolbook products
+                c = vmul(c, v.coeffs, field)
         pieces.append((tuple(0 if i in values else d for i, d in enumerate(e)), c))
     return ref_collect(pieces, field.p)
 
@@ -308,16 +307,24 @@ def spread_ref(v, field, wide):
 
 def product_sum_ref(terms, field):
     """sum count * a * b over the (a, b, count) triples of stored elements, as
-    a coefficient tuple: the kernel's vmul, then componentwise mod p."""
+    a coefficient tuple: schoolbook products, then componentwise mod p."""
     p, nb, total = field.p, ref.cell_bytes(field.p), (0,) * field.k
     for a, b, count in terms:
-        prod = ref.unpack(ref.vmul(a, b, p, field.modulus), field.k, nb)
+        prod = vmul(ref.unpack(a, field.k, nb), ref.unpack(b, field.k, nb), field)
         total = vadd(total, tuple(count * c % p for c in prod), p)
     return total
 
 
+def power_of_t(i, field):
+    """t^i mod the modulus as a stored element, by schoolbook products."""
+    k, x = field.k, (1,) + (0,) * (field.k - 1)
+    for _ in range(i):
+        x = vmul(x, (0, 1) + (0,) * (k - 2), field)
+    return ref.pack(x, ref.cell_bytes(field.p))
+
+
 def admitted_pairs(field, wide):
-    """The largest pair count whose sums _wide fits in wide bytes."""
+    """The largest pair count whose sums the codec's wide slots of wide bytes hold."""
     k, p = field.k, field.p
     return ((1 << 8 * wide) - 1) // (k * (2 * k - 1) * (p - 1) ** 3)
 
@@ -330,7 +337,7 @@ def test_codec_matches_per_slot_reference(pk, data):
     pair count the codec's wide slots admit."""
     field = gf.field_spec(*pk)
     p, k, nb = field.p, field.k, ref.cell_bytes(field.p)
-    codec = mvpoly._codec(field, mvpoly._wide(field, data.draw(st.integers(1, 1 << 20))))
+    codec = ref.codec(p, field.modulus, data.draw(st.integers(1, 1 << 20)))
     top = admitted_pairs(field, codec.wide)
     cell = st.one_of(st.just(p - 1), st.integers(0, p - 1))  # often the largest
     elem = st.lists(cell, min_size=k, max_size=k).map(lambda c: ref.pack(c, nb))
@@ -348,9 +355,8 @@ def test_codec_matches_per_slot_reference(pk, data):
     bound = top * k * (p - 1) ** 2
     slots = data.draw(st.lists(st.one_of(st.just(bound), st.integers(0, bound)),
                                min_size=2 * k - 1, max_size=2 * k - 1))
-    t = field.gen().v
-    want = product_sum_ref([(c % p, ref.vpow(t, i, p, field.modulus), 1)
-                            for i, c in enumerate(slots)], field)
+    want = product_sum_ref([(c % p, power_of_t(i, field), 1) for i, c in enumerate(slots)],
+                           field)
     v = sum(c << (8 * codec.wide * i) for i, c in enumerate(slots))
     assert ref.unpack(codec.reduce(v), k, nb) == want
 
@@ -363,7 +369,7 @@ def test_codec_extreme_sum(p, k):
     nb = ref.cell_bytes(p)
     x = ref.pack([p - 1] * k, nb)
     for pairs in (1, 2, 40, 1 << 12, 1 << 20):
-        codec = mvpoly._codec(field, mvpoly._wide(field, pairs))
+        codec = ref.codec(p, field.modulus, pairs)
         top = admitted_pairs(field, codec.wide)
         assert top >= pairs
         (s,) = codec.spread([x])

@@ -1,18 +1,18 @@
 """The pure-Python kernel on stored ints against references on coefficient
 vectors, converted at the kernel's boundary by pack and unpack.
 
-vmul repacks both factors with wider slots, multiplies once and reduces the
-unpacked convolution with the nonzero terms of the modulus, or for p = 2
-reads slot parities and reduces by Barrett's quotient; the reference below
-convolves term by term and reduces with every coefficient of the modulus,
-and vinv is checked against a list-based extended Euclid. The broadword
-vadd, vsub and vneg are checked against componentwise arithmetic mod p.
-Hypothesis drives random vectors over the first irreducible modulus of each
-field and over a dense one with many nonzero terms, from p = 2 up to
-p = 2^61 - 1; the worst case for the slots (every component p-1, up to
-k = 127 for p = 2) and two small fields in full are fixed below.
-The log/antilog tables of fields with at most 2^14 elements are built
-explicitly and checked against the same references.
+vmul spreads both factors to the codec's wide slots, multiplies once and
+folds the convolution mod the modulus in one more multiply, or for p = 2
+reads slot parities and reduces by Barrett's quotient; the reference,
+conftest's schoolbook, convolves term by term and reduces with every
+coefficient of the modulus, and vinv is checked against a list-based
+extended Euclid. The broadword vadd, vsub and vneg are checked against
+componentwise arithmetic mod p. Hypothesis drives random vectors over the
+first irreducible modulus of each field and over a dense one with many
+nonzero terms, from p = 2 up to p = 2^61 - 1; the worst case for the slots
+(every component p-1, up to k = 127 for p = 2) and two small fields in full
+are fixed below. The log/antilog tables of fields with at most 2^14
+elements are built explicitly and checked against the same references.
 """
 
 import functools
@@ -23,6 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from ipsforge import _gfcore_py as kernel
 from ipsforge import gf
+
+from conftest import schoolbook
 
 # p = 2 adds odd, prime, byte-sized, word-sized and the largest k that
 # gf.FIELD_BITS admits, 127
@@ -83,21 +85,6 @@ def vsub(a, b, p, modulus):
 
 def vneg(a, p, modulus):
     return vector(kernel.vneg(stored(a, p), p, modulus), p, len(a))
-
-
-def schoolbook(a, b, p, modulus):
-    """a*b mod (modulus, p): full convolution, then long division by the
-    monic modulus from the top coefficient down."""
-    k = len(a)
-    conv = [0] * (2 * k - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            conv[i + j] += x * y
-    for i in range(2 * k - 2, k - 1, -1):
-        c = conv[i] % p
-        for j in range(k + 1):
-            conv[i - k + j] -= c * modulus[j]
-    return tuple(c % p for c in conv[:k])
 
 
 def euclid_inverse(a, p, modulus):
@@ -245,11 +232,12 @@ def test_binary_inverse_of_zero_raises(p, k, dense):
 
 
 def test_multibyte_slots_are_exercised():
-    """The slot bound k*(p-1)^2 needs two bytes, or six for p = 1000003, so
-    the hypothesis cases above cover the multi-byte packing too."""
-    for p, k, nb in ((13, 4, 2), (5, 16, 2), (13, 24, 2), (1000003, 3, 6), (1000003, 4, 6)):
+    """The codec's wide slots, which hold k*(2k-1)*(p-1)^3, take two or three
+    bytes, or eight and nine for p = 1000003, so the hypothesis cases above
+    cover the multi-byte packing too."""
+    for p, k, nb in ((13, 4, 2), (5, 16, 2), (13, 24, 3), (1000003, 3, 8), (1000003, 4, 9)):
         spec = gf.field_spec(p, k)
-        assert kernel._plan(p, spec.modulus)[0] == nb
+        assert kernel.codec(p, spec.modulus).wide == nb
     # stored cells of three and eight bytes, read by the add, sub and neg tests
     assert (kernel.cell_bytes(1000003), kernel.cell_bytes((1 << 61) - 1)) == (3, 8)
 
