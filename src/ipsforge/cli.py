@@ -42,7 +42,7 @@ from ipsforge.errors import (
 )
 from ipsforge.lowerbounds import (
     budget_n,
-    coefficient_matrix,
+    coefficient_rank,
     degree_trial,
     eval_dimension,
     lifted_instance,
@@ -368,7 +368,7 @@ def oracle(kind, p, k, n, trials, seed, scan_all, inst_kind, out, fmt, canonical
         partition = (list(range(inst.nx)), list(range(inst.nx, m2)) +
                      list(range(m2, inst.n_vars)))
     if kind == "rank":
-        value = coefficient_matrix(g, partition).rank()
+        value = coefficient_rank(g, partition)
         payload = {"rank": value, "bound": 2 ** inst.nx,
                    "meets_bound": value >= 2 ** inst.nx}
     elif kind == "eval-dim":

@@ -8,7 +8,10 @@ reductions, solutions, and certificates.
 Over F_p a row is one int, column j in S-byte slot j (Dumas, Giorgi & Pernet,
 ACM TOMS 2008), and row + (p - e) * pivot row takes one broadword Barrett step
 (Moller & Granlund, IEEE TC 2011); over F_{p^k}, k > 1, rows are sparse,
-{column: entry}, with one ``vmul_cells`` per row update.
+{column: entry}, with one ``vmul_cells`` per row update. Density decides:
+packed extension rows, prototyped, lost on the oracle's sparse matrices
+(GF(3^8) 78 vs 17 ms, GF(2^12) 92 vs 15, GF(2^24) 251 vs 21), and dict rows
+on the refute solves, about 24% dense (153 vs 20 ms).
 """
 
 from __future__ import annotations

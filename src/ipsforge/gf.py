@@ -11,7 +11,6 @@ serialized artifact portable.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -195,15 +194,17 @@ def field_spec(p: int, k: int) -> FieldSpec:
     k >= 2 a modulus with constant term 0 has the factor t and is skipped,
     and so are the binomials t^k + c (the encodings below p) when none of
     them can be irreducible; FieldSpec's own check tests every other
-    candidate. Irreducibles of every degree exist, so the search ends."""
+    candidate. Irreducibles of every degree exist, so a search that passes
+    all p^k encodings means the kernel's arithmetic is wrong."""
     _check_order(p, k)  # before any candidate, whose tuple has k entries
-    for m in itertools.count(0 if _binomial_can_be_irreducible(p, k) else p):
+    for m in range(0 if _binomial_can_be_irreducible(p, k) else p, p ** k):
         tail = tuple(m // p ** i % p for i in range(k))  # base-p digits of m
         if k < 2 or tail[0]:
             try:
                 return FieldSpec(p, k, tail + (1,))
             except _ReducibleModulus:
                 continue
+    raise AssertionError(f"no irreducible modulus of degree {k} over F_{p}")
 
 
 _FIELD_TEXT = re.compile(r"GF\((\d+)(?:\^(\d+))?\)\{modulus=(\d+(?:,\d+)*)\}")

@@ -3,7 +3,7 @@
 Everything here is desk scale and exact: multilinear inverses of subset-sum
 instances by cube interpolation, top-coefficient cross-checks, seeded degree
 trials against the stated probability bounds, sparsity probes, Nisan
-coefficient matrices with exact rank, evaluation dimension, and roABP width.
+coefficient ranks, evaluation dimension, and roABP width.
 """
 
 from __future__ import annotations
@@ -298,47 +298,25 @@ def sparsity_probe(alphas: Sequence[FieldElem], beta: FieldElem,
 
 
 # ---------------------------------------------------------------------------
-# coefficient matrices, evaluation dimension, roABP width
+# coefficient rank, evaluation dimension, roABP width
 
-@dataclass
-class CoefficientMatrix:
-    """Nisan matrix under a variable partition: entry(m, m') is the
-    coefficient of m * m' in the source polynomial."""
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    row_index: list[tuple[int, ...]]   # exponents over left variables
-    col_index: list[tuple[int, ...]]   # exponents over right variables
-    entries: list[list[FieldElem]]
-    field: FieldSpec
-
-    def rank(self) -> int:
-        if not self.row_index or not self.col_index:
-            return 0
-        return exactla.rank([[c.v for c in row] for row in self.entries], self.field)
-
-
-def coefficient_matrix(f: Poly, partition: tuple[Sequence[int], Sequence[int]]
-                       ) -> CoefficientMatrix:
-    """Build the full coefficient matrix of f under (left, right); index
-    ranges extend past 0/1 when f has higher individual degrees."""
-    left, right = tuple(partition[0]), tuple(partition[1])
-    if set(left) | set(right) != set(range(f.n)) or set(left) & set(right):
-        raise ValueError("partition must split the variable set")
-    max_deg = list(map(max, zip(*f.exponents()))) or [0] * f.n
-    row_index = sorted(itertools.product(*(range(max_deg[i] + 1) for i in left)))
-    col_index = sorted(itertools.product(*(range(max_deg[i] + 1) for i in right)))
-    if len(row_index) > 1 << budget_n() or len(col_index) > 1 << budget_n():
+def _rank(vectors: Iterable[dict], field: FieldSpec) -> int:
+    """Rank of the vectors {label: stored element}, one column per distinct
+    label: Poly.split's labels, so no all-zero row or column is built."""
+    vectors = [v for v in vectors if v]
+    cols = dict.fromkeys(j for v in vectors for j in v)
+    if max(len(vectors), len(cols)) > 1 << budget_n():
         raise BudgetExceeded("coefficient matrix side exceeds the cube budget")
-    rows = {e: i for i, e in enumerate(row_index)}
-    cols = {e: i for i, e in enumerate(col_index)}
-    zero = f.field.zero()
-    entries = [[zero] * len(col_index) for _ in row_index]
-    for e, c in f.items():
-        re = tuple(e[i] for i in left)
-        ce = tuple(e[i] for i in right)
-        entries[rows[re]][cols[ce]] = c
-    return CoefficientMatrix(left, right, row_index, col_index, entries, f.field)
+    return exactla.rank([[v.get(j, 0) for j in cols] for v in vectors], field)
+
+
+def coefficient_rank(f: Poly, partition: tuple[Sequence[int], Sequence[int]]) -> int:
+    """Rank of Nisan's coefficient matrix of f under (left, right), whose
+    entry (m, m') is the coefficient of m * m' in f."""
+    left, right = set(partition[0]), set(partition[1])
+    if left | right != set(range(f.n)) or left & right:
+        raise ValueError("partition must split the variable set")
+    return _rank(f.split(left).values(), f.field)
 
 
 def eval_dimension(f: Poly, partition: tuple[Sequence[int], Sequence[int]],
@@ -346,37 +324,22 @@ def eval_dimension(f: Poly, partition: tuple[Sequence[int], Sequence[int]],
     """Dimension of the span of {f(left, b)} over right-side assignments b,
     with b drawn from the domain (default {0,1}); never exceeds the
     coefficient rank."""
-    left, right = tuple(partition[0]), tuple(partition[1])
-    fld = f.field
+    right, fld = tuple(partition[1]), f.field
     points = list(domain) if domain is not None else [fld.zero(), fld.one()]
     _check_budget(len(right) * max(1, len(points) // 2), what="restriction enumeration")
-    mono_index: dict[tuple[int, ...], int] = {}
-    vectors = []
-    for assignment in itertools.product(points, repeat=len(right)):
-        g = f.restrict(dict(zip(right, assignment)))
-        vec: dict[int, int] = {}
-        for e, c in zip(g.exponents(), g.terms.values()):
-            key = tuple(e[i] for i in left)
-            idx = mono_index.setdefault(key, len(mono_index))
-            vec[idx] = c
-        vectors.append(vec)
-    if not mono_index:
-        return 1 if any(vec for vec in vectors) else 0
-    matrix = [[vec.get(i, 0) for i in range(len(mono_index))] for vec in vectors]
-    return exactla.rank(matrix, fld)
+    # a restriction's only monomial in the right variables is 1, labelled 0
+    return _rank((f.restrict(dict(zip(right, b))).split(right).get(0, {})
+                  for b in itertools.product(points, repeat=len(right))), fld)
 
 
 def roabp_width(f: Poly, order: Sequence[int]) -> int:
     """Exact optimal roABP width in the given variable order: the maximum of
-    the coefficient-matrix rank over every prefix cut."""
+    the coefficient rank over every prefix cut."""
     order = list(order)
     if sorted(order) != list(range(f.n)):
         raise ValueError("order must be a permutation of the variables")
-    width = 0
-    for i in range(1, f.n + 1):
-        cut = coefficient_matrix(f, (order[:i], order[i:]))
-        width = max(width, cut.rank())
-    return width
+    return max((_rank(f.split(order[:i]).values(), f.field)
+                for i in range(1, f.n + 1)), default=0)
 
 
 # ---------------------------------------------------------------------------

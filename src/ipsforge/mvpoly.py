@@ -202,6 +202,24 @@ class Poly:
         ones = _pack([1] * self.n, self.nb)
         return not any(e & ~ones for e in self.terms)
 
+    def split(self, variables: Iterable[int]) -> dict:
+        """The stored coefficients by monomial in the given variables: {label
+        of that part: {label of the rest: coefficient}}. Labels are opaque,
+        and equal in every Poly for equal monomials."""
+        n, nb, w = self.n, self.nb, 8 * self.nb
+        mask = sum(((1 << w) - 1) << (w * i) for i in set(variables))
+        out: dict = defaultdict(dict)
+        if nb == 1:
+            for e, c in self.terms.items():
+                out[e & mask][e & ~mask] = c
+            return out
+        def label(e):  # a one-byte key where the exponents fit, else the exponents
+            t = _unpack(e, n, nb)
+            return _pack(t, 1) if max(t) < 256 else t
+        for e, c in self.terms.items():
+            out[label(e & mask)][label(e & ~mask)] = c
+        return out
+
     def _at(self, nb: int) -> dict[int, int]:
         """The terms with keys of nb >= self.nb bytes a slot."""
         n, old = self.n, self.nb

@@ -1,9 +1,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from ipsforge import gf
 from ipsforge.mvpoly import Poly
+
+# No example database: each run draws its examples afresh and spends nothing
+# reading or writing saved ones. Example counts stay as each test sets them.
+settings.register_profile("no-database", database=None)
+settings.load_profile("no-database")
 
 
 @pytest.fixture(scope="session")

@@ -13,10 +13,11 @@ from ipsforge.gf import FieldElem
 
 # prime fields, reduced on packed rows: small p with one- and two-byte slots,
 # 257 with 6-byte slots and residues past one byte, 1000003 and 2^61 - 1; and
-# extensions, on sparse rows, (2,4) and (2,12) through the kernel's p = 2 branch
+# extensions, on sparse rows, (2,4) and (2,12) through the kernel's p = 2
+# branch, and (257,2), whose two-byte cells the broadword subtraction meets
 FIELDS = [gf.field_spec(p, k) for p, k in
           [(2, 1), (3, 1), (5, 1), (7, 1), (257, 1), (1000003, 1), (2**61 - 1, 1),
-           (3, 2), (2, 4), (2, 12)]]
+           (3, 2), (2, 4), (2, 12), (257, 2)]]
 
 
 def elems(fld):

@@ -170,6 +170,22 @@ def test_field_spec_tests_each_candidate_once(monkeypatch):
                          for m in range(start, winner + 1) if m % p], (p, k)
 
 
+def test_field_spec_search_ends_past_every_encoding(monkeypatch):
+    """A kernel that rejects every candidate (a wrong product does) makes the
+    search raise an internal error after the p^k encodings, not run on."""
+    calls = []
+
+    def never(modulus, p, k):
+        calls.append(modulus)
+        return False
+
+    monkeypatch.setattr(gf, "_is_irreducible", never)
+    with pytest.raises(AssertionError):
+        gf.field_spec.__wrapped__(3, 3)  # bypass the cache
+    # every encoding with a nonzero constant term but the binomials t^3 + 1, t^3 + 2
+    assert len(calls) == 3 ** 3 - 3 ** 2 - 2
+
+
 @pytest.mark.parametrize("p, k", [(2, k) for k in range(2, 7)]
                          + [(3, k) for k in range(2, 7)]
                          + [(5, k) for k in range(2, 6)]

@@ -5,11 +5,11 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ipsforge import gf
+from ipsforge import exactla, gf
 from ipsforge.errors import BudgetExceeded, ZeroDenominator
 from ipsforge.lowerbounds import (
     alternating_cube_sum,
-    coefficient_matrix,
+    coefficient_rank,
     degree_trial,
     eval_dimension,
     lifted_instance,
@@ -21,7 +21,7 @@ from ipsforge.lowerbounds import (
     sparsity_probe,
     top_coeff,
 )
-from ipsforge.mvpoly import Poly, format_elem, interpolate_table, ml
+from ipsforge.mvpoly import Poly, interpolate_table, ml
 
 from conftest import eval_cube_point, rand_poly, restricted, restriction_assignment
 
@@ -297,17 +297,49 @@ class TestSparsityProbe:
         assert sparsity == 1
 
 
+def dense_coefficient_rank(f, partition):
+    """Nisan's coefficient matrix of f under (left, right) built in full, the
+    tests' reference for coefficient_rank: rows and columns over every
+    exponent vector up to f's largest individual degrees, a FieldElem grid
+    with zero cells, and exactla.rank on its stored elements."""
+    left, right = tuple(partition[0]), tuple(partition[1])
+    max_deg = list(map(max, zip(*f.exponents()))) or [0] * f.n
+    row_index = sorted(itertools.product(*(range(max_deg[i] + 1) for i in left)))
+    col_index = sorted(itertools.product(*(range(max_deg[i] + 1) for i in right)))
+    rows = {e: i for i, e in enumerate(row_index)}
+    cols = {e: i for i, e in enumerate(col_index)}
+    entries = [[f.field.zero()] * len(col_index) for _ in row_index]
+    for e, c in f.items():
+        entries[rows[tuple(e[i] for i in left)]][cols[tuple(e[i] for i in right)]] = c
+    return exactla.rank([[c.v for c in row] for row in entries], f.field)
+
+
+@st.composite
+def partitioned_polys(draw):
+    """(f, left, right, order): f of individual degree at most 2 in up to 5
+    variables over a prime or an extension field, a random split of its
+    variables and a random variable order."""
+    fld = gf.field_spec(*draw(st.sampled_from([(2, 1), (5, 1), (3, 2), (2, 4)])))
+    n = draw(st.integers(0, 5))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    elems = st.integers(0, fld.order - 1).map(fld.from_encoding)
+    f = Poly(n, fld, draw(st.dictionaries(exps, elems, max_size=12)))
+    left = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    order = draw(st.permutations(range(n)))
+    return f, sorted(left), [i for i in range(n) if i not in left], order
+
+
 class TestCoefficientMatrix:
     def test_diagonal_rank(self, f9):
         f = Poly.monomial(4, f9, (1, 0, 1, 0), f9.one()) \
             + Poly.monomial(4, f9, (0, 1, 0, 1), f9.one())
-        assert coefficient_matrix(f, ((0, 1), (2, 3))).rank() == 2
+        assert coefficient_rank(f, ((0, 1), (2, 3))) == 2
 
     def test_transpose_invariance(self, f9, rng):
         for _ in range(10):
             f = rand_poly(4, f9, rng, 6, 1)
-            r1 = coefficient_matrix(f, ((0, 1), (2, 3))).rank()
-            r2 = coefficient_matrix(f, ((2, 3), (0, 1))).rank()
+            r1 = coefficient_rank(f, ((0, 1), (2, 3)))
+            r2 = coefficient_rank(f, ((2, 3), (0, 1)))
             assert r1 == r2
 
     def test_rank_one_iff_product(self, f9, rng):
@@ -322,18 +354,28 @@ class TestCoefficientMatrix:
                 for (e2, c2) in h.items():
                     terms[e1 + e2] = c1 * c2
             f = Poly(4, f9, terms)
-            assert coefficient_matrix(f, ((0, 1), (2, 3))).rank() == 1
-
-    def test_csv_export(self, f9):
-        """The matrix's rows export as one line of format_elem texts each."""
-        f = Poly.monomial(2, f9, (1, 1), f9.one())
-        csv = "".join(",".join(format_elem(c) for c in row) + "\n"
-                      for row in coefficient_matrix(f, ((0,), (1,))).entries)
-        assert csv.count("\n") == 2
+            assert coefficient_rank(f, ((0, 1), (2, 3))) == 1
 
     def test_bad_partition(self, f9):
         with pytest.raises(ValueError):
-            coefficient_matrix(Poly.one(3, f9), ((0, 1), (1, 2)))
+            coefficient_rank(Poly.one(3, f9), ((0, 1), (1, 2)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(partitioned_polys())
+    def test_matches_dense_reference(self, case):
+        """coefficient_rank, and every prefix cut of roabp_width, equal the
+        rank of the full matrix, zero rows and columns included."""
+        f, left, right, order = case
+        assert coefficient_rank(f, (left, right)) == dense_coefficient_rank(f, (left, right))
+        cuts = [dense_coefficient_rank(f, (order[:i], order[i:])) for i in range(1, f.n + 1)]
+        assert roabp_width(f, order) == max(cuts, default=0)
+
+    def test_wide_exponents(self, f9):
+        """Exponents past one byte widen the keys; the ranks are unchanged."""
+        f = Poly(3, f9, {(300, 1, 0): f9.one(), (0, 1, 1): f9.one(), (1, 0, 1): f9.one()})
+        for left in ([0], [1], [0, 2], []):
+            right = [i for i in range(3) if i not in left]
+            assert coefficient_rank(f, (left, right)) == dense_coefficient_rank(f, (left, right))
 
 
 class TestEvalDimension:
@@ -345,20 +387,27 @@ class TestEvalDimension:
         for _ in range(10):
             f = rand_poly(4, f9, rng, 6, 1)
             ed = eval_dimension(f, ((0, 1), (2, 3)))
-            assert ed <= coefficient_matrix(f, ((0, 1), (2, 3))).rank()
+            assert ed <= coefficient_rank(f, ((0, 1), (2, 3)))
 
     def test_equality_when_domain_exceeds_degree(self, f9, rng):
         points = [f9.from_encoding(m) for m in range(3)]
         for _ in range(10):
             f = rand_poly(4, f9, rng, 5, 1)
             ed = eval_dimension(f, ((0, 1), (2, 3)), domain=points)
-            assert ed == coefficient_matrix(f, ((0, 1), (2, 3))).rank()
+            assert ed == coefficient_rank(f, ((0, 1), (2, 3)))
 
     def test_lifted_inverse_full_dimension(self):
         tower = gf.field_tower(2, 8)
         inst = lifted_instance("fixed-order", 3, tower, random.Random(9))
         g = ml_reciprocal(inst.poly)
         assert eval_dimension(g, (inst.x_vars(), inst.y_vars())) == 8
+
+    def test_restrictions_of_mixed_key_widths(self, f9):
+        """f = x2 y2 + x1^300 y1: the restrictions x2 (one-byte keys),
+        x1^300 and x1^300 + x2 (two-byte keys) span a plane."""
+        one = f9.one()
+        f = Poly(4, f9, {(0, 1, 0, 1): one, (300, 0, 1, 0): one})
+        assert eval_dimension(f, ((0, 1), (2, 3))) == 2
 
 
 class TestRoabpWidth:
@@ -384,7 +433,7 @@ class TestRoabpWidth:
         order = [0, 1, 2, 3]
         w = roabp_width(f, order)
         for i in range(1, 5):
-            assert w >= coefficient_matrix(f, (order[:i], order[i:])).rank()
+            assert w >= coefficient_rank(f, (order[:i], order[i:]))
 
     def test_bad_order(self, f9):
         with pytest.raises(ValueError):

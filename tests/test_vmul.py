@@ -242,6 +242,23 @@ def test_multibyte_slots_are_exercised():
     assert (kernel.cell_bytes(1000003), kernel.cell_bytes((1 << 61) - 1)) == (3, 8)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 251, 257, 65521, 1000003, (1 << 31) - 1,
+                               (1 << 61) - 1])
+def test_barrett_slots_take_every_slot_mod_p(p):
+    """barrett_slots' one step gives x div p in every slot x < 2^bits: at
+    2^bits - 1, and at the multiples of p just below it and one less, where
+    a quotient estimated from too short an s first goes wrong. The widths
+    run from bitlen(p) to past those of the codec's fold slots and the
+    packed rows."""
+    for bits in range(p.bit_length(), 4 * p.bit_length() + 40):
+        stride, s, m = kernel.barrett_slots(p, bits)
+        top, w = (1 << bits) - 1, 8 * stride
+        q = top // p
+        xs = [top] + [x for j in range(q, max(q - 3, 0), -1) for x in (j * p, j * p - 1)]
+        y = kernel.pack(xs, stride) * m >> s
+        assert [y >> w * j & top for j in range(len(xs))] == [x // p for x in xs], bits
+
+
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3)])
 def test_all_pairs(p, k):
     spec = gf.field_spec(p, k)
