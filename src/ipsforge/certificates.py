@@ -36,6 +36,7 @@ from ipsforge.mvpoly import (
     linear_poly,
     ml,
     parse_poly,
+    substitute_monomials,
     sum_of_products,
 )
 from ipsforge.symfun import (
@@ -252,9 +253,9 @@ def refute_linear_frobenius(L: Poly, tower: FieldTower) -> Certificate:
     A = (A_k - Poly.one(n, fld)).scale(scale)
     B = []
     for i in range(n):
-        # B_i = -(sum_l alpha_i^{p^l} C_l) / denom times the geometric factor,
-        # accumulated as one sum of products
-        geom = _geom_quotient(n, fld, i, p) if p > 2 else Poly.one(n, fld)
+        # B_i = -(sum_l alpha_i^{p^l} C_l) / denom times the geometric factor
+        # (x_i^p - x_i) / (x_i^2 - x_i), accumulated as one sum of products
+        geom = collect(n, fld, [([0] * i + [d] + [0] * (n - 1 - i), 1) for d in range(p - 1)])
         B.append(sum_of_products(n, fld, [
             (suffix[l], geom.scale(-alpha_pows[l][i] * scale))
             for l in range(1, k + 1)
@@ -268,49 +269,17 @@ def refute_linear_frobenius(L: Poly, tower: FieldTower) -> Certificate:
 # ---------------------------------------------------------------------------
 # sparse lifting through monomial axioms
 
-def _geom_quotient(n: int, fld: FieldSpec, j: int, m: int) -> Poly:
-    """(x_j^m - x_j) / (x_j^2 - x_j) = x_j^{m-2} + ... + x_j + 1 (zero for m <= 1)."""
-    one = fld.one()
-    return Poly(n, fld, {tuple(d if v == j else 0 for v in range(n)): one
-                         for d in range(m - 1)})
-
-
 def expand_monomial_axiom(mu: tuple[int, ...], n: int, fld: FieldSpec) -> list[Poly]:
     """E_1..E_n with (x^mu)^2 - x^mu = sum_j E_j (x_j^2 - x_j), peeling the
-    largest-index variable first; each variable is peeled once, so each E_j
-    is one product."""
-    E = [Poly.zero(n, fld) for _ in range(n)]
-    mu = list(mu)
-    prefix = Poly.one(n, fld)
-    while True:
-        support = [j for j in range(n) if mu[j] > 0]
-        if not support:
-            return E
-        t = support[-1]
-        nu = list(mu)
-        nu[t] = 0
-        x_nu = Poly.monomial(n, fld, tuple(nu), fld.one())
-        x_nu2 = Poly.monomial(n, fld, tuple(2 * v for v in nu), fld.one())
-        e_t = _geom_quotient(n, fld, t, 2 * mu[t]) * x_nu2 \
-            - _geom_quotient(n, fld, t, mu[t]) * x_nu
-        E[t] = prefix * e_t
-        prefix = prefix * Poly.var(n, fld, t)
-        mu = nu
-
-
-def _substitute_monomials(poly_y: Poly, monomials: list[tuple[int, ...]],
-                          n: int, fld: FieldSpec) -> Poly:
-    """Plug x^{mu_i} in for y_i; exponents add linearly so no expansion blowup."""
-    pieces = []
-    for e, c in poly_y.items():
-        new = [0] * n
-        for idx, d in enumerate(e):
-            if d:
-                mu = monomials[idx]
-                for v in range(n):
-                    new[v] += d * mu[v]
-        pieces.append((tuple(new), c.v))
-    return collect(n, fld, pieces)
+    largest-index variable first, each written out term by term: for t in
+    the support, E_t = x_S (sum_{d < 2mu_t - 1} x_t^d x^{2nu} -
+    sum_{d < mu_t - 1} x_t^d x^nu), with x_S the product of the support
+    variables above t and nu = mu below t; E_t = 0 off the support."""
+    minus = (-fld.one()).v
+    return [collect(n, fld, [([m * v for v in mu[:t]] + [d] + [min(v, 1) for v in mu[t + 1:]], c)
+                             for m, top, c in ((2, 2 * mu[t] - 1, 1), (1, mu[t] - 1, minus))
+                             for d in range(top)])
+            for t in range(n)]
 
 
 def refute_sparse(f: Poly, tower: FieldTower) -> Certificate:
@@ -326,12 +295,11 @@ def refute_sparse(f: Poly, tower: FieldTower) -> Certificate:
             raise BetaInSubfield("monomial coefficient outside the base field")
     if tower.is_in_subfield(beta):
         raise BetaInSubfield("beta lies in the base field")
-    s = len(support)
     F = linear_poly(fld, [f.coeff(e) for e in support], -beta)
     flat_cert = refute_linear_frobenius(F, tower)
-    A = _substitute_monomials(flat_cert.A[0], support, n, fld)
+    A = substitute_monomials(flat_cert.A[0], n, support)
     # B_j = sum_mu b_mu E_j(mu), with b_mu the lifted flat B-multiplier of mu
-    lifted = [(_substitute_monomials(flat_cert.B[idx], support, n, fld),
+    lifted = [(substitute_monomials(flat_cert.B[idx], n, support),
                expand_monomial_axiom(mu, n, fld))
               for idx, mu in enumerate(support)]
     B = [sum_of_products(n, fld, [(b_mu, E[j]) for b_mu, E in lifted])
@@ -339,7 +307,7 @@ def refute_sparse(f: Poly, tower: FieldTower) -> Certificate:
     return Certificate(
         [A], B,
         {"constructor": "sparse_lift", "p": tower.p, "k": tower.k, "n": n,
-         "sparsity": s},
+         "sparsity": len(support)},
     )
 
 

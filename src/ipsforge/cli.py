@@ -240,7 +240,9 @@ def verify_cmd(certificate, instance_path, out, fmt, canonical):
                 f"instance declares {inst_data.get('field')}, "
                 f"certificate declares {data.get('field')}"
             )
-        declared = inst_data.get("polys", inst_data.get("instance", []))
+        declared = inst_data.get("polys", inst_data.get("instance"))
+        if not isinstance(declared, list) or not all(isinstance(t, str) for t in declared):
+            raise ParseError("an instance file's 'polys' must be a list of strings")
         if declared != data.get("instance"):
             raise MathFailure("instance_mismatch",
                               "instance polynomials differ from the certificate's")

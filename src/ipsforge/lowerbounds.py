@@ -26,6 +26,7 @@ from ipsforge.mvpoly import (
     interpolate_table,
     linear_poly,
     stored_sum,
+    substitute_monomials,
 )
 
 
@@ -310,13 +311,18 @@ def _rank(vectors: Iterable[dict], field: FieldSpec) -> int:
     return exactla.rank([[v.get(j, 0) for j in cols] for v in vectors], field)
 
 
-def coefficient_rank(f: Poly, partition: tuple[Sequence[int], Sequence[int]]) -> int:
-    """Rank of Nisan's coefficient matrix of f under (left, right), whose
-    entry (m, m') is the coefficient of m * m' in f."""
+def _check_partition(f: Poly, partition: tuple[Sequence[int], Sequence[int]]) -> None:
+    """ValueError unless the partition's two sides split f's variables."""
     left, right = set(partition[0]), set(partition[1])
     if left | right != set(range(f.n)) or left & right:
         raise ValueError("partition must split the variable set")
-    return _rank(f.split(left).values(), f.field)
+
+
+def coefficient_rank(f: Poly, partition: tuple[Sequence[int], Sequence[int]]) -> int:
+    """Rank of Nisan's coefficient matrix of f under (left, right), whose
+    entry (m, m') is the coefficient of m * m' in f."""
+    _check_partition(f, partition)
+    return _rank(f.split(partition[0]).values(), f.field)
 
 
 def eval_dimension(f: Poly, partition: tuple[Sequence[int], Sequence[int]],
@@ -324,6 +330,7 @@ def eval_dimension(f: Poly, partition: tuple[Sequence[int], Sequence[int]],
     """Dimension of the span of {f(left, b)} over right-side assignments b,
     with b drawn from the domain (default {0,1}); never exceeds the
     coefficient rank."""
+    _check_partition(f, partition)
     right, fld = tuple(partition[1]), f.field
     points = list(domain) if domain is not None else [fld.zero(), fld.one()]
     _check_budget(len(right) * max(1, len(points) // 2), what="restriction enumeration")
@@ -371,11 +378,11 @@ class LiftedInstance:
 
 def lifted_poly(n: int, supports: Sequence[Sequence[int]], alphas: Sequence[FieldElem],
                 beta: FieldElem) -> Poly:
-    """sum_S alpha_S x^S - beta in n variables, x^S the product of the
-    variables of support S (0-based); a zero alpha leaves no term."""
-    terms = {tuple(int(i in S) for i in range(n)): a
-             for S, a in zip(supports, alphas) if not a.is_zero()}
-    return Poly(n, beta.spec, terms) + Poly.const(n, beta.spec, -beta)
+    """sum_S alpha_S x^S - beta in n variables: x^S, the product of the
+    variables of support S (0-based), put in for y_S in sum_S alpha_S y_S -
+    beta, as refute_sparse lifts its certificate. Zero alphas leave no term."""
+    return substitute_monomials(linear_poly(beta.spec, alphas, -beta), n,
+                                [[int(i in S) for i in range(n)] for S in supports])
 
 
 def lifted_instance(kind: str, n: int, tower: FieldTower, rng) -> LiftedInstance:

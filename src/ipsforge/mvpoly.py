@@ -6,9 +6,9 @@ variable, nb the least that holds the largest exponent, so equal polynomials
 have equal terms) to coefficients in the kernel's stored form, the int that
 ``FieldElem.v`` holds. Exponent tuples and FieldElems appear only at the
 boundary: the constructor, ``collect``, ``coeff``, ``items``, ``exponents``
-and the text grammar. Coefficient arithmetic is the kernel's: sums of
-products go through its codec, once per output term, and sums through
-``stored_form(p, k).fix``.
+and the text grammar; ``substitute_monomials`` is a linear map on the keys.
+Coefficient arithmetic is the kernel's: sums of products go through its
+codec, once per output term, and sums through ``stored_form(p, k).fix``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, islice
-from operator import or_
+from operator import mul, or_
 from typing import Iterable, Mapping, Sequence
 
 from ipsforge import _kernel as kn
@@ -349,6 +349,19 @@ def collect(n: int, field: FieldSpec,
     pieces = [(tuple(e), c) for e, c in terms]
     nb = slot_bytes(max((max(e) for e, _ in pieces if e), default=0))
     return _merge(n, field, nb, [(_pack(e, nb), c) for e, c in pieces])
+
+
+def substitute_monomials(f: Poly, n: int, monomials: Sequence[Sequence[int]]) -> Poly:
+    """f with x^monomials[i] in n variables put in for its variable i: the
+    linear map key -> sum_i d_i key(monomials[i]), on slots that hold deg f
+    times the largest monomial exponent, so no slot carries into the next."""
+    if len(monomials) != f.n:
+        raise ArityMismatch(f"{len(monomials)} monomials for a poly in {f.n} variables")
+    mus = [_exponents(n, mu) for mu in monomials]
+    nb = slot_bytes(max(f.degree(), 1) * max((d for mu in mus for d in mu), default=0))
+    keys = [_pack(mu, nb) for mu in mus]
+    return _merge(n, f.field, nb, [(sum(map(mul, e, keys)), c)
+                                   for e, c in zip(f.exponents(), f.terms.values())])
 
 
 # ---------------------------------------------------------------------------

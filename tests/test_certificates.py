@@ -3,6 +3,7 @@ import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipsforge import exactla, gf, generators
 from ipsforge.certificates import (
@@ -39,7 +40,8 @@ from ipsforge.errors import (
     SatisfiableSystem,
 )
 from ipsforge.gf import FieldElem
-from ipsforge.mvpoly import Poly, collect, fermat_exponent, ml
+from ipsforge.lowerbounds import ml_inverse, ml_reciprocal
+from ipsforge.mvpoly import Poly, collect, fermat_exponent, ml, substitute_monomials
 from ipsforge.symfun import elem_sym
 
 from conftest import eval_cube_point, from_coeffs, rand_poly
@@ -256,6 +258,128 @@ class TestSparse:
         report = verify(inst, cert)
         assert report.ok
         assert cert.provenance["constructor"] == "sparse_lift"
+
+
+def reference_substitute_monomials(poly_y, monomials, n, fld):
+    """Plug x^{mu_i} in for y_i through exponent tuples: the tuple loop the
+    packed key map replaced."""
+    pieces = []
+    for e, c in poly_y.items():
+        new = [0] * n
+        for idx, d in enumerate(e):
+            if d:
+                mu = monomials[idx]
+                for v in range(n):
+                    new[v] += d * mu[v]
+        pieces.append((tuple(new), c.v))
+    return collect(n, fld, pieces)
+
+
+def geom_quotient(n, fld, j, m):
+    """x_j^{m-2} + ... + x_j + 1 (zero for m <= 1)."""
+    return Poly(n, fld, {tuple(d if v == j else 0 for v in range(n)): fld.one()
+                         for d in range(m - 1)})
+
+
+def reference_expand_monomial_axiom(mu, n, fld):
+    """E_1..E_n of the monomial axiom built from Poly products, peeling the
+    largest-index variable first."""
+    E = [Poly.zero(n, fld) for _ in range(n)]
+    mu = list(mu)
+    prefix = Poly.one(n, fld)
+    while True:
+        support = [j for j in range(n) if mu[j] > 0]
+        if not support:
+            return E
+        t = support[-1]
+        nu = list(mu)
+        nu[t] = 0
+        x_nu = Poly.monomial(n, fld, tuple(nu), fld.one())
+        x_nu2 = Poly.monomial(n, fld, tuple(2 * v for v in nu), fld.one())
+        e_t = geom_quotient(n, fld, t, 2 * mu[t]) * x_nu2 - geom_quotient(n, fld, t, mu[t]) * x_nu
+        E[t] = prefix * e_t
+        prefix = prefix * Poly.var(n, fld, t)
+        mu = nu
+
+
+LIFT_FIELDS = [gf.field_spec(2, 1), gf.field_spec(3, 2), gf.field_spec(5, 3),
+               gf.field_spec(257, 1)]
+
+
+@st.composite
+def substitutions(draw):
+    """(f, n, monomials): f zero, constant or random in s <= 4 variables,
+    and s monomials in n <= 6 variables with entries up to 300, past
+    one-byte key slots."""
+    fld = draw(st.sampled_from(LIFT_FIELDS))
+    s, n = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    elems = st.integers(0, fld.order - 1).map(fld.from_encoding)
+    kind = draw(st.sampled_from(["zero", "constant", "random"]))
+    if kind == "zero":
+        f = Poly.zero(s, fld)
+    elif kind == "constant":
+        f = Poly.const(s, fld, draw(elems))
+    else:
+        exps = st.tuples(*[st.integers(0, 3)] * s)
+        f = Poly(s, fld, draw(st.dictionaries(exps, elems, max_size=8)))
+    monomials = draw(st.lists(st.tuples(*[st.integers(0, 300)] * n), min_size=s, max_size=s))
+    return f, n, monomials
+
+
+class TestLiftReferences:
+    """The packed monomial substitution and the product-free monomial-axiom
+    expansion equal the tuple and product builds they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(substitutions())
+    def test_substitute_monomials_matches_tuple_loop(self, case):
+        f, n, monomials = case
+        assert substitute_monomials(f, n, monomials) == \
+            reference_substitute_monomials(f, monomials, n, f.field)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(LIFT_FIELDS), st.lists(st.integers(0, 4), max_size=6))
+    def test_expand_monomial_axiom_matches_products(self, fld, mu):
+        mu = tuple(mu)
+        assert expand_monomial_axiom(mu, len(mu), fld) == \
+            reference_expand_monomial_axiom(mu, len(mu), fld)
+
+    def test_wide_constant_substitution(self, f9):
+        """A constant f keeps one-byte keys even where a monomial needs two."""
+        c = Poly.const(2, f9, f9.from_encoding(5))
+        assert substitute_monomials(c, 3, [(300, 0, 1), (0, 2, 0)]) == \
+            Poly.const(3, f9, f9.from_encoding(5))
+
+
+def linear_coefficients(f):
+    """(alphas, beta) of f = sum alpha_i x_i - beta."""
+    n = f.n
+    return [f.coeff(tuple(int(v == i) for v in range(n))) for i in range(n)], -f.coeff((0,) * n)
+
+
+class TestFunctionalMethod:
+    """A certificate's A agrees with 1/f on the cube, so ml(A) is the
+    multilinear inverse: ml_reciprocal(f), and ml_inverse of the
+    coefficients for a linear f."""
+
+    @pytest.mark.parametrize("p, k", [(2, 6), (3, 4), (2, 12)])
+    @pytest.mark.parametrize("constructor", ["linear_frobenius", "sparse_lift", "linear_lowdegree"])
+    def test_ml_of_A_is_the_multilinear_inverse(self, constructor, p, k):
+        tower, rng = gf.field_tower(p, k), random.Random(5)
+        if constructor == "linear_frobenius":
+            f = generators.linear_shifted(tower, 4, rng).axioms[0]
+            cert = refute_linear_frobenius(f, tower)
+        elif constructor == "sparse_lift":
+            f = generators.sparse_quadratic(tower, 3, rng).axioms[0]
+            cert = refute_sparse(f, tower)
+        else:
+            f = generators.linear_base(tower.base, 5, rng).axioms[0]
+            cert = refute_linear_lowdegree(f)
+        assert cert.provenance["constructor"] == constructor
+        g = ml(cert.A[0])
+        assert g == ml_reciprocal(f)
+        if constructor != "sparse_lift":
+            assert g == ml_inverse(*linear_coefficients(f))
 
 
 class TestNullstellensatzSolver:

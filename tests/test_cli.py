@@ -148,13 +148,18 @@ def test_bad_field_or_size_is_usage_error(capsys, argv):
     (lambda cert: {**cert, "B": ["[1," + "7" * 5000 + ",0,0]*x1"] + cert["B"][1:]}, 1),
     (lambda cert: {**cert, "provenance": None}, 1),
     (lambda cert: {**cert, "provenance": {**cert["provenance"], "constructor": ["x"]}}, 1),
+    (lambda cert: (cert, {"field": cert["field"], "polys": 5}), 1),
+    (lambda cert: (cert, {"field": cert["field"], "polys": [1]}), 1),
+    (lambda cert: (cert, {"field": cert["field"], "instance": 5}), 1),
+    (lambda cert: (cert, {"field": cert["field"]}), 1),
 ], ids=["poly-product", "poly-degree", "poly-dangling", "poly-variable",
         "poly-juxtaposed", "poly-double-sign",
         "cert-list", "cert-no-A", "cert-n-string", "cert-short-B",
         "tower-int", "tower-no-base", "tower-rows-of-9", "tower-t-to-zero",
         "instance-list", "cert-A-juxtaposed", "field-extra-parens",
         "poly-long-exponent", "cert-long-exponent", "cert-long-coefficient",
-        "cert-provenance-null", "cert-constructor-list"])
+        "cert-provenance-null", "cert-constructor-list",
+        "instance-polys-int", "instance-polys-of-ints", "instance-key-int", "instance-no-polys"])
 def test_bad_input_exit_code(tmp_path, capsys, bad, expected):
     """Malformed --poly text, certificate and instance files exit 1; a
     certificate of the wrong shape for its instance exits 2; neither is an
@@ -179,6 +184,19 @@ def test_bad_input_exit_code(tmp_path, capsys, bad, expected):
     assert code == expected, err
     if expected == 2:
         assert json.loads(stdout)["error"] == "not_a_certificate"
+
+
+def test_instance_file_with_other_polys_exits_2(tmp_path, capsys):
+    """A well-formed instance file whose polynomials are not the
+    certificate's is a failed check, not bad input."""
+    path, inst_path = tmp_path / "cert.json", tmp_path / "inst.json"
+    assert run_cli(capsys, "refute", "--family", "linear-shifted", "--p", "2",
+                   "--k", "2", "--n", "3", "--seed", "3", "--out", str(path))[0] == 0
+    field = json.loads(path.read_text())["field"]
+    inst_path.write_text(json.dumps({"field": field, "polys": ["x1 + x2"]}))
+    code, stdout, err = run_cli(capsys, "verify", str(path), "--instance", str(inst_path))
+    assert code == 2, err
+    assert json.loads(stdout)["error"] == "instance_mismatch"
 
 
 @pytest.mark.parametrize("target", ["certificate", "instance"])

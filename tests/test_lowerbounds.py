@@ -409,6 +409,18 @@ class TestEvalDimension:
         f = Poly(4, f9, {(0, 1, 0, 1): one, (300, 0, 1, 0): one})
         assert eval_dimension(f, ((0, 1), (2, 3))) == 2
 
+    @pytest.mark.parametrize("partition", [((0,), (1,)), ((0, 1), (1,))],
+                             ids=["misses-x3", "shares-x2"])
+    def test_bad_partition(self, f9, partition):
+        """f = x1 + x1 x3 + x2 x3: a partition that leaves out a variable or
+        puts one on both sides is refused, as coefficient_rank refuses it."""
+        one = f9.one()
+        f = Poly(3, f9, {(1, 0, 0): one, (1, 0, 1): one, (0, 1, 1): one})
+        with pytest.raises(ValueError):
+            eval_dimension(f, partition)
+        with pytest.raises(ValueError):
+            coefficient_rank(f, partition)
+
 
 class TestRoabpWidth:
     def test_full_product_width_one(self, f9):

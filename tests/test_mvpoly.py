@@ -20,6 +20,7 @@ from ipsforge.mvpoly import (
     ml,
     ml_partial,
     parse_poly,
+    substitute_monomials,
 )
 
 from conftest import (eval_cube_point, from_coeffs, individual_degree, rand_poly, restricted,
@@ -98,6 +99,26 @@ class TestSubstitute:
         g = f.restrict({i: point[i] for i in subset})
         assert all(e[i] == 0 for e in g.exponents() for i in subset)
         assert g.eval(point) == f.eval(point) == expect
+
+    def test_monomials_for_variables(self, f3):
+        """(y1 + 2 y2^2 + 1) with x1 x2 for y1 and x2^2 x3 for y2: the terms
+        x1 x2 and 2 x2^4 x3^2 and 1."""
+        y1, y2, one = Poly.var(2, f3, 0), Poly.var(2, f3, 1), Poly.one(2, f3)
+        got = substitute_monomials(y1 + y2 * y2 + y2 * y2 + one, 3, [(1, 1, 0), (0, 2, 1)])
+        assert got == Poly(3, f3, {(1, 1, 0): f3.one(), (0, 4, 2): f3.from_int(2),
+                                   (0, 0, 0): f3.one()})
+
+    def test_merged_terms_cancel(self, f3):
+        """y1 - y2 with the same monomial for both is zero."""
+        f = Poly.var(2, f3, 0) - Poly.var(2, f3, 1)
+        assert substitute_monomials(f, 2, [(1, 2), (1, 2)]).is_zero()
+
+    def test_monomial_count_and_arity(self, f3):
+        f = Poly.var(2, f3, 0)
+        with pytest.raises(ArityMismatch):
+            substitute_monomials(f, 2, [(1, 0)])
+        with pytest.raises(ArityMismatch):
+            substitute_monomials(f, 2, [(1, 0), (0, 1, 0)])
 
 
 class TestConstantChecks:
