@@ -25,7 +25,7 @@ from ipsforge.errors import (
     SatisfiableInstance,
     SatisfiableSystem,
 )
-from ipsforge.gf import FieldElem, FieldSpec, FieldTower, field_spec, parse_field_spec
+from ipsforge.gf import FieldElem, FieldSpec, FieldTower, parse_field_spec
 from ipsforge.mvpoly import (
     Poly,
     collect,
@@ -118,7 +118,6 @@ class NoCertificateAtDegree:
 class VerificationReport:
     ok: bool
     residual: Poly
-    stats: CertStats
 
     def __bool__(self):
         return self.ok
@@ -162,7 +161,7 @@ def verify(instance: Instance, cert: Certificate) -> VerificationReport:
         if not b.is_zero():
             products.append((b, boolean_axiom(n, fld, j)))
     residual = sum_of_products(n, fld, products) - Poly.one(n, fld)
-    return VerificationReport(residual.is_zero(), residual, cert_stats(cert))
+    return VerificationReport(residual.is_zero(), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +219,18 @@ def _check_shifted(L: Poly, tower: FieldTower) -> tuple[list[FieldElem], FieldEl
     return alphas, beta
 
 
+def _conjugates(alphas: Sequence[FieldElem], beta: FieldElem,
+                count: int) -> list[tuple[Sequence[FieldElem], FieldElem]]:
+    """(alpha^{p^j}, beta^{p^j}) for j < count: the coefficients of the
+    Frobenius images L_j = sum alpha_i^{p^j} x_i - beta^{p^j} of L."""
+    p, out = beta.spec.p, []
+    for j in range(count):
+        if j:
+            alphas, beta = [a ** p for a in alphas], beta ** p
+        out.append((alphas, beta))
+    return out
+
+
 def refute_linear_frobenius(L: Poly, tower: FieldTower) -> Certificate:
     """Refutation of L = sum alpha_i x_i - beta (alpha in the base field,
     beta outside it) by iterating Frobenius powers of L; the final division by
@@ -231,22 +242,16 @@ def refute_linear_frobenius(L: Poly, tower: FieldTower) -> Certificate:
     B_{k,i} = -sum_l alpha_i^{p^l} C_l with C_l the suffix products of the
     L_j^{p-1}, so the B side needs no polynomial products of its own.
     """
-    alphas, beta = _check_shifted(L, tower)
     n, fld = L.n, L.field
     p, k = tower.p, tower.k
-    alpha_pows = [list(alphas)]
-    beta_pows = [beta]
-    for _ in range(k):
-        alpha_pows.append([a ** p for a in alpha_pows[-1]])
-        beta_pows.append(beta_pows[-1] ** p)
-
-    powers = [linear_poly(fld, alpha_pows[j], -beta_pows[j]) ** (p - 1)
-              for j in range(k)]
+    alphas, beta = _check_shifted(L, tower)
+    conj = _conjugates(alphas, beta, k + 1)
+    powers = [linear_poly(fld, a, -b) ** (p - 1) for a, b in conj[:k]]
     suffix = [Poly.one(n, fld)] * (k + 1)
     for l in range(k - 1, 0, -1):
         suffix[l] = powers[l] * suffix[l + 1]
     A_k = powers[0] * suffix[1]
-    denom = beta - beta_pows[k]
+    denom = beta - conj[k][1]
     if denom.is_zero():
         raise BetaInSubfield("beta^{p^k} = beta")
     scale = denom.inv()
@@ -257,7 +262,7 @@ def refute_linear_frobenius(L: Poly, tower: FieldTower) -> Certificate:
         # (x_i^p - x_i) / (x_i^2 - x_i), accumulated as one sum of products
         geom = collect(n, fld, [([0] * i + [d] + [0] * (n - 1 - i), 1) for d in range(p - 1)])
         B.append(sum_of_products(n, fld, [
-            (suffix[l], geom.scale(-alpha_pows[l][i] * scale))
+            (suffix[l], geom.scale(-conj[l][0][i] * scale))
             for l in range(1, k + 1)
         ]))
     return Certificate(
@@ -285,17 +290,13 @@ def expand_monomial_axiom(mu: tuple[int, ...], n: int, fld: FieldSpec) -> list[P
 def refute_sparse(f: Poly, tower: FieldTower) -> Certificate:
     """Refutation of a sparse shifted instance f = sum alpha_mu x^mu - beta:
     flatten each support monomial to a fresh variable, refute the resulting
-    linear instance by the Frobenius chain, substitute the monomials back, and
-    expand every lifted Boolean axiom through the monomial-axiom identity."""
+    linear instance by the Frobenius chain (which raises BetaInSubfield for a
+    coefficient outside the base field or a beta inside it), substitute the
+    monomials back, and expand every lifted Boolean axiom through the
+    monomial-axiom identity."""
     n, fld = f.n, f.field
     support = sorted((e for e in f.exponents() if sum(e) > 0), key=lambda e: (sum(e), e))
-    beta = -f.coeff((0,) * n)
-    for e in support:
-        if not tower.is_in_subfield(f.coeff(e)):
-            raise BetaInSubfield("monomial coefficient outside the base field")
-    if tower.is_in_subfield(beta):
-        raise BetaInSubfield("beta lies in the base field")
-    F = linear_poly(fld, [f.coeff(e) for e in support], -beta)
+    F = linear_poly(fld, [f.coeff(e) for e in support], f.coeff((0,) * n))
     flat_cert = refute_linear_frobenius(F, tower)
     A = substitute_monomials(flat_cert.A[0], n, support)
     # B_j = sum_mu b_mu E_j(mu), with b_mu the lifted flat B-multiplier of mu
@@ -315,27 +316,15 @@ def refute_sparse(f: Poly, tower: FieldTower) -> Certificate:
 # low-degree refutation for base-field linear instances
 
 def ml_power_q_minus_2(L: Poly) -> Poly:
-    """ml[L^{q-2}] without materializing the dense power: p-ary digits of q-2
-    with multilinearization interleaved after every factor."""
+    """ml[L^{q-2}] without materializing the dense power: q - 2 has the
+    p-ary digits p-2, p-1, ..., p-1, and digit j takes that many factors of
+    the Frobenius image L_j, with multilinearization after every factor."""
     fld = L.field
     p = fld.p
-    q = fld.order
-    alphas, beta = _linear_parts(L)
-    digits = []
-    e = q - 2
-    for _ in range(fld.k):
-        digits.append(e % p)
-        e //= p
+    digits = [p - 2] + [p - 1] * (fld.k - 1)
     acc = Poly.one(L.n, fld)
-    cur_alphas = list(alphas)
-    cur_beta = beta
-    for j, m_j in enumerate(digits):
-        if j > 0:
-            cur_alphas = [a ** p for a in cur_alphas]
-            cur_beta = cur_beta ** p
-        if m_j == 0:
-            continue
-        L_j = linear_poly(fld, cur_alphas, -cur_beta)
+    for m_j, (alphas, beta) in zip(digits, _conjugates(*_linear_parts(L), fld.k)):
+        L_j = linear_poly(fld, alphas, -beta)
         for _ in range(m_j):
             acc = ml(acc * L_j)
     return acc
@@ -561,10 +550,8 @@ def tower_from_dict(data) -> FieldTower:
     return FieldTower(base, ext, tuple(tuple(row) for row in table))
 
 
-def certificate_to_dict(instance: Instance, cert: Certificate,
-                        stats: CertStats | None = None) -> dict:  # cert_stats(cert), if known
+def certificate_to_dict(instance: Instance, cert: Certificate) -> dict:
     names = instance.var_names
-    stats = cert_stats(cert) if stats is None else stats
     out = {
         "field": instance.field.text(),
         "n": instance.n,
@@ -574,7 +561,7 @@ def certificate_to_dict(instance: Instance, cert: Certificate,
         "A": [format_poly(a, names) for a in cert.A],
         "B": [format_poly(b, names) for b in cert.B],
         "provenance": cert.provenance,
-        "stats": stats.to_dict(),
+        "stats": cert_stats(cert).to_dict(),
     }
     if instance.tower is not None:
         out["tower"] = tower_to_dict(instance.tower)

@@ -333,7 +333,10 @@ def eval_dimension(f: Poly, partition: tuple[Sequence[int], Sequence[int]],
     _check_partition(f, partition)
     right, fld = tuple(partition[1]), f.field
     points = list(domain) if domain is not None else [fld.zero(), fld.one()]
-    _check_budget(len(right) * max(1, len(points) // 2), what="restriction enumeration")
+    cap = budget_n()
+    if len(points) ** len(right) > 1 << cap:
+        raise BudgetExceeded(f"restriction enumeration needs at most 2^{cap} "
+                             f"assignments, got {len(points)}^{len(right)}")
     # a restriction's only monomial in the right variables is 1, labelled 0
     return _rank((f.restrict(dict(zip(right, b))).split(right).get(0, {})
                   for b in itertools.product(points, repeat=len(right))), fld)

@@ -17,7 +17,7 @@ from typing import Sequence
 from ipsforge import exactla
 from ipsforge.errors import FieldTooSmall, NotSymmetric, OutOfRange
 from ipsforge.gf import FieldElem, FieldSpec
-from ipsforge.mvpoly import Poly, divide_by_axioms, sum_of_products
+from ipsforge.mvpoly import Poly, collect, divide_by_axioms, sum_of_products
 
 
 def lucas_binom(a: int, b: int, p: int) -> int:
@@ -48,14 +48,17 @@ def elem_sym(n: int, d: int, field: FieldSpec) -> Poly:
     """The degree-d elementary symmetric polynomial, C(n,d) monomials."""
     if not 0 <= d <= n:
         raise OutOfRange(f"need 0 <= d <= n, got d={d}, n={n}")
-    one = field.one()
-    terms = {}
-    for subset in itertools.combinations(range(n), d):
-        exp = [0] * n
-        for i in subset:
-            exp[i] = 1
-        terms[tuple(exp)] = one
-    return Poly(n, field, terms)
+    return _by_weight(n, field, [0] * d + [1])
+
+
+def _by_weight(n: int, field: FieldSpec, values: Sequence[int]) -> Poly:
+    """sum_S values[|S|] x_S over the subsets S of the n variables, values
+    stored elements (FieldElem.v) for the weights 0..len(values) - 1: each
+    nonzero weight enumerates its own subsets, so a sparse expansion stays
+    polynomial in n."""
+    return collect(n, field, [([1 if i in subset else 0 for i in range(n)], c)
+                              for d, c in enumerate(values) if c
+                              for subset in map(set, itertools.combinations(range(n), d))])
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +73,7 @@ class ElemSymExpansion:
     lambdas: tuple[FieldElem, ...]  # length n + 1
 
     def to_poly(self) -> Poly:
-        n, field = self.n, self.field
-        return sum_of_products(n, field, [
-            (elem_sym(n, d, field), Poly.const(n, field, lam))
-            for d, lam in enumerate(self.lambdas) if not lam.is_zero()])
+        return _by_weight(self.n, self.field, [lam.v for lam in self.lambdas])
 
     def eval_at_weight(self, w: int) -> FieldElem:
         acc = self.field.zero()
@@ -110,28 +110,18 @@ def sym_to_elem_basis(f: Poly) -> ElemSymExpansion:
     if not f.is_multilinear():
         raise NotSymmetric("input must be multilinear")
     n, field = f.n, f.field
-    by_degree: dict[int, FieldElem] = {}
+    by_degree: dict[int, int] = {}
     counts: dict[int, int] = {}
-    for exp, c in f.items():
+    for exp, c in zip(f.exponents(), f.terms.values()):
         d = sum(exp)
-        if d in by_degree and by_degree[d] != c:
+        if by_degree.setdefault(d, c) != c:
             raise NotSymmetric(f"degree-{d} monomials carry unequal coefficients")
-        by_degree[d] = c
         counts[d] = counts.get(d, 0) + 1
     for d, cnt in counts.items():
         if d > 0 and cnt != comb(n, d):
             raise NotSymmetric(f"degree-{d} class is incomplete ({cnt} of {comb(n, d)})")
-    zero = field.zero()
-    return ElemSymExpansion(n, field, tuple(by_degree.get(d, zero) for d in range(n + 1)))
-
-
-def expansion_times_elem(expansion: ElemSymExpansion, b: int) -> ElemSymExpansion:
-    """ml[(sum lambdas[d] e_d) * e_b] in the e-basis."""
-    n, field = expansion.n, expansion.field
-    values = [
-        expansion.eval_at_weight(w) * binom_elem(w, b, field) for w in range(n + 1)
-    ]
-    return ElemSymExpansion.from_weight_values(values, field)
+    return ElemSymExpansion(n, field, tuple(FieldElem(field, by_degree.get(d, 0))
+                                            for d in range(n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +142,7 @@ class BenOrForm:
         powers = [self.field.one()]
         for _ in range(self.n):
             powers.append(powers[-1] * gamma)
-        terms = {}
-        for mask in range(1 << self.n):
-            exp = tuple((mask >> j) & 1 for j in range(self.n))
-            c = powers[sum(exp)]
-            if not c.is_zero():
-                terms[exp] = c
-        return Poly(self.n, self.field, terms)
+        return _by_weight(self.n, self.field, [c.v for c in powers])
 
     def expand_row(self, k: int) -> Poly:
         n, field = self.n, self.field
@@ -268,34 +252,27 @@ def ml_prod_elem(alphas, n: int, field: FieldSpec) -> tuple[ElemSymExpansion, li
 
     Returns the e-basis expansion of the multilinear part and the quotients
     R_1..R_n, built by a deterministic left-to-right fold over the sorted
-    degree multiset; each pairwise step uses weight evaluation for the
-    expansion and exact division for the quotients.
+    degree multiset. The fold carries the running product's values at each
+    Hamming weight w, where e_beta is C(w, beta), and reads its e-basis
+    coefficients from them; the quotients come from exact division.
     """
     degrees = sorted(alphas)
-    if not degrees:
-        unit = [field.zero()] * (n + 1)
-        unit[0] = field.one()
-        return ElemSymExpansion(n, field, tuple(unit)), [Poly.zero(n, field)] * n
     for a in degrees:
         if not 0 <= a <= n:
             raise OutOfRange(f"degree {a} out of range for n={n}")
-
-    def unit_expansion(d: int) -> ElemSymExpansion:
-        lams = [field.zero()] * (n + 1)
-        lams[d] = field.one()
-        return ElemSymExpansion(n, field, tuple(lams))
-
-    expansion = unit_expansion(degrees[0])
+    values = [field.one()] * (n + 1)
     quotients = [Poly.zero(n, field) for _ in range(n)]
-    for beta in degrees[1:]:
-        # R_j' = R_j e_beta + sum_i lambda_i D_ij, where D_ij are the Boolean
-        # quotients of e_i e_beta
-        e_beta = elem_sym(n, beta, field)
-        scaled = [(Poly.const(n, field, lam),
-                   divide_by_axioms(elem_sym(n, i, field) * e_beta, "boolean").quotients)
-                  for i, lam in enumerate(expansion.lambdas) if not lam.is_zero()]
-        quotients = [sum_of_products(n, field, [(q, e_beta)] + [
-                         (lam, d[j]) for lam, d in scaled])
-                     for j, q in enumerate(quotients)]
-        expansion = expansion_times_elem(expansion, beta)
-    return expansion, quotients
+    for step, beta in enumerate(degrees):
+        if step:  # the first factor is multilinear, so its quotients are zero
+            # R_j' = R_j e_beta + sum_i lambda_i D_ij, where D_ij are the
+            # Boolean quotients of e_i e_beta
+            lambdas = ElemSymExpansion.from_weight_values(values, field).lambdas
+            e_beta = elem_sym(n, beta, field)
+            scaled = [(Poly.const(n, field, lam),
+                       divide_by_axioms(elem_sym(n, i, field) * e_beta, "boolean").quotients)
+                      for i, lam in enumerate(lambdas) if not lam.is_zero()]
+            quotients = [sum_of_products(n, field, [(q, e_beta)] + [
+                             (lam, d[j]) for lam, d in scaled])
+                         for j, q in enumerate(quotients)]
+        values = [v * binom_elem(w, beta, field) for w, v in enumerate(values)]
+    return ElemSymExpansion.from_weight_values(values, field), quotients

@@ -221,7 +221,56 @@ class TestLowDegree:
                 assert verify(inst, cert).ok
 
 
+    @pytest.mark.parametrize("pk", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)],
+                             ids=lambda pk: f"GF({pk[0]}^{pk[1]})")
+    def test_power_matches_digit_loop(self, pk):
+        """ml_power_q_minus_2 on its closed-form digits and conjugate list
+        against the loop that computed the p-ary digits of q - 2."""
+        def reference(L):
+            fld = L.field
+            p = fld.p
+            alphas, beta = [fld.zero()] * L.n, fld.zero()
+            for exp, c in L.items():
+                if sum(exp) == 0:
+                    beta = -c
+                else:
+                    alphas[exp.index(1)] = c
+            digits, e = [], fld.order - 2
+            for _ in range(fld.k):
+                digits.append(e % p)
+                e //= p
+            acc = Poly.one(L.n, fld)
+            for j, m_j in enumerate(digits):
+                if j > 0:
+                    alphas = [a ** p for a in alphas]
+                    beta = beta ** p
+                if m_j == 0:
+                    continue
+                L_j = linear_poly(L.n, fld, alphas, beta)
+                for _ in range(m_j):
+                    acc = ml(acc * L_j)
+            return acc
+
+        fld, rng = gf.field_spec(*pk), random.Random(11)
+        for n in range(8):
+            for _ in range(2):
+                L = linear_poly(n, fld, [fld.sample(rng) for _ in range(n)], fld.sample(rng))
+                assert ml_power_q_minus_2(L) == reference(L)
+
+
 class TestSparse:
+    @pytest.mark.parametrize("outside", ["coefficient", "beta"])
+    def test_subfield_violations_rejected(self, outside):
+        """The flattened Frobenius chain refuses a support coefficient
+        outside the base field, and a beta inside it."""
+        tower = gf.field_tower(3, 2)
+        ext, rng = tower.ext, random.Random(4)
+        inside, shifted = tower.embed(tower.base.gen()), tower.sample_beta(rng)
+        alpha, beta = (shifted, shifted) if outside == "coefficient" else (inside, inside)
+        f = Poly.monomial(3, ext, (1, 2, 0), alpha) + Poly.var(3, ext, 2) - Poly.const(3, ext, beta)
+        with pytest.raises(BetaInSubfield):
+            refute_sparse(f, tower)
+
     def test_single_monomial_degrades_to_linear(self):
         tower = gf.field_tower(2, 2)
         ext = tower.ext

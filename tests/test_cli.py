@@ -152,6 +152,10 @@ def test_bad_field_or_size_is_usage_error(capsys, argv):
     (lambda cert: (cert, {"field": cert["field"], "polys": [1]}), 1),
     (lambda cert: (cert, {"field": cert["field"], "instance": 5}), 1),
     (lambda cert: (cert, {"field": cert["field"]}), 1),
+    (["gen", "--family", "sparse-shifted", "--p", "2", "--k", "2", "--n", "2",
+      "--seed", "1", "--poly", "garbage(("], 1),
+    (["refute", "--family", "linear-shifted", "--p", "2", "--k", "2", "--n", "3",
+      "--seed", "3", "--poly", "e1+1"], 1),
 ], ids=["poly-product", "poly-degree", "poly-dangling", "poly-variable",
         "poly-juxtaposed", "poly-double-sign",
         "cert-list", "cert-no-A", "cert-n-string", "cert-short-B",
@@ -159,13 +163,17 @@ def test_bad_field_or_size_is_usage_error(capsys, argv):
         "instance-list", "cert-A-juxtaposed", "field-extra-parens",
         "poly-long-exponent", "cert-long-exponent", "cert-long-coefficient",
         "cert-provenance-null", "cert-constructor-list",
-        "instance-polys-int", "instance-polys-of-ints", "instance-key-int", "instance-no-polys"])
+        "instance-polys-int", "instance-polys-of-ints", "instance-key-int", "instance-no-polys",
+        "gen-poly-sparse", "refute-poly-linear"])
 def test_bad_input_exit_code(tmp_path, capsys, bad, expected):
-    """Malformed --poly text, certificate and instance files exit 1; a
-    certificate of the wrong shape for its instance exits 2; neither is an
-    internal error. A mutation that returns (certificate, instance) also
-    passes the instance through --instance."""
-    if isinstance(bad, str):
+    """Malformed --poly text, --poly outside the symmetric family,
+    certificate and instance files exit 1; a certificate of the wrong shape
+    for its instance exits 2; neither is an internal error. A mutation that
+    returns (certificate, instance) also passes the instance through
+    --instance."""
+    if isinstance(bad, list):
+        code, stdout, err = run_cli(capsys, *bad)
+    elif isinstance(bad, str):
         code, stdout, err = run_cli(capsys, "refute", "--family", "symmetric",
                                     "--p", "2", "--n", "4", "--poly", bad)
     else:

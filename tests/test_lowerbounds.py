@@ -409,6 +409,22 @@ class TestEvalDimension:
         f = Poly(4, f9, {(0, 1, 0, 1): one, (300, 0, 1, 0): one})
         assert eval_dimension(f, ((0, 1), (2, 3))) == 2
 
+    @pytest.mark.parametrize("right", [7, 8])
+    def test_budget_counts_every_assignment(self, f9, monkeypatch, right):
+        """A 3-point domain has 3^r right-side assignments: r = 7 (2,187)
+        fits the default 2^12 budget, and r = 8 (6,561) is refused before
+        any restriction is made. f = x1 + x_{r+1} restricts to x1 + b."""
+        monkeypatch.delenv("IPSFORGE_BUDGET_N", raising=False)
+        f = Poly.var(right + 1, f9, 0) + Poly.var(right + 1, f9, right)
+        partition = ((0,), tuple(range(1, right + 1)))
+        points = [f9.from_encoding(m) for m in range(3)]
+        if right == 7:
+            assert eval_dimension(f, partition, domain=points) == 2
+            return
+        monkeypatch.setattr(Poly, "restrict", lambda *args: pytest.fail("restricted"))
+        with pytest.raises(BudgetExceeded, match="restriction enumeration"):
+            eval_dimension(f, partition, domain=points)
+
     @pytest.mark.parametrize("partition", [((0,), (1,)), ((0, 1), (1,))],
                              ids=["misses-x3", "shares-x2"])
     def test_bad_partition(self, f9, partition):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ipsforge import gf
 from ipsforge.errors import FieldTooSmall, NotSymmetric, OutOfRange
-from ipsforge.mvpoly import Poly, ml, parse_poly
+from ipsforge.mvpoly import Poly, divide_by_axioms, ml, parse_poly, sum_of_products
 from ipsforge.symfun import (
     BenOrForm,
     ElemSymExpansion,
@@ -36,6 +37,73 @@ def compressed_at_weight(comp, w):
     """The compressed polynomial at e-hat's values on Hamming weight w: the
     point (C(w, p^i))_i, at which F agrees with the source."""
     return comp.poly.eval([binom_elem(w, comp.field.p ** i, comp.field) for i in range(comp.r)])
+
+
+# The product-built constructions that the weight-indexed builder replaced,
+# kept as references: each new path must give the same Poly.
+
+def reference_elem_sym(n, d, field):
+    terms = {}
+    for subset in itertools.combinations(range(n), d):
+        exp = [0] * n
+        for i in subset:
+            exp[i] = 1
+        terms[tuple(exp)] = field.one()
+    return Poly(n, field, terms)
+
+
+def reference_to_poly(expansion):
+    n, field = expansion.n, expansion.field
+    return sum_of_products(n, field, [
+        (reference_elem_sym(n, d, field), Poly.const(n, field, lam))
+        for d, lam in enumerate(expansion.lambdas) if not lam.is_zero()])
+
+
+def reference_product_factor(n, gamma):
+    field = gamma.spec
+    powers = [field.one()]
+    for _ in range(n):
+        powers.append(powers[-1] * gamma)
+    terms = {}
+    for mask in range(1 << n):
+        exp = tuple((mask >> j) & 1 for j in range(n))
+        c = powers[sum(exp)]
+        if not c.is_zero():
+            terms[exp] = c
+    return Poly(n, field, terms)
+
+
+def reference_ml_prod_elem(alphas, n, field):
+    """ml_prod_elem's fold on e-basis expansions, each step re-evaluated at
+    every weight, times C(w, beta), and solved back to the e-basis."""
+    def unit_expansion(d):
+        lams = [field.zero()] * (n + 1)
+        lams[d] = field.one()
+        return ElemSymExpansion(n, field, tuple(lams))
+
+    def expansion_times_elem(expansion, b):
+        values = [expansion.eval_at_weight(w) * binom_elem(w, b, field)
+                  for w in range(n + 1)]
+        return ElemSymExpansion.from_weight_values(values, field)
+
+    degrees = sorted(alphas)
+    if not degrees:
+        return unit_expansion(0), [Poly.zero(n, field)] * n
+    expansion = unit_expansion(degrees[0])
+    quotients = [Poly.zero(n, field) for _ in range(n)]
+    for beta in degrees[1:]:
+        e_beta = elem_sym(n, beta, field)
+        scaled = [(Poly.const(n, field, lam),
+                   divide_by_axioms(elem_sym(n, i, field) * e_beta, "boolean").quotients)
+                  for i, lam in enumerate(expansion.lambdas) if not lam.is_zero()]
+        quotients = [sum_of_products(n, field, [(q, e_beta)] + [
+                         (lam, d[j]) for lam, d in scaled])
+                     for j, q in enumerate(quotients)]
+        expansion = expansion_times_elem(expansion, beta)
+    return expansion, quotients
+
+
+REFERENCE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]
 
 
 def serialize(expansion):
@@ -94,6 +162,46 @@ class TestElemSym:
                 mask = rng.randrange(1 << n)
                 w = bin(mask).count("1")
                 assert eval_cube_point(ed, mask) == binom_elem(w, d, f2)
+
+
+@pytest.mark.parametrize("pk", REFERENCE_FIELDS, ids=lambda pk: f"GF({pk[0]}^{pk[1]})")
+class TestWeightBuilderMatchesProducts:
+    """elem_sym, ElemSymExpansion.to_poly and BenOrForm.product_factor,
+    built straight from the weights, against the product-built references."""
+
+    def test_elem_sym(self, pk):
+        field = gf.field_spec(*pk)
+        for n in range(8):
+            for d in range(n + 1):
+                assert elem_sym(n, d, field) == reference_elem_sym(n, d, field)
+
+    def test_to_poly(self, pk, rng):
+        field = gf.field_spec(*pk)
+        for n in range(8):
+            for _ in range(3):
+                lams = tuple(rng.choice([field.zero(), field.sample(rng)])
+                             for _ in range(n + 1))
+                expansion = ElemSymExpansion(n, field, lams)
+                assert expansion.to_poly() == reference_to_poly(expansion)
+
+    def test_product_factor(self, pk):
+        field = gf.field_spec(*pk)
+        nodes = tuple(field.elements())
+        for n in range(8):
+            form = BenOrForm(n, field, nodes, ())
+            for i, gamma in enumerate(nodes):
+                assert form.product_factor(i) == reference_product_factor(n, gamma)
+
+    def test_ml_prod_elem(self, pk, rng):
+        """Random degree lists of length 0 to 3 for every n <= 7."""
+        field = gf.field_spec(*pk)
+        for n in range(8):
+            for length in range(4):
+                alphas = [rng.randint(0, n) for _ in range(length)]
+                expansion, quotients = ml_prod_elem(alphas, n, field)
+                ref_expansion, ref_quotients = reference_ml_prod_elem(alphas, n, field)
+                assert expansion == ref_expansion, alphas
+                assert quotients == ref_quotients, alphas
 
 
 class TestLucas:
