@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from math import comb
 from typing import Sequence
 
 from ipsforge import _kernel as kn, exactla
@@ -44,6 +45,7 @@ from ipsforge.symfun import (
     binom_elem,
     num_compressed_vars,
     qt_poly,
+    subset_keys,
     weight_values,
 )
 from ipsforge.symfun import compress_char_p as _compress
@@ -341,6 +343,43 @@ def _boolean_side(A: list[Poly], axioms: list[Poly]) -> list[Poly]:
     return [-q for q in dec.quotients]
 
 
+def _symmetric_boolean_side(A: list[ElemSymExpansion], F: list[ElemSymExpansion]) -> list[Poly]:
+    """_boolean_side for symmetric A_i, f_i from their e-basis coefficients
+    a_i(d), f_i(d), with no product and no division. x_S x_T = x^e, where e
+    has u1 ones (S xor T) and u2 twos (S and T), comes from S = twos + M,
+    T = twos + ones - M for M within the ones, so sum_i A_i f_i has at x^e
+        c(u1, u2) = sum_i sum_m C(u1, m) a_i(u2 + m) f_i(u1 + u2 - m).
+    Dividing by x_j^2 - x_j for j ascending, a one before j collects the ones
+    and twos it came from. So the quotient Q_j = -B_j (x_j^2 moved to x_j^0)
+    has q(h, o, t) = sum_w C(h, w) c(h - w + o, w + t + 1) at the monomials
+    with h ones before j and o ones and t twos after j, and the remainder at
+    x_H, |H| = h, is r(h) = sum_w C(h, w) c(h - w, w), which must be [h = 0]."""
+    n, fld, p = F[0].n, F[0].field, F[0].field.p
+    binom = [[comb(u, m) % p for m in range(u + 1)] for u in range(n + 1)]
+    co = kn.codec(p, fld.modulus, (n + 1) * len(A) * p)  # (n+1)m products a sum, each times C < p
+    a, f = ([co.spread([lam.v for lam in e.lambdas]) for e in side] for side in (A, F))
+    c = [co.spread([co.reduce(sum(binom[u1][m] * ai[u2 + m] * fi[u1 + u2 - m]
+                                  for ai, fi in zip(a, f) for m in range(u1 + 1)))
+                    for u2 in range(n + 1 - u1)]) for u1 in range(n + 1)]
+    def diagonal(h, o, t):  # sum_w C(h, w) c(h - w + o, w + t)
+        return co.reduce(sum(binom[h][w] * c[h - w + o][w + t] for w in range(h + 1)))
+    if [diagonal(h, 0, 0) for h in range(n + 1)] != [1] + [0] * n:
+        raise AssertionError("sum A_i f_i does not reduce to 1 on the cube")
+    q = {(h, o, t): kn.vneg(diagonal(h, o, t + 1), p, fld.modulus)
+         for h in range(n) for o in range(n - h) for t in range(n - h - o)}
+    B, after = [], {(0, 0): [0]}  # keys on the variables after j, by (o, t)
+    for j in reversed(range(n)):
+        if j < n - 1:  # variable j + 1 joins them
+            one, get = kn.pack([0] * (j + 1) + [1], 1), lambda key: after.get(key, ())
+            after = {(o, t): [*get((o, t)), *[y + one for y in get((o - 1, t))],
+                              *[y + 2 * one for y in get((o, t - 1))]]
+                     for o in range(n - j) for t in range(n - j - o)}
+        B.append(Poly._of(n, fld, 1, {x + y: v for (o, t), ys in after.items()
+                                      for h in range(j + 1) if (v := q[h, o, t])
+                                      for y in ys for x in subset_keys(j, h)}))
+    return B[::-1]
+
+
 def refute_linear_lowdegree(L: Poly) -> Certificate:
     """Refutation of an unsatisfiable base-field linear instance with
     A = ml[L^{q-2}] of degree <= k(p-1); B_j come from sequential division of
@@ -463,7 +502,7 @@ def refute_symmetric_system(system: list[Poly]) -> Certificate | NoCertificateAt
     the digit-dominance polynomials Q_t (n < t <= p^r - 1), solve the
     low-variate certificate modulo the Fermat ideal with individual degree
     <= p-1, lift A_i = ml[A~_i(e-hat)] back through weight-space arithmetic,
-    and extract the Boolean quotients by exact division.
+    and read the Boolean quotients from weight-class tables.
     """
     if not system:
         raise ArityMismatch("empty system")
@@ -495,10 +534,10 @@ def refute_symmetric_system(system: list[Poly]) -> Certificate | NoCertificateAt
     ehat_values = [
         [binom_elem(w, p ** i, fld) for i in range(r)] for w in range(n + 1)
     ]
-    A = [ElemSymExpansion.from_weight_values(
-             [mult.eval(ehat_values[w]) for w in range(n + 1)], fld).to_poly()
-         for mult in multipliers[:m]]
-    B = _boolean_side(A, system)
+    lifted = [ElemSymExpansion.from_weight_values([mult.eval(e) for e in ehat_values], fld)
+              for mult in multipliers[:m]]
+    A = [e.to_poly() for e in lifted]
+    B = _symmetric_boolean_side(lifted, [c.source for c in compressed])
     low_variate = {
         "A": [format_poly(mu, default_names(r, "y")) for mu in multipliers[:m]],
         "S": [format_poly(mu, default_names(r, "y")) for mu in multipliers[m:]],

@@ -14,10 +14,10 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from ipsforge import exactla
+from ipsforge import _kernel as kn, exactla
 from ipsforge.errors import FieldTooSmall, NotSymmetric, OutOfRange
 from ipsforge.gf import FieldElem, FieldSpec
-from ipsforge.mvpoly import Poly, collect, divide_by_axioms, sum_of_products
+from ipsforge.mvpoly import Poly, divide_by_axioms, sum_of_products
 
 
 def lucas_binom(a: int, b: int, p: int) -> int:
@@ -51,14 +51,21 @@ def elem_sym(n: int, d: int, field: FieldSpec) -> Poly:
     return _by_weight(n, field, [0] * d + [1])
 
 
+@lru_cache(maxsize=256)  # the weights of a few n at a time
+def subset_keys(n: int, d: int) -> tuple[int, ...]:
+    """The keys (one-byte slots) of the monomials x_S over the d-subsets S of
+    the first n variables."""
+    units = [kn.pack([0] * i + [1], 1) for i in range(n)]
+    return tuple(sum(map(units.__getitem__, s)) for s in itertools.combinations(range(n), d))
+
+
 def _by_weight(n: int, field: FieldSpec, values: Sequence[int]) -> Poly:
     """sum_S values[|S|] x_S over the subsets S of the n variables, values
-    stored elements (FieldElem.v) for the weights 0..len(values) - 1: each
-    nonzero weight enumerates its own subsets, so a sparse expansion stays
+    stored elements (FieldElem.v) for the weights 0..len(values) - 1: only
+    nonzero weights read their subsets, so a sparse expansion stays
     polynomial in n."""
-    return collect(n, field, [([1 if i in subset else 0 for i in range(n)], c)
-                              for d, c in enumerate(values) if c
-                              for subset in map(set, itertools.combinations(range(n), d))])
+    return Poly._of(n, field, 1, {e: c for d, c in enumerate(values) if c
+                                  for e in subset_keys(n, d)})
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +81,6 @@ class ElemSymExpansion:
 
     def to_poly(self) -> Poly:
         return _by_weight(self.n, self.field, [lam.v for lam in self.lambdas])
-
-    def eval_at_weight(self, w: int) -> FieldElem:
-        acc = self.field.zero()
-        for d, lam in enumerate(self.lambdas):
-            if not lam.is_zero():
-                acc = acc + lam * binom_elem(w, d, self.field)
-        return acc
 
     @classmethod
     def from_weight_values(cls, values: Sequence[FieldElem],
@@ -138,17 +138,12 @@ class BenOrForm:
 
     def product_factor(self, i: int) -> Poly:
         """prod_j (1 + nodes[i] x_j), expanded: sum_S nodes[i]^{|S|} x_S."""
-        gamma = self.nodes[i]
-        powers = [self.field.one()]
-        for _ in range(self.n):
-            powers.append(powers[-1] * gamma)
-        return _by_weight(self.n, self.field, [c.v for c in powers])
+        return _by_weight(self.n, self.field, [(self.nodes[i] ** w).v for w in range(self.n + 1)])
 
     def expand_row(self, k: int) -> Poly:
-        n, field = self.n, self.field
-        return sum_of_products(n, field, [
-            (self.product_factor(i), Poly.const(n, field, c))
-            for i, c in enumerate(self.coeffs[k]) if not c.is_zero()])
+        """sum_i coeffs[k][i] product_factor(i), at x_S sum_i coeffs[k][i] nodes[i]^|S|."""
+        return _by_weight(self.n, self.field, [sum((c * g ** w for c, g in zip(
+            self.coeffs[k], self.nodes)), self.field.zero()).v for w in range(self.n + 1)])
 
 
 def ben_or_coeffs(n: int, field: FieldSpec) -> BenOrForm:
@@ -207,6 +202,7 @@ class CompressedSymmetric:
     r: int
     field: FieldSpec
     poly: Poly  # in r variables
+    source: ElemSymExpansion  # the source's e-basis expansion, lambda_d the weight of Q_d
 
 
 def num_compressed_vars(n: int, p: int) -> int:
@@ -226,7 +222,7 @@ def compress_char_p(f: Poly) -> CompressedSymmetric:
     poly = sum_of_products(r, field, [
         (qt_poly(d, r, p, field) if d else Poly.one(r, field), Poly.const(r, field, lam))
         for d, lam in enumerate(expansion.lambdas) if not lam.is_zero()])
-    return CompressedSymmetric(n, r, field, poly)
+    return CompressedSymmetric(n, r, field, poly, expansion)
 
 
 @lru_cache(maxsize=256)  # every axiom set asks for its Q_t again; a Poly is immutable

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from ipsforge import exactla, gf, generators
 from ipsforge.certificates import (
+    _boolean_side,
     _monomial_basis,
     _solve_multipliers,
+    _symmetric_boolean_side,
     Certificate,
     Instance,
     NoCertificateAtDegree,
@@ -42,7 +44,7 @@ from ipsforge.errors import (
 from ipsforge.gf import FieldElem
 from ipsforge.lowerbounds import ml_inverse, ml_reciprocal
 from ipsforge.mvpoly import Poly, collect, fermat_exponent, ml, substitute_monomials
-from ipsforge.symfun import elem_sym
+from ipsforge.symfun import ElemSymExpansion, elem_sym, sym_to_elem_basis
 
 from conftest import eval_cube_point, from_coeffs, rand_poly
 
@@ -599,6 +601,40 @@ class TestSymmetric:
         cert = refute_symmetric_system(inst.axioms)
         assert isinstance(cert, Certificate)
         assert verify(inst, cert).ok
+
+    @pytest.mark.parametrize("pk", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)],
+                             ids=lambda pk: f"GF({pk[0]}^{pk[1]})")
+    def test_table_boolean_side_matches_division(self, pk):
+        """The B side from class tables equals the quotients of dividing
+        sum A_i f_i by the Boolean axioms, for n = 0..8, m <= 3 and three
+        seeds, with random symmetric A_i whose weight values make
+        sum A_i f_i = 1 on the cube. With seed 0, an A_i with one weight
+        value changed, at a weight where f_i is nonzero, fails on both paths."""
+        fld = gf.field_spec(*pk)
+        for n, m, seed in itertools.product(range(9), (1, 2, 3), range(3)):
+            rng = random.Random(seed)
+            inst = generators.symmetric_system(fld, n, m, rng)
+            fvalues = [weight_values(g) for g in inst.axioms]
+            values = [[fld.sample(rng) for _ in range(n + 1)] for _ in range(m)]
+            for w in range(n + 1):  # solve for A_i(w) at the first i with f_i(w) != 0
+                i = next(i for i in range(m) if not fvalues[i][w].is_zero())
+                rest = sum((values[j][w] * fvalues[j][w] for j in range(m) if j != i), fld.zero())
+                values[i][w] = (fld.one() - rest) / fvalues[i][w]
+            lifted = [ElemSymExpansion.from_weight_values(v, fld) for v in values]
+            f = [sym_to_elem_basis(g) for g in inst.axioms]
+            A = [e.to_poly() for e in lifted]
+            assert _symmetric_boolean_side(lifted, f) == _boolean_side(A, inst.axioms)
+            if seed:
+                continue
+            w = rng.randrange(n + 1)
+            i = next(i for i in range(m) if not fvalues[i][w].is_zero())
+            values[i][w] = values[i][w] + fld.from_encoding(rng.randrange(1, fld.order))
+            lifted[i] = ElemSymExpansion.from_weight_values(values[i], fld)
+            A[i] = lifted[i].to_poly()
+            with pytest.raises(AssertionError):
+                _boolean_side(A, inst.axioms)
+            with pytest.raises(AssertionError):
+                _symmetric_boolean_side(lifted, f)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_generator_needs_a_polynomial(self, f4, m):

@@ -10,12 +10,13 @@ coefficient slots are fixed below.
 """
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipsforge import _gfcore_py as ref
-from ipsforge import gf
+from ipsforge import gf, mvpoly
 from ipsforge.errors import ArityMismatch
 from ipsforge.mvpoly import (
     Poly,
@@ -141,6 +142,73 @@ def test_sum_of_products_checks_every_factor():
         sum_of_products(2, f4, [(Poly.one(2, f4), Poly.one(3, f4))])
     with pytest.raises(ArityMismatch):
         sum_of_products(2, f4, [(Poly.one(2, f9), Poly.one(2, f9))])
+
+
+# ---------------------------------------------------------------------------
+# Kronecker products of dense multilinear pairs (prime fields)
+
+def multilinear(field, n, size, rng):
+    """A multilinear poly with size distinct monomials and nonzero coefficients."""
+    return Poly(n, field, {tuple(m >> v & 1 for v in range(n)): field.from_int(
+        rng.randrange(1, field.p)) for m in rng.sample(range(1 << n), size)})
+
+
+def least_dense(n):
+    """The least |g| that makes a pair with a full multilinear f dense."""
+    return -(-mvpoly.DENSE * 3 ** n // 2 ** n)
+
+
+@st.composite
+def kronecker_mixes(draw):
+    """A dense multilinear pair, where n allows one, beside a sparse
+    multilinear pair and a pair with exponents up to 3; below n = 5 every
+    pair goes term pair by term pair."""
+    field = gf.field_spec(draw(st.sampled_from([2, 3, 5, 7])), 1)
+    n, rng = draw(st.integers(0, 8)), draw(st.randoms(use_true_random=False))
+    full, need = 1 << n, least_dense(n)
+    pairs = [(multilinear(field, n, min(full, 2), rng), multilinear(field, n, min(full, 3), rng)),
+             (Poly(n, field, {tuple(rng.randrange(4) for _ in range(n)): field.from_int(
+                 rng.randrange(1, field.p)) for _ in range(5)}),
+              multilinear(field, n, min(full, 4), rng))]
+    if need <= full:
+        size = draw(st.integers(need, min(full, need + 8)))
+        pairs.append((multilinear(field, n, full, rng), multilinear(field, n, size, rng)))
+    return field, n, draw(st.permutations(pairs)), n >= 5 and need <= full
+
+
+@settings(max_examples=40, deadline=None)
+@given(kronecker_mixes())
+def test_kronecker_products_match_schoolbook(case):
+    field, n, pairs, dense = case
+    with mock.patch.object(mvpoly, "_kronecker", wraps=mvpoly._kronecker) as kron:
+        total = sum_of_products(n, field, pairs)
+    assert kron.called == dense
+    assert coeff_map(total) == schoolbook(pairs, field)
+
+
+@pytest.mark.parametrize("p", [2, 7, 251, 65521])
+def test_kronecker_worst_case_slots(p):
+    """Three full multilinear squares with every coefficient p-1: the slot
+    of x1...xn collects 2^n term pairs of (p-1)^2 from each, which takes
+    one-, two-, four- and eight-byte slots for these p."""
+    field, n = gf.field_spec(p, 1), 5
+    f = Poly(n, field, {e: field.from_int(p - 1) for e in itertools.product((0, 1), repeat=n)})
+    with mock.patch.object(mvpoly, "_kronecker", wraps=mvpoly._kronecker) as kron:
+        total = sum_of_products(n, field, [(f, f)] * 3)
+    assert kron.called
+    assert coeff_map(total) == schoolbook([(f, f)] * 3, field)
+
+
+@pytest.mark.parametrize("extra,dense", [(0, True), (-1, False)])
+def test_density_threshold_sides(extra, dense, rng):
+    """|f| |g| just at DENSE * 3^n takes the Kronecker path, one term less
+    the term-pair loop; both give the schoolbook sum."""
+    field, n = gf.field_spec(3, 1), 5
+    pair = (multilinear(field, n, 2 ** n, rng), multilinear(field, n, least_dense(n) + extra, rng))
+    with mock.patch.object(mvpoly, "_kronecker", wraps=mvpoly._kronecker) as kron:
+        total = sum_of_products(n, field, [pair])
+    assert kron.called == dense
+    assert coeff_map(total) == schoolbook([pair], field)
 
 
 # ---------------------------------------------------------------------------

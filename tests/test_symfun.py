@@ -33,6 +33,14 @@ def ml_pair_expansion(a, b, n, field):
     return ElemSymExpansion.from_weight_values(values, field)
 
 
+def eval_at_weight(expansion, w):
+    """sum_d lambda_d C(w, d): the expansion's value at Hamming weight w,
+    by FieldElem arithmetic."""
+    field = expansion.field
+    return sum((lam * binom_elem(w, d, field) for d, lam in enumerate(expansion.lambdas)),
+               field.zero())
+
+
 def compressed_at_weight(comp, w):
     """The compressed polynomial at e-hat's values on Hamming weight w: the
     point (C(w, p^i))_i, at which F agrees with the source."""
@@ -82,7 +90,7 @@ def reference_ml_prod_elem(alphas, n, field):
         return ElemSymExpansion(n, field, tuple(lams))
 
     def expansion_times_elem(expansion, b):
-        values = [expansion.eval_at_weight(w) * binom_elem(w, b, field)
+        values = [eval_at_weight(expansion, w) * binom_elem(w, b, field)
                   for w in range(n + 1)]
         return ElemSymExpansion.from_weight_values(values, field)
 
@@ -221,6 +229,14 @@ class TestLucas:
 
 
 class TestBenOr:
+    @staticmethod
+    def reference_row(form, k):
+        """Row k as the product form sum_i coeffs[k][i] * product_factor(i)."""
+        n, field = form.n, form.field
+        return sum_of_products(n, field, [
+            (form.product_factor(i), Poly.const(n, field, c))
+            for i, c in enumerate(form.coeffs[k]) if not c.is_zero()])
+
     @pytest.mark.parametrize("n,spec_args", [(1, (5, 1)), (3, (2, 3)), (4, (5, 1)),
                                              (6, (7, 1)), (6, (2, 3))])
     def test_identity_polynomial_level(self, n, spec_args):
@@ -228,6 +244,7 @@ class TestBenOr:
         form = ben_or_coeffs(n, spec)
         for k in range(n + 1):
             assert form.expand_row(k) == elem_sym(n, k, spec)
+            assert form.expand_row(k) == self.reference_row(form, k)
 
     def test_row_zero_is_constant_one(self):
         spec = gf.field_spec(5, 1)
@@ -268,7 +285,7 @@ class TestElemBasis:
         field = values[0].spec
         expansion = ElemSymExpansion.from_weight_values(values, field)
         assert expansion.n == len(values) - 1
-        assert [expansion.eval_at_weight(w) for w in range(len(values))] == values
+        assert [eval_at_weight(expansion, w) for w in range(len(values))] == values
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]), st.integers(0, 6),
@@ -286,7 +303,7 @@ class TestElemBasis:
         assert weight_values(f) == prefix
         expansion = sym_to_elem_basis(f)
         assert expansion.lambdas == lams and expansion.to_poly() == f
-        assert [expansion.eval_at_weight(w) for w in range(n + 1)] == prefix
+        assert [eval_at_weight(expansion, w) for w in range(n + 1)] == prefix
         terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), elem,
                                           max_size=10))
         g = Poly(n, field, terms)
@@ -408,7 +425,7 @@ class TestMlProdElem:
             for w in range(6)
         ]
         for w in range(6):
-            assert expansion.eval_at_weight(w) == prod_vals[w]
+            assert eval_at_weight(expansion, w) == prod_vals[w]
 
     def test_out_of_range(self, f3):
         with pytest.raises(OutOfRange):
