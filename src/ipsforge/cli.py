@@ -1,7 +1,7 @@
 """Command-line front-end: instance generation, refutation, verification, and
 lower-bound experiments as reproducible, scriptable runs.
 
-Exit codes: 0 success, 1 usage or parse problems, 2 mathematically-expected
+Exit codes: 0 success, 1 usage, parse or path problems, 2 mathematically-expected
 failures (satisfiable instance, no certificate at the bound, failed
 verification), 3 internal errors. Every emitted artifact embeds its full run
 configuration; JSON output is canonical (sorted keys) so identical
@@ -10,11 +10,11 @@ configurations give byte-identical files.
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import sys
-
-import click
+from functools import partial
 
 from ipsforge import acceptance, generators, gf
 from ipsforge.certificates import (
@@ -35,7 +35,6 @@ from ipsforge.errors import (
     BetaInSubfield,
     BudgetExceeded,
     FieldMismatch,
-    IpsforgeError,
     ParseError,
     SatisfiableInstance,
     SatisfiableSystem,
@@ -67,6 +66,17 @@ class MathFailure(Exception):
         self.code = code
 
 
+class UsageError(Exception):
+    """Bad command-line usage; becomes exit code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that raises UsageError where argparse would print and exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -92,39 +102,35 @@ def _run_config(subcommand: str, **params) -> dict:
     return cfg
 
 
-def _prime(ctx, param, value):
-    """Click callback: a field characteristic must be prime."""
+def _integer(text: str, least: int | None = None) -> int:
+    """argparse type: an int, at least `least` when that is given."""
     try:
-        prime = gf.is_prime(value)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
-    if not prime:
-        raise click.BadParameter(f"{value} is not prime")
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"Invalid value: {text!r} is not a valid integer") from None
+    if least is not None and value < least:
+        raise argparse.ArgumentTypeError(f"Invalid value: {value} is not in the range x>={least}")
     return value
 
 
-def _common_options(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-                      default="json", show_default=True)(fn)
-    fn = click.option("--canonical", is_flag=True,
-                      help="Emit canonical JSON bytes even in text mode.")(fn)
-    fn = click.option("--out", default="-", show_default=True,
-                      help="Output path ('-' for stdout).")(fn)
-    return fn
-
-
-@click.group()
-def cli():
-    """ipsforge: exact IPS_LIN refutations and lower-bound oracles."""
+def _prime(text: str) -> int:
+    """argparse type: a field characteristic must be prime."""
+    value = _integer(text)
+    try:
+        if gf.is_prime(value):
+            return value
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"Invalid value: {exc}") from None
+    raise argparse.ArgumentTypeError(f"Invalid value: {value} is not prime")
 
 
 # ---------------------------------------------------------------------------
 # instance construction shared by gen and refute
 
 def _build_instance(family: str, p: int, k: int, n: int, m: int,
-                    seed: int | None, poly_texts: tuple[str, ...]) -> Instance:
+                    seed: int | None, poly_texts: list[str]) -> Instance:
     if poly_texts and family != "symmetric":
-        raise click.UsageError("--poly applies to the symmetric family only")
+        raise UsageError("--poly applies to the symmetric family only")
     # a symmetric axiom is expanded into its up to 2^n multilinear terms, and
     # a sparse-shifted certificate about doubles in size and time with each
     # unit of n (p = 3, k = 2, 2-vCPU host: 26 s at n = 10, 55 s at n = 11)
@@ -137,7 +143,7 @@ def _build_instance(family: str, p: int, k: int, n: int, m: int,
         axioms = [_parse_sym_expr(text, n, fld) for text in poly_texts]
         return Instance(n, fld, axioms, "symmetric-system")
     if seed is None:
-        raise click.UsageError("--seed is mandatory for randomized instance generation")
+        raise UsageError("--seed is mandatory for randomized instance generation")
     rng = random.Random(seed)
     if family == "linear-shifted":
         return generators.linear_shifted(gf.field_tower(p, k), n, rng)
@@ -147,7 +153,7 @@ def _build_instance(family: str, p: int, k: int, n: int, m: int,
         return generators.sparse_quadratic(gf.field_tower(p, k), n, rng)
     if family == "symmetric":
         return generators.symmetric_system(gf.field_spec(p, k), n, m, rng)
-    raise click.UsageError(f"unknown family {family!r}")
+    raise UsageError(f"unknown family {family!r}")
 
 
 def _parse_sym_expr(text: str, n: int, fld):
@@ -169,18 +175,6 @@ REFUTERS = {
 }
 
 
-@cli.command()
-@click.option("--family", required=True,
-              type=click.Choice(sorted(REFUTERS)))
-@click.option("--p", type=int, required=True, callback=_prime)
-@click.option("--k", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option("--m", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Number of axioms (symmetric family).")
-@click.option("--seed", type=int, default=None)
-@click.option("--poly", "polys", multiple=True,
-              help="Explicit symmetric polynomial, e.g. 'e1+e2+1' (repeatable).")
-@_common_options
 def refute(family, p, k, n, m, seed, polys, out, fmt, canonical):
     """Construct a certificate for a generated or explicit instance."""
     inst = _build_instance(family, p, k, n, m, seed, polys)
@@ -221,12 +215,6 @@ def _read_json(path: str):
             raise ParseError(f"{path} is not JSON text: {str(exc).split(';')[0]}") from None
 
 
-@cli.command(name="verify")
-@click.argument("certificate", type=click.Path(exists=True, dir_okay=False))
-@click.option("--instance", "instance_path",
-              type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Instance file to cross-check against the certificate.")
-@_common_options
 def verify_cmd(certificate, instance_path, out, fmt, canonical):
     """Re-verify a certificate file; exit 0 iff the identity holds exactly."""
     data = _read_json(certificate)
@@ -268,16 +256,6 @@ def verify_cmd(certificate, instance_path, out, fmt, canonical):
         raise MathFailure("not_a_certificate", "nonzero residual")
 
 
-@cli.command()
-@click.option("--family", required=True,
-              type=click.Choice(sorted(REFUTERS)))
-@click.option("--p", type=int, required=True, callback=_prime)
-@click.option("--k", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option("--m", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--poly", "polys", multiple=True)
-@_common_options
 def gen(family, p, k, n, m, seed, polys, out, fmt, canonical):
     """Generate an instance file without refuting it."""
     inst = _build_instance(family, p, k, n, m, seed, polys)
@@ -298,22 +276,6 @@ def gen(family, p, k, n, m, seed, polys, out, fmt, canonical):
 # ---------------------------------------------------------------------------
 # oracles
 
-@cli.command()
-@click.argument("kind", type=click.Choice([
-    "degree-trial", "scan", "sparsity", "top-coeff", "numerator",
-    "rank", "eval-dim", "roabp-width",
-]))
-@click.option("--p", type=int, default=2, show_default=True, callback=_prime)
-@click.option("--k", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option("--trials", type=click.IntRange(min=0), default=100, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--scan-all", is_flag=True,
-              help="degree-trial: require every restriction to reach full degree.")
-@click.option("--instance", "inst_kind", default="fixed-order",
-              type=click.Choice(["fixed-order", "any-order"]),
-              help="Lifted instance family for rank/eval-dim/roabp-width.")
-@_common_options
 def oracle(kind, p, k, n, trials, seed, scan_all, inst_kind, out, fmt, canonical):
     """Run a lower-bound oracle and report empirical values next to the bound."""
     cfg = _run_config("oracle", kind=kind, p=p, k=k, n=n, trials=trials,
@@ -328,7 +290,7 @@ def oracle(kind, p, k, n, trials, seed, scan_all, inst_kind, out, fmt, canonical
         _emit(payload, out, fmt, canonical)
         return
     if seed is None:
-        raise click.UsageError("--seed is mandatory for randomized oracles")
+        raise UsageError("--seed is mandatory for randomized oracles")
     tower = gf.field_tower(p, k)
     rng = random.Random(seed)
     if kind == "degree-trial":
@@ -391,11 +353,6 @@ def oracle(kind, p, k, n, trials, seed, scan_all, inst_kind, out, fmt, canonical
 # ---------------------------------------------------------------------------
 # experiments
 
-@cli.command()
-@click.argument("suite", type=click.Choice(["acceptance", "sweep-frobenius"]))
-@click.option("--seed", type=int, default=acceptance.DEFAULT_SEED, show_default=True)
-@click.option("--only", type=int, default=None, help="Run a single criterion id.")
-@_common_options
 def experiment(suite, seed, only, out, fmt, canonical):
     """Run a named suite; prints one pass/fail line per criterion."""
     if suite == "acceptance":
@@ -410,7 +367,7 @@ def experiment(suite, seed, only, out, fmt, canonical):
         lines.append(f"all passed: {payload['all_passed']}")
         _emit(payload, out, fmt, canonical, text_lines=lines)
         for r in results:
-            click.echo(r.timed_line(), err=True)
+            sys.stderr.write(r.timed_line() + "\n")
         if not payload["all_passed"]:
             raise MathFailure("acceptance_failed", "one or more criteria failed")
         return
@@ -440,12 +397,71 @@ def experiment(suite, seed, only, out, fmt, canonical):
 
 
 # ---------------------------------------------------------------------------
-# entry point with the documented exit codes
+# the command line and its entry point with the documented exit codes
+
+def _parser() -> _Parser:
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", dest="fmt", choices=["json", "text"], default="json")
+    output.add_argument("--canonical", action="store_true",
+                        help="Emit canonical JSON bytes even in text mode.")
+    output.add_argument("--out", default="-", help="Output path ('-' for stdout).")
+    size = argparse.ArgumentParser(add_help=False)  # gen, refute and oracle
+    size.add_argument("--k", type=partial(_integer, least=1), default=1)
+    size.add_argument("--n", type=partial(_integer, least=0), required=True)
+    size.add_argument("--seed", type=_integer)
+    instance = argparse.ArgumentParser(add_help=False, parents=[size])  # gen and refute
+    instance.add_argument("--family", required=True, choices=sorted(REFUTERS))
+    instance.add_argument("--p", type=_prime, required=True)
+    instance.add_argument("--m", type=partial(_integer, least=1), default=1,
+                          help="Number of axioms (symmetric family).")
+    instance.add_argument("--poly", dest="polys", action="append", default=[],
+                          help="Explicit symmetric polynomial, e.g. 'e1+e2+1' (repeatable).")
+    parser = _Parser(prog="ipsforge", allow_abbrev=False, description=__doc__.split("\n\n")[0])
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run, *parents):
+        sub = commands.add_parser(name, parents=[*parents, output], allow_abbrev=False,
+                                  help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    command("refute", refute, instance)
+    sub = command("verify", verify_cmd)
+    sub.add_argument("certificate")
+    sub.add_argument("--instance", dest="instance_path",
+                     help="Instance file to cross-check against the certificate.")
+    command("gen", gen, instance)
+    sub = command("oracle", oracle, size)
+    sub.add_argument("kind", choices=["degree-trial", "scan", "sparsity", "top-coeff",
+                                      "numerator", "rank", "eval-dim", "roabp-width"])
+    sub.add_argument("--p", type=_prime, default=2)
+    sub.add_argument("--trials", type=partial(_integer, least=0), default=100)
+    sub.add_argument("--scan-all", action="store_true",
+                     help="degree-trial: require every restriction to reach full degree.")
+    sub.add_argument("--instance", dest="inst_kind", default="fixed-order",
+                     choices=["fixed-order", "any-order"],
+                     help="Lifted instance family for rank/eval-dim/roabp-width.")
+    sub = command("experiment", experiment)
+    sub.add_argument("suite", choices=["acceptance", "sweep-frobenius"])
+    sub.add_argument("--seed", type=_integer, default=acceptance.DEFAULT_SEED)
+    sub.add_argument("--only", type=_integer, help="Run a single criterion id.")
+    return parser
+
+
+PARSER = _parser()
+
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in reversed(range(len(argv) - 1)):  # '--poly -e1' is a value, not an option
+        if argv[i] == "--poly":
+            argv[i:i + 2] = ["--poly=" + argv[i + 1]]
     try:
-        cli(args=argv, standalone_mode=False)
+        args = vars(PARSER.parse_args(argv))
+        args.pop("run")(**args)
         return EXIT_OK
+    except SystemExit as exc:  # from --help, once the help is printed
+        return exc.code
     except MathFailure as exc:
         sys.stdout.write(_canonical_json({"error": exc.code, "message": str(exc)}))
         return EXIT_MATH
@@ -457,18 +473,11 @@ def main(argv=None) -> int:
         }[type(exc)]
         sys.stdout.write(_canonical_json({"error": code, "message": str(exc)}))
         return EXIT_MATH
-    except (ParseError, FieldMismatch, BudgetExceeded, json.JSONDecodeError) as exc:
+    except (UsageError, ParseError, FieldMismatch, BudgetExceeded, json.JSONDecodeError,
+            OSError) as exc:  # OSError: a path given for --out, a certificate or --instance
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except click.ClickException as exc:
-        exc.show(file=sys.stderr)
-        return EXIT_USAGE
-    except click.Abort:
-        return EXIT_USAGE
-    except IpsforgeError as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
-        return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a bug, an IpsforgeError included
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
 

@@ -62,7 +62,7 @@ DENSE = 1
 _TERNARY = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _kronecker(n: int, p: int, nb: int, pairs: list) -> dict[int, int]:
+def _kronecker(n: int, p: int, nb: int, pairs: list) -> defaultdict[int, int]:
     """sum f*g over multilinear pairs over F_p, unreduced, keys at nb-byte
     slots, by one big-int multiply a pair, the Kronecker substitution of the
     monomials (Harvey, JSC 2009): a term sits at slot sum_v e_v 3^v of W-byte
@@ -84,8 +84,8 @@ def _kronecker(n: int, p: int, nb: int, pairs: list) -> dict[int, int]:
     fmt, order = "BHIQ"[width.bit_length() - 1], sys.byteorder
     total = sum(factor(f) * factor(g) for f, g in pairs)
     with memoryview(total.to_bytes(3 ** n * width, order)).cast(fmt) as vals:
-        return {top + key: v for (top, key), v in zip(product(keys(n // 2, n), keys(0, n // 2)),
-                                                      vals) if v}
+        return defaultdict(int, ((top + key, v) for (top, key), v in zip(
+            product(keys(n // 2, n), keys(0, n // 2)), vals) if v))
 
 
 def _products(n: int, field: FieldSpec, pairs: Iterable[tuple["Poly", "Poly"]]) -> "Poly":
@@ -108,7 +108,7 @@ def _products(n: int, field: FieldSpec, pairs: Iterable[tuple["Poly", "Poly"]]) 
     if field.k > 1:  # one batch spread; a lone residue is its own Kronecker form
         spread = iter(codec.spread([c for at in sides for c in at.values()]))
         sides = [dict(zip(at, islice(spread, len(at)))) for at in sides]
-    out: dict[int, int] = defaultdict(int, _kronecker(n, p, nb, dense) if dense else {})
+    out = _kronecker(n, p, nb, dense) if dense else defaultdict(int)
     for a, b in zip(sides[::2], sides[1::2]):
         for e1, c1 in a.items():
             for e2, c2 in b.items():

@@ -122,6 +122,49 @@ def test_bad_field_or_size_is_usage_error(capsys, argv):
     assert "Invalid value" in err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["gen", "--family", "linear-base", "--p", "3", "--n", "2", "--seed", "-4"], 0),
+    (["refute", "--fam", "linear-base", "--p", "3", "--n", "2", "--seed", "1"], 1),
+    (["--help"], 0),
+    (["refute", "--help"], 0),
+    ([], 1),
+    (["bogus"], 1),
+], ids=["negative-seed", "option-prefix", "help", "command-help", "no-command", "bogus"])
+def test_argv_exit_code(capsys, argv, expected):
+    """A negative --seed is a value; a prefix of a long option is no option;
+    --help exits 0; no command or an unknown one is a usage error."""
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == expected, err
+    if argv and argv[-1] == "--help":
+        assert "--help" in stdout
+
+
+def test_poly_value_may_start_with_a_sign(capsys):
+    argv = ["refute", "--family", "symmetric", "--p", "3", "--n", "2"]
+    code, stdout, err = run_cli(capsys, *argv, "--poly", "-e1+e2+2")
+    assert code == 0, err
+    assert run_cli(capsys, *argv, "--poly=-e1+e2+2") == (0, stdout, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "numerator", "--n", "2", "--out", "{tmp}/no/such/dir/x.json"],
+    ["gen", "--family", "linear-base", "--p", "3", "--n", "2", "--seed", "1", "--out", "{tmp}"],
+    ["verify", "{tmp}/missing.json"],
+    ["verify", "{tmp}"],
+    ["verify", "{cert}", "--instance", "{tmp}/missing.json"],
+    ["verify", "{cert}", "--instance", "{tmp}"],
+], ids=["out-missing-dir", "out-is-dir", "cert-missing", "cert-is-dir",
+        "instance-missing", "instance-is-dir"])
+def test_unusable_path_exits_1(tmp_path, capsys, argv):
+    """A path that cannot be opened is bad input, not an internal error."""
+    cert = tmp_path / "cert.json"
+    assert run_cli(capsys, "refute", "--family", "linear-base", "--p", "3", "--n", "2",
+                   "--seed", "1", "--out", str(cert))[0] == 0
+    code, _, err = run_cli(capsys, *[a.format(tmp=tmp_path, cert=cert) for a in argv])
+    assert code == 1, err
+    assert err.startswith("error: [Errno ")
+
+
 @pytest.mark.parametrize("bad, expected", [
     ("e1*e2", 1),
     ("e9", 1),

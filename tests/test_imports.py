@@ -3,9 +3,11 @@ module or name from another module. The kernel module ``_kernel`` is the
 one exception, and ``_kernel.py`` itself may import the kernel it re-exports.
 Every name a module imports is used in it, unless the module exports it in
 ``__all__`` or is ``_kernel.py``, whose imports are its re-exports.
+The package needs nothing outside the standard library.
 The package holds Python source only: no generated or compiled files."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,6 +91,37 @@ def test_unused_imports_are_found():
               "    return ipsforge.gf.field_spec(2, 1), os.sep\n")
     assert unused_imports(source, "mvpoly.py") == ["regex", "collect"]
     assert unused_imports(source, "_kernel.py") == []
+
+
+def outside_imports(source: str) -> list[str]:
+    """The top-level modules that source imports other than ipsforge,
+    __future__ and the standard library's."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module.split(".")[0])
+    return [name for name in found
+            if name not in {"ipsforge", "__future__"} | sys.stdlib_module_names]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_standard_library_only(path):
+    assert outside_imports(path.read_text()) == []
+
+
+def test_outside_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import json, click\n"
+              "import numpy.linalg as la\n"
+              "from ipsforge.gf import field_spec\n"
+              "from . import _kernel\n"
+              "from collections import defaultdict\n"
+              "from hypothesis.strategies import integers\n"
+              "def f():\n"
+              "    import yaml\n")
+    assert outside_imports(source) == ["click", "numpy", "hypothesis", "yaml"]
 
 
 def test_package_holds_python_source_only():
